@@ -9,7 +9,8 @@ Usage:
 Exit codes:
     0  success
     2  configuration problem (bad flag, malformed config file, invalid value)
-    3  runtime invariant violation inside a run
+    3  runtime invariant violation inside a run (a broken tracking identity
+       or a non-finite value), naming the iteration
 """
 
 from __future__ import annotations

@@ -48,11 +48,11 @@ CSV_COLUMNS: tuple[str, ...] = (
 class IterRecord:
     """Snapshot of one recorded iteration.
 
-    All ``*_x``/``*_s``/``*_dist``/``psi`` fields are squared quantities and
-    therefore nonnegative; ``subopt`` may carry a tiny negative floating
-    point residue bounded by ``1e-12``. ``wavg_subopt`` is the running
-    weighted-average suboptimality for noisy runs (not part of the trace CSV
-    columns).
+    Every field is finite. All ``*_x``/``*_s``/``*_dist``/``psi`` fields are
+    squared quantities and therefore nonnegative; ``subopt`` may carry a tiny
+    negative floating point residue bounded by ``1e-12``. ``wavg_subopt`` is
+    the running weighted-average suboptimality for noisy runs (not part of
+    the trace CSV columns).
     """
 
     t: int
@@ -69,10 +69,14 @@ class IterRecord:
     def __post_init__(self) -> None:
         for name in ("consensus_x", "consensus_s", "snap_grad_dist", "psi", "mean_dist"):
             value = getattr(self, name)
-            if value < 0.0:
-                raise ValueError(f"{name} is a squared quantity but is {value}")
-        if self.subopt < -1e-12:
-            raise ValueError(f"suboptimality {self.subopt} below the -1e-12 floor")
+            if not 0.0 <= value < math.inf:  # NaN fails the comparison too
+                raise ValueError(f"{name} is a finite squared quantity but is {value}")
+        if not math.isfinite(self.eta):
+            raise ValueError(f"step size {self.eta} is not finite")
+        if not math.isfinite(self.subopt) or self.subopt < -1e-12:
+            raise ValueError(f"suboptimality {self.subopt} is not finite or below the -1e-12 floor")
+        if self.wavg_subopt is not None and not math.isfinite(self.wavg_subopt):
+            raise ValueError(f"weighted-average suboptimality {self.wavg_subopt} is not finite")
         if self.zeta not in (0, 1):
             raise ValueError(f"zeta must be 0 or 1, got {self.zeta}")
 

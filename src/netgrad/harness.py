@@ -38,6 +38,7 @@ from .algorithms import (
     ssdsgt_step,
     step_size,
     theory_schedule,
+    vector_norm,
 )
 from .diagnostics import CSV_COLUMNS, IterRecord, WeightedAverager, record_iteration
 from .errors import ConfigError, InvariantViolation
@@ -388,7 +389,8 @@ class _AuditTracker:
         ratio = 0.0 if err == 0.0 else err / max(running, 1e-300)
         if ratio > self.max_ratio.get(name, 0.0):
             self.max_ratio[name] = ratio
-        if ratio > AUDIT_ABORT_TOL:
+        # Written so that a NaN ratio (a non-finite state) also aborts.
+        if not ratio <= AUDIT_ABORT_TOL:
             raise InvariantViolation(
                 f"identity '{name}' off by a relative {ratio:.3e} "
                 f"(threshold {AUDIT_ABORT_TOL:g})",
@@ -402,12 +404,6 @@ def _state_mean(state: AnyState) -> np.ndarray:
     return state.x.mean(axis=0)
 
 
-def _working_mean(state: AnyState, m: int) -> np.ndarray:
-    if isinstance(state, AssState):
-        return state.x_aug[:m].mean(axis=0)
-    return state.x.mean(axis=0)
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     schedule_override: Schedule | None = None,
@@ -417,7 +413,9 @@ def run_experiment(
     The run audits its tracking identities at every step, normalizing each
     residual by the running maximum of the magnitudes involved, and aborts
     with :class:`InvariantViolation` if any ratio exceeds
-    :data:`AUDIT_ABORT_TOL`. Iteration 0 and the final iteration are always
+    :data:`AUDIT_ABORT_TOL` or is NaN. It also aborts, naming the iteration,
+    when the suboptimality or a recorded diagnostic stops being finite.
+    Iteration 0 and the final iteration are always
     recorded; intermediate iterations are recorded every ``stride`` steps.
 
     Args:
@@ -451,6 +449,7 @@ def _execute(setup: RunSetup) -> Trace:
     m = problem.m
     streams = StreamBundle.from_seed(cfg.seed, m)
     state = init_state(problem, setup.x0, cfg.algo, streams)
+    momentum = isinstance(state, AssState)
 
     audits = _AuditTracker()
     averager = WeightedAverager(mu=cfg.mu)
@@ -459,12 +458,24 @@ def _execute(setup: RunSetup) -> Trace:
     checkpoints = set(cfg.avg_checkpoints)
     noisy = cfg.sigma_bar > 0.0
 
-    def observe(current: AnyState) -> float:
-        """Push diagnostics for the current iteration; returns the stop metric."""
+    def record(current: AnyState, eta_t: float, wavg: float) -> None:
+        try:
+            records.append(record_iteration(current, problem, eta_t, setup.theta, wavg_subopt=wavg))
+        except ValueError as exc:  # a non-finite or negative diagnostic
+            raise InvariantViolation(str(exc), iteration=current.t) from None
+
+    def observe(current: AnyState, eta_t: float, mean: np.ndarray) -> float:
+        """Push diagnostics for the current iteration; returns the stop metric.
+
+        ``eta_t`` is the step size at ``current.t`` and ``mean`` the column
+        mean of the full state (the network-average iterate except for the
+        stacked momentum state).
+        """
         t = current.t
-        eta_t = step_size(sched, t)
-        xbar = _working_mean(current, m)
+        xbar = current.x_aug[:m].mean(axis=0) if momentum else mean
         subopt = global_suboptimality(problem, xbar)
+        if not math.isfinite(subopt):
+            raise InvariantViolation(f"suboptimality of the average iterate is {subopt}", iteration=t)
         averager.push(eta_t, subopt)
         wavg = averager.average
         if t in checkpoints:
@@ -472,63 +483,47 @@ def _execute(setup: RunSetup) -> Trace:
         for name, err, scale in audit_identities(current):
             audits.check(name, err, scale, t)
         if t % cfg.stride == 0 or t == cfg.iters:
-            records.append(
-                record_iteration(
-                    current,
-                    problem,
-                    eta_t,
-                    setup.theta,
-                    wavg_subopt=wavg,
-                )
-            )
+            record(current, eta_t, wavg)
         return wavg if noisy else subopt
 
-    metric = observe(state)
+    # Each iteration's step size and state mean are computed once: observe
+    # uses them, then the next step and its mean-dynamics audit reuse them.
+    eta = step_size(sched, state.t)
+    mean = _state_mean(state)
+    metric = observe(state, eta, mean)
     stopped_early = False
     eps = cfg.eps_stop
     if eps is not None and metric <= eps:
         stopped_early = True
 
     while not stopped_early and state.t < cfg.iters:
-        mean_before = _state_mean(state)
         if cfg.algo == "ssdsgt":
             assert isinstance(state, SsState)
             w_step = setup.w if setup.w is not None else random_edge_gossip(setup.graph, streams.gossip)
-            state = ssdsgt_step(state, problem, w_step, sched, streams)
+            state = ssdsgt_step(state, problem, w_step, sched, streams, eta)
         elif cfg.algo == "dsgt":
             assert isinstance(state, DsgtState)
             w_step = setup.w if setup.w is not None else random_edge_gossip(setup.graph, streams.gossip)
-            state = dsgt_step(state, problem, w_step, sched, streams)
+            state = dsgt_step(state, problem, w_step, sched, streams, eta)
         else:
             assert isinstance(state, AssState)
             assert setup.aug is not None
-            state = assdsgt_step(state, problem, setup.aug, sched, streams)
+            state = assdsgt_step(state, problem, setup.aug, sched, streams, eta)
 
-        assert state.last_grad_mean is not None
-        mean_after = _state_mean(state)
-        predicted = mean_before - state.last_eta * state.last_grad_mean
-        err = float(np.linalg.norm(mean_after - predicted))
-        scale = max(
-            float(np.linalg.norm(mean_after)),
-            float(np.linalg.norm(mean_before)),
-            state.last_eta * float(np.linalg.norm(state.last_grad_mean)),
-        )
+        grad_mean = state.last_grad_mean
+        assert grad_mean is not None
+        mean_before, mean = mean, _state_mean(state)
+        err = vector_norm(mean - (mean_before - eta * grad_mean))
+        scale = max(vector_norm(mean), vector_norm(mean_before), eta * vector_norm(grad_mean))
         audits.check("mean_dynamics", err, scale, state.t)
 
-        metric = observe(state)
+        eta = step_size(sched, state.t)
+        metric = observe(state, eta, mean)
         if eps is not None and metric <= eps:
             stopped_early = True
 
     if records[-1].t != state.t:
-        records.append(
-            record_iteration(
-                state,
-                problem,
-                step_size(sched, state.t),
-                setup.theta,
-                wavg_subopt=averager.average,
-            )
-        )
+        record(state, eta, averager.average)
 
     final = records[-1]
     summary = {
@@ -677,7 +672,11 @@ def tune_dsgt_beta(cfg: ExperimentConfig, multipliers: tuple[float, ...] | None 
 
     Each candidate multiplies the matched template ``beta`` and runs the full
     horizon; the candidate with the smallest final weighted-average
-    suboptimality wins.
+    suboptimality wins. Candidates whose run diverges (it raises
+    :class:`InvariantViolation` or ends with a non-finite score) are skipped.
+
+    Raises:
+        InvariantViolation: When every candidate diverges.
     """
     if cfg.algo != "dsgt":
         raise ConfigError(f"decay tuning applies to 'dsgt', got '{cfg.algo}'", "algo")
@@ -691,11 +690,17 @@ def tune_dsgt_beta(cfg: ExperimentConfig, multipliers: tuple[float, ...] | None 
     for multiplier in grid:
         candidate = theory_schedule("dsgt", "decaying", theta, cfg.L, cfg.mu, multiplier=multiplier)
         probe_cfg = replace(cfg, stride=max(1, cfg.iters // 50), avg_checkpoints=())
-        trace = run_experiment(probe_cfg, schedule_override=candidate)
+        try:
+            trace = run_experiment(probe_cfg, schedule_override=candidate)
+        except InvariantViolation:
+            continue
         score = trace.summary["final_wavg_subopt"]
-        if best is None or score < best[0]:
+        if math.isfinite(score) and (best is None or score < best[0]):
             best = (score, candidate)
-    assert best is not None
+    if best is None:
+        raise InvariantViolation(
+            f"baseline decay tuning: every multiplier in {tuple(grid)} diverged"
+        )
     return best[1]
 
 

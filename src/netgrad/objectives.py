@@ -49,10 +49,13 @@ class NoiseModel:
         if self.sigma_bar < 0.0:
             raise ValueError(f"noise level must be nonnegative, got {self.sigma_bar}")
 
+    def scale(self, d: int) -> float:
+        """Coordinate standard deviation ``sigma_bar / sqrt(d)``."""
+        return self.sigma_bar / np.sqrt(d)
+
     def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
         """Draw one noise vector of dimension ``d``."""
-        scale = self.sigma_bar / np.sqrt(d)
-        return scale * rng.standard_normal(d)
+        return self.scale(d) * rng.standard_normal(d)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -78,6 +79,16 @@ def test_invariant_violation_exits_with_three(monkeypatch, tmp_path: Path, capsy
     code = cli.main(_run_args(tmp_path / "x.csv"))
     assert code == 3
     assert "identity" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverging_run_exits_with_three_naming_the_iteration(tmp_path: Path, capsys):
+    args = _run_args(tmp_path / "x.csv", ["--agents", "8", "--step-multiplier", "5e4", "--iters", "3000"])
+    assert cli.main(args) == 3
+    err = capsys.readouterr().err
+    match = re.search(r"iteration (\d+)", err)
+    assert match is not None and 0 < int(match.group(1)) < 3000
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_validate_mixing_reports_gap_fields(capsys):

@@ -148,6 +148,27 @@ def test_iter_record_validates_fields():
         IterRecord(**{**good, "subopt": -1.0})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("consensus_x", float("nan")),
+        ("psi", float("inf")),
+        ("mean_dist", float("nan")),
+        ("eta", float("inf")),
+        ("subopt", float("nan")),
+        ("subopt", float("inf")),
+        ("wavg_subopt", float("nan")),
+    ],
+)
+def test_iter_record_rejects_non_finite_fields(field, value):
+    good = dict(
+        t=3, eta=0.1, zeta=0, consensus_x=0.0, consensus_s=0.0, snap_grad_dist=0.0,
+        psi=0.0, mean_dist=0.0, subopt=0.0, wavg_subopt=0.0,
+    )
+    with pytest.raises(ValueError):
+        IterRecord(**{**good, field: value})
+
+
 def test_record_iteration_recomputes_from_state():
     rng = np.random.default_rng(3)
     problem = make_quadratic_suite(4, 2, 0.5, 4.0, 1.0, rng, sigma_bar=1.0)

@@ -18,6 +18,7 @@ from netgrad.harness import (
     run_experiment,
     save_config,
     sweep_topology,
+    tune_dsgt_beta,
     tune_dsgt_step,
     write_trace,
 )
@@ -282,3 +283,12 @@ def test_tuner_raises_when_budget_is_hopeless():
     cfg = _small_cfg(algo="dsgt", agents=8, iters=30, x0_radius=3.0, dsgt_tuning="tuned")
     with pytest.raises(InvariantViolation):
         tune_dsgt_step(cfg, eps=1e-12)
+
+
+def test_decay_tuner_skips_divergent_candidates():
+    cfg = _small_cfg(algo="dsgt", sigma_bar=1.0, iters=200)
+    # A multiplier of 1e200 overflows within the first steps; the grid moves past it.
+    sched = tune_dsgt_beta(cfg, multipliers=(1e200, 1.0))
+    assert sched == tune_dsgt_beta(cfg, multipliers=(1.0,))
+    with pytest.raises(InvariantViolation):
+        tune_dsgt_beta(cfg, multipliers=(1e200,))
