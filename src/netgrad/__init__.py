@@ -1,17 +1,17 @@
 """Decentralized gradient-tracking simulator.
 
 A small library plus command line tool for simulating gradient-tracking
-optimization over networks of agents: gossip mixing matrices with their
-spectral quantities, snapshot and momentum-accelerated tracking iterations,
-Lyapunov-style diagnostics, and a deterministic experiment harness with trace
-files and sweeps.
+optimization over networks of agents: mixing operators (dense gossip
+matrices, single-edge random gossip, the momentum-augmented operator) with
+their spectral quantities, snapshot and momentum-accelerated tracking
+iterations, Lyapunov-style diagnostics, and a deterministic experiment
+harness with trace files and sweeps.
 """
 
 from __future__ import annotations
 
 from .algorithms import (
     ALGORITHMS,
-    AssState,
     DsgtState,
     Schedule,
     SsState,
@@ -54,7 +54,6 @@ from .objectives import (
     exact_gradients,
     global_suboptimality,
     global_value,
-    gradients_at_point,
     make_quadratic_suite,
     stochastic_gradient,
     stochastic_gradients,
@@ -64,9 +63,9 @@ from .streams import StreamBundle
 from .topology import (
     MOMENTUM_ENVELOPE,
     AugmentedMixing,
+    EdgeGossip,
     Graph,
     MixingMatrix,
-    apply_mixing,
     build_graph,
     chebyshev_augment,
     default_gamma,
@@ -74,7 +73,6 @@ from .topology import (
     lazify,
     metropolis_mixing,
     random_edge_gossip,
-    spectral_gap,
 )
 
 __version__ = "0.1.0"
@@ -84,10 +82,10 @@ __all__ = [
     "ALGORITHMS",
     "CSV_COLUMNS",
     "MOMENTUM_ENVELOPE",
-    "AssState",
     "AugmentedMixing",
     "ConfigError",
     "DsgtState",
+    "EdgeGossip",
     "ExperimentConfig",
     "Graph",
     "InvariantViolation",
@@ -101,7 +99,6 @@ __all__ = [
     "SweepResult",
     "Trace",
     "WeightedAverager",
-    "apply_mixing",
     "assdsgt_step",
     "audit_identities",
     "build_graph",
@@ -115,7 +112,6 @@ __all__ = [
     "global_suboptimality",
     "global_value",
     "gossip_contraction",
-    "gradients_at_point",
     "init_state",
     "iterations_to_epsilon",
     "lazify",
@@ -131,7 +127,6 @@ __all__ = [
     "run_experiment",
     "save_config",
     "snapshot_gradient_distance",
-    "spectral_gap",
     "ssdsgt_step",
     "step_size",
     "stochastic_gradient",

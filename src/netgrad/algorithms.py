@@ -1,21 +1,24 @@
 """Decentralized gradient-tracking iterations and their step-size schedules.
 
-Three iteration families share this module:
+Three iteration families share this module, and two step functions:
 
-* ``dsgt``: plain stochastic gradient tracking. Every agent refreshes its
-  gradient every iteration and a tracker variable follows the network-average
-  gradient through mixing.
-* ``ssdsgt``: snapshot gradient tracking. Fresh gradients are paired with a
-  cached snapshot gradient as a control variate every iteration, while the
-  tracker itself is refreshed only when a shared Bernoulli coin fires. The
-  cached snapshot realization is authoritative: it is stored once when the
-  coin fires and never re-sampled.
-* ``assdsgt``: snapshot tracking driven through the momentum-augmented mixing
-  operator on duplicated state blocks, which accelerates consensus on poorly
-  connected graphs.
+* ``dsgt``: plain stochastic gradient tracking (:func:`dsgt_step`). Every
+  agent refreshes its gradient every iteration and a tracker variable follows
+  the network-average gradient through mixing.
+* ``ssdsgt``: snapshot gradient tracking (:func:`ssdsgt_step`). Fresh
+  gradients are paired with a cached snapshot gradient as a control variate
+  every iteration, while the tracker itself is refreshed only when a shared
+  Bernoulli coin fires. The cached snapshot realization is authoritative: it
+  is stored once when the coin fires and never re-sampled.
+* ``assdsgt``: the same snapshot step run through the momentum-augmented
+  mixing operator on duplicated state blocks, which accelerates consensus on
+  poorly connected graphs. :func:`assdsgt_step` is :func:`ssdsgt_step`.
 
-All iterations act on row-stacked states of shape ``(m, d)`` (``(2m, d)`` for
-the augmented family). Randomness comes exclusively from a
+Both steps mix only through the operator's ``apply(x)``: a dense mixing
+matrix, one random-gossip edge, or the augmented operator (see
+:mod:`netgrad.topology`). States are row-stacked: ``(m, d)`` for ``dsgt``,
+and ``blocks`` stacked ``(m, d)`` blocks for the snapshot state (one for the
+plain operator, two for the augmented one). Randomness comes exclusively from a
 :class:`~netgrad.streams.StreamBundle`, which serves the coin uniforms and the
 noise rows from blocks; noiseless runs draw nothing from the gradient streams
 and are bit-identical to exact-gradient runs.
@@ -33,7 +36,7 @@ import numpy as np
 # oracle up under this module's name.
 from .objectives import QuadraticProblem, exact_gradients, stochastic_gradients  # noqa: F401
 from .streams import StreamBundle
-from .topology import AugmentedMixing, MixingMatrix
+from .topology import AugmentedMixing, EdgeGossip, MixingMatrix
 
 __all__ = [
     "ALGORITHMS",
@@ -45,7 +48,6 @@ __all__ = [
     "theory_schedule",
     "step_size",
     "SsState",
-    "AssState",
     "DsgtState",
     "init_state",
     "ssdsgt_step",
@@ -196,13 +198,16 @@ def step_size(sched: Schedule, t: int) -> float:
 
 @dataclass
 class SsState:
-    """Snapshot tracking state.
+    """Snapshot tracking state, plain or momentum-augmented.
 
-    ``x`` and ``s`` are the row-stacked iterates and trackers; ``q`` is the
-    snapshot point and ``g_snap`` the stored gradient realization taken at
-    ``q`` when the coin last fired (iteration ``tau``), with column mean
-    ``g_snap_mean`` (computed from ``g_snap`` when not given). The ``last_*``
-    fields describe the most recent transition for diagnostics.
+    ``x`` and ``s`` are the row-stacked iterates and trackers. They stack
+    ``blocks`` copies of the ``(m, d)`` agent block: one for the plain
+    operator, two for the augmented operator (the working block on top of the
+    trailing block). The working iterate is ``x[:m]``. ``q`` is the snapshot
+    point and ``g_snap`` the stored gradient realization taken at ``q`` when
+    the coin last fired (iteration ``tau``), with column mean ``g_snap_mean``
+    (computed from ``g_snap`` when not given). The ``last_*`` fields
+    describe the most recent transition for diagnostics.
     """
 
     x: np.ndarray
@@ -220,38 +225,29 @@ class SsState:
         if self.g_snap_mean is None:
             self.g_snap_mean = self.g_snap.mean(axis=0)
 
+    @property
+    def blocks(self) -> int:
+        """Number of stacked ``(m, d)`` blocks in ``x`` and ``s``."""
+        return self.x.shape[0] // self.q.shape[0]
 
-@dataclass
-class AssState:
-    """Momentum-augmented snapshot tracking state.
+    @property
+    def x_aug(self) -> np.ndarray:
+        """Read-only alias of ``x``, the stacked momentum iterate."""
+        return self.x
 
-    ``x_aug`` and ``s_aug`` stack the working block on top of the trailing
-    block (``2m`` rows). The working iterate is ``x_aug[:m]``. Snapshot
-    fields mirror :class:`SsState`.
-    """
-
-    x_aug: np.ndarray
-    s_aug: np.ndarray
-    q: np.ndarray
-    g_snap: np.ndarray
-    tau: int
-    t: int
-    last_eta: float = 0.0
-    last_zeta: int = 0
-    last_grad_mean: np.ndarray | None = None
-    g_snap_mean: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.g_snap_mean is None:
-            self.g_snap_mean = self.g_snap.mean(axis=0)
+    @property
+    def s_aug(self) -> np.ndarray:
+        """Read-only alias of ``s``, the stacked momentum tracker."""
+        return self.s
 
 
 @dataclass
 class DsgtState:
     """Plain gradient-tracking state with the last sampled gradients.
 
-    ``g_prev_mean`` is the column mean of ``g_prev`` (computed from it when
-    not given).
+    Kept apart from :class:`SsState` because its recursion samples gradients
+    at the new iterate and keeps no snapshot. ``g_prev_mean`` is the column
+    mean of ``g_prev`` (computed from it when not given).
     """
 
     x: np.ndarray
@@ -268,7 +264,10 @@ class DsgtState:
             self.g_prev_mean = self.g_prev.mean(axis=0)
 
 
-AnyState = SsState | AssState | DsgtState
+AnyState = SsState | DsgtState
+
+#: A mixing operator: anything whose ``apply(x)`` mixes row-stacked states.
+Operator = MixingMatrix | EdgeGossip | AugmentedMixing
 
 
 def _start_rows(problem: QuadraticProblem, x0: np.ndarray) -> np.ndarray:
@@ -323,57 +322,50 @@ def init_state(
         raise ValueError("noisy problems need a stream bundle")
     x = _start_rows(problem, x0)
     g0 = _sampled_gradients(problem, x, streams)
-    if algo == "ssdsgt":
-        return SsState(x=x, s=g0.copy(), q=x.copy(), g_snap=g0.copy(), tau=0, t=0)
-    if algo == "assdsgt":
-        return AssState(
-            x_aug=np.concatenate([x, x.copy()], axis=0),
-            s_aug=np.concatenate([g0, g0.copy()], axis=0),
-            q=x.copy(),
-            g_snap=g0.copy(),
-            tau=0,
-            t=0,
-        )
-    return DsgtState(x=x, s=g0.copy(), g_prev=g0.copy(), t=0)
-
-
-def _descent_arg(x: np.ndarray, s: np.ndarray, correction: np.ndarray, eta: float) -> np.ndarray:
-    """Pre-mixing descent argument ``x - eta * (s + correction)``.
-
-    Shared by the snapshot and momentum engines so that the momentum engine
-    with zero momentum reproduces the snapshot engine bit for bit on its
-    working block.
-    """
-    return x - eta * (s + correction)
+    if algo == "dsgt":
+        return DsgtState(x=x, s=g0.copy(), g_prev=g0.copy(), t=0)
+    reps = (2, 1) if algo == "assdsgt" else (1, 1)
+    return SsState(
+        x=np.tile(x, reps), s=np.tile(g0, reps), q=x.copy(), g_snap=g0.copy(), tau=0, t=0
+    )
 
 
 def ssdsgt_step(
     state: SsState,
     problem: QuadraticProblem,
-    w: MixingMatrix,
+    op: Operator,
     sched: Schedule,
     streams: StreamBundle,
     eta: float | None = None,
 ) -> SsState:
-    """Advance the snapshot tracking iteration by one step.
+    """Advance the snapshot tracking iteration by one step, for any block count.
 
     Order of operations: draw the shared coin, sample fresh gradients at the
-    current iterate, take the corrected tracked descent step through the
-    mixing matrix, then refresh the tracker (and, when the coin fired, move
-    the snapshot to the pre-step iterate and store its gradient realization).
+    working block ``x[:m]``, take the corrected tracked descent step through
+    ``op.apply``, then refresh the tracker (and, when the coin fired, move
+    the snapshot to the pre-step working iterate and store its gradient
+    realization). The ``(m, d)`` gradient correction is added to every block
+    of the stacked state. With one block and a mixing matrix or gossip edge
+    this is the snapshot iteration; with two blocks and the augmented
+    operator it is the momentum iteration, and a zero momentum weight
+    reproduces the one-block iteration bit for bit on the working block.
     ``eta`` is ``step_size(sched, state.t)``, computed here when not given.
     """
     if eta is None:
         eta = step_size(sched, state.t)
+    m = problem.m
     zeta = 1 if streams.coin_uniform() < sched.p else 0
-    g_x = _sampled_gradients(problem, state.x, streams)
+    x, s = state.x, state.s
+    stacked = (-1, m, problem.d)
+    g_x = _sampled_gradients(problem, x[:m], streams)
     grad_mean = g_x.mean(axis=0)
     correction = g_x - state.g_snap
-    x_new = w.entries @ _descent_arg(state.x, state.s, correction, eta)
-    mixed_s = w.entries @ state.s
+    descent = x.reshape(stacked) - eta * (s.reshape(stacked) + correction)
+    x_new = op.apply(descent.reshape(x.shape))
+    mixed_s = op.apply(s)
     if zeta:
-        s_new = mixed_s + correction
-        q_new = state.x.copy()
+        s_new = (mixed_s.reshape(stacked) + correction).reshape(x.shape)
+        q_new = x[:m].copy()
         g_snap_new, g_snap_mean_new = g_x, grad_mean
         tau_new = state.t
     else:
@@ -395,75 +387,31 @@ def ssdsgt_step(
     )
 
 
-def assdsgt_step(
-    state: AssState,
-    problem: QuadraticProblem,
-    aug: AugmentedMixing,
-    sched: Schedule,
-    streams: StreamBundle,
-    eta: float | None = None,
-) -> AssState:
-    """Advance the momentum-augmented snapshot iteration by one step.
-
-    Identical to the snapshot iteration except that mixing happens through
-    the augmented operator on the stacked blocks, with gradient corrections
-    duplicated across both blocks. Fresh gradients are sampled at the working
-    block ``x_aug[:m]``.
-    """
-    m = problem.m
-    if eta is None:
-        eta = step_size(sched, state.t)
-    zeta = 1 if streams.coin_uniform() < sched.p else 0
-    g_x = _sampled_gradients(problem, state.x_aug[:m], streams)
-    grad_mean = g_x.mean(axis=0)
-    correction = g_x - state.g_snap
-    correction_aug = np.concatenate([correction, correction], axis=0)
-    x_aug_new = aug.apply(_descent_arg(state.x_aug, state.s_aug, correction_aug, eta))
-    mixed_s = aug.apply(state.s_aug)
-    if zeta:
-        s_aug_new = mixed_s + correction_aug
-        q_new = state.x_aug[:m].copy()
-        g_snap_new, g_snap_mean_new = g_x, grad_mean
-        tau_new = state.t
-    else:
-        s_aug_new = mixed_s
-        q_new = state.q
-        g_snap_new, g_snap_mean_new = state.g_snap, state.g_snap_mean
-        tau_new = state.tau
-    return AssState(
-        x_aug=x_aug_new,
-        s_aug=s_aug_new,
-        q=q_new,
-        g_snap=g_snap_new,
-        tau=tau_new,
-        t=state.t + 1,
-        last_eta=eta,
-        last_zeta=zeta,
-        last_grad_mean=grad_mean,
-        g_snap_mean=g_snap_mean_new,
-    )
+#: The momentum-augmented iteration is the snapshot step driven through an
+#: :class:`~netgrad.topology.AugmentedMixing` on a two-block state.
+assdsgt_step = ssdsgt_step
 
 
 def dsgt_step(
     state: DsgtState,
     problem: QuadraticProblem,
-    w: MixingMatrix,
+    op: MixingMatrix | EdgeGossip,
     sched: Schedule,
     streams: StreamBundle,
     eta: float | None = None,
 ) -> DsgtState:
     """Advance the plain tracking iteration by one step.
 
-    The iterate descends along the tracker through the mixing matrix, fresh
+    The iterate descends along the tracker through ``op.apply``, fresh
     gradients are sampled at the new iterate, and the tracker absorbs the
     gradient increment. With one agent and the identity matrix this is plain
     stochastic gradient descent.
     """
     if eta is None:
         eta = step_size(sched, state.t)
-    x_new = w.entries @ (state.x - eta * state.s)
+    x_new = op.apply(state.x - eta * state.s)
     g_new = _sampled_gradients(problem, x_new, streams)
-    s_new = w.entries @ state.s + (g_new - state.g_prev)
+    s_new = op.apply(state.s) + (g_new - state.g_prev)
     return DsgtState(
         x=x_new,
         s=s_new,
@@ -504,20 +452,17 @@ def audit_identities(state: AnyState) -> list[tuple[str, float, float]]:
           mean of the stored snapshot gradients;
         * plain tracking: column mean of the tracker equals the column mean
           of the last sampled gradients;
-        * momentum tracking: additionally, the two blocks of the stacked
-          iterate and tracker keep equal column sums, and the mean of the
-          full stacked tracker equals the snapshot gradient mean.
+        * stacked snapshot state (more than one block): additionally, the
+          working block and the trailing block of the iterate and of the
+          tracker keep equal column sums; the tracker mean is taken over the
+          full stack.
     """
-    if isinstance(state, SsState):
-        return [_mean_check("tracker_mean", state.s.mean(axis=0), state.g_snap_mean)]
     if isinstance(state, DsgtState):
         return [_mean_check("tracker_mean", state.s.mean(axis=0), state.g_prev_mean)]
-    if isinstance(state, AssState):
-        m = state.q.shape[0]
-        checks = [
-            _mean_check(name, stack[:m].mean(axis=0), stack[m:].mean(axis=0))
-            for name, stack in (("block_sum_x", state.x_aug), ("block_sum_s", state.s_aug))
-        ]
-        checks.append(_mean_check("tracker_mean", state.s_aug.mean(axis=0), state.g_snap_mean))
-        return checks
-    raise TypeError(f"unknown state type {type(state)!r}")
+    m = state.q.shape[0]
+    stacks = (("block_sum_x", state.x), ("block_sum_s", state.s)) if state.blocks > 1 else ()
+    checks = [
+        _mean_check(name, stack[:m].mean(axis=0), stack[m:].mean(axis=0)) for name, stack in stacks
+    ]
+    checks.append(_mean_check("tracker_mean", state.s.mean(axis=0), state.g_snap_mean))
+    return checks

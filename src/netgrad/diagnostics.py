@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AnyState, AssState, DsgtState, SsState
+from .algorithms import AnyState, DsgtState, SsState
 from .objectives import QuadraticProblem, global_suboptimality
 from .topology import MOMENTUM_ENVELOPE
 
@@ -133,22 +133,22 @@ def lyapunov_psi(
 
 
 def lyapunov_psi_tilde(
-    state: AssState,
+    state: SsState,
     eta: float,
     theta_tilde: float,
     L: float,
     alpha: float,
     problem: QuadraticProblem,
 ) -> float:
-    """Lyapunov combination for the momentum-augmented iteration.
+    """Lyapunov combination for the momentum-augmented (two-block) iteration.
 
-    ``|P x_aug|^2 + (12 alpha eta^2 / theta_tilde^2) |P s_aug|^2 +
+    ``|P x|^2 + (12 alpha eta^2 / theta_tilde^2) |P s|^2 +
     (16 (1 + 8 alpha) eta^2 / theta_tilde^2) |grad at snapshot - grad at
     minimizer|^2`` where the projections act blockwise on the stacked state
     and ``alpha`` is the envelope constant of the augmented mixing chain.
     """
-    cx = consensus_error(state.x_aug, blocks=2)
-    cs = consensus_error(state.s_aug, blocks=2)
+    cx = consensus_error(state.x, blocks=2)
+    cs = consensus_error(state.s, blocks=2)
     dist = snapshot_gradient_distance(problem, state.q)
     tt2 = theta_tilde * theta_tilde
     return (
@@ -239,25 +239,14 @@ def record_iteration(
     """Assemble the diagnostic record for the current state.
 
     The suboptimality field is recomputed here from the problem and the
-    network-average iterate, independent of whatever the driving loop tracks.
-    For the plain tracking iteration, which keeps no snapshot, the snapshot
-    slot of the gradient-distance and Lyapunov fields is filled with the
-    current iterate and the snapshot-family weights.
+    network-average (working-block) iterate, independent of whatever the
+    driving loop tracks. Consensus errors are taken blockwise, and a stacked
+    snapshot state gets the momentum Lyapunov value ``psi_tilde`` in place of
+    ``psi``. For the plain tracking iteration, which keeps no snapshot, the
+    snapshot slot of the gradient-distance and Lyapunov fields is filled with
+    the current iterate and the snapshot-family weights.
     """
-    if isinstance(state, SsState):
-        xbar = state.x.mean(axis=0)
-        cx = consensus_error(state.x)
-        cs = consensus_error(state.s)
-        dist = snapshot_gradient_distance(problem, state.q)
-        psi = lyapunov_psi(state, eta, theta, problem.L, problem)
-    elif isinstance(state, AssState):
-        m = problem.m
-        xbar = state.x_aug[:m].mean(axis=0)
-        cx = consensus_error(state.x_aug, blocks=2)
-        cs = consensus_error(state.s_aug, blocks=2)
-        dist = snapshot_gradient_distance(problem, state.q)
-        psi = lyapunov_psi_tilde(state, eta, theta, problem.L, alpha, problem)
-    elif isinstance(state, DsgtState):
+    if isinstance(state, DsgtState):
         xbar = state.x.mean(axis=0)
         cx = consensus_error(state.x)
         cs = consensus_error(state.s)
@@ -266,7 +255,15 @@ def record_iteration(
             2.0 * eta / (problem.L * theta)
         ) * dist
     else:
-        raise TypeError(f"unknown state type {type(state)!r}")
+        blocks = state.blocks
+        xbar = state.x[: problem.m].mean(axis=0)
+        cx = consensus_error(state.x, blocks)
+        cs = consensus_error(state.s, blocks)
+        dist = snapshot_gradient_distance(problem, state.q)
+        if blocks == 1:
+            psi = lyapunov_psi(state, eta, theta, problem.L, problem)
+        else:
+            psi = lyapunov_psi_tilde(state, eta, theta, problem.L, alpha, problem)
     delta = xbar - problem.x_star
     return IterRecord(
         t=state.t,

@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -27,10 +28,7 @@ import numpy as np
 from .algorithms import (
     ALGORITHMS,
     AnyState,
-    AssState,
-    DsgtState,
     Schedule,
-    SsState,
     assdsgt_step,
     audit_identities,
     dsgt_step,
@@ -234,54 +232,52 @@ class ExperimentConfig:
         return cfg
 
 
-_INT_FIELDS = {"agents", "d", "problem_seed", "iters", "seed", "stride"}
-_FLOAT_FIELDS = {"mu", "L", "sigma_bar", "heterogeneity", "step_multiplier"}
-_OPT_FLOAT_FIELDS = {"x0_radius", "eps_stop"}
-_STR_FIELDS = {"topology", "mixing", "algo", "schedule", "dsgt_tuning"}
-_OPT_STR_FIELDS = {"label", "out"}
-
-
 def _coerce_config(cls: type, kwargs: dict) -> "ExperimentConfig":
+    """Check and convert JSON values against the dataclass field types."""
+    hints = typing.get_type_hints(cls)
     coerced: dict = {}
     for key, value in kwargs.items():
         try:
-            if key in _INT_FIELDS:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeError(f"expected an integer, got {value!r}")
-                coerced[key] = value
-            elif key in _FLOAT_FIELDS:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TypeError(f"expected a number, got {value!r}")
-                coerced[key] = float(value)
-            elif key in _OPT_FLOAT_FIELDS:
-                if value is None:
-                    coerced[key] = None
-                elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TypeError(f"expected a number or null, got {value!r}")
-                else:
-                    coerced[key] = float(value)
-            elif key in _STR_FIELDS:
-                if not isinstance(value, str):
-                    raise TypeError(f"expected a string, got {value!r}")
-                coerced[key] = value
-            elif key in _OPT_STR_FIELDS:
-                if value is not None and not isinstance(value, str):
-                    raise TypeError(f"expected a string or null, got {value!r}")
-                coerced[key] = value
-            elif key == "avg_checkpoints":
-                if not isinstance(value, (list, tuple)):
-                    raise TypeError(f"expected a list of integers, got {value!r}")
-                items = []
-                for item in value:
-                    if isinstance(item, bool) or not isinstance(item, int):
-                        raise TypeError(f"expected integers, got {item!r}")
-                    items.append(item)
-                coerced[key] = tuple(items)
-            else:
-                coerced[key] = value
+            coerced[key] = _coerce_value(hints[key], value)
         except TypeError as exc:
             raise ConfigError(str(exc), key) from None
     return cls(**coerced)
+
+
+def _coerce_value(hint: object, value: object) -> object:
+    """Coerce one JSON value to its field type.
+
+    Field types are ``int``, ``float``, ``str``, one of these ``| None``, or
+    ``tuple[int, ...]``. Bools are rejected as numbers and ints are widened
+    in float fields.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (arg for arg in args if arg is not type(None))
+        null = " or null"
+    else:
+        null = ""
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"expected an integer{null}, got {value!r}")
+        return value
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"expected a number{null}, got {value!r}")
+        return float(value)
+    if hint is str:
+        if not isinstance(value, str):
+            raise TypeError(f"expected a string{null}, got {value!r}")
+        return value
+    # tuple[int, ...], the one remaining field type
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    for item in value:
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise TypeError(f"expected integers, got {item!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -398,12 +394,6 @@ class _AuditTracker:
             )
 
 
-def _state_mean(state: AnyState) -> np.ndarray:
-    if isinstance(state, AssState):
-        return state.x_aug.mean(axis=0)
-    return state.x.mean(axis=0)
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     schedule_override: Schedule | None = None,
@@ -449,7 +439,11 @@ def _execute(setup: RunSetup) -> Trace:
     m = problem.m
     streams = StreamBundle.from_seed(cfg.seed, m)
     state = init_state(problem, setup.x0, cfg.algo, streams)
-    momentum = isinstance(state, AssState)
+    stacked = state.x.shape[0] > m
+    # The step functions and the gossip draw are looked up as module globals
+    # on every run, so wrappers installed on these names see every call.
+    step = {"dsgt": dsgt_step, "ssdsgt": ssdsgt_step, "assdsgt": assdsgt_step}[cfg.algo]
+    static_op = setup.aug or setup.w
 
     audits = _AuditTracker()
     averager = WeightedAverager(mu=cfg.mu)
@@ -468,11 +462,11 @@ def _execute(setup: RunSetup) -> Trace:
         """Push diagnostics for the current iteration; returns the stop metric.
 
         ``eta_t`` is the step size at ``current.t`` and ``mean`` the column
-        mean of the full state (the network-average iterate except for the
+        mean of the full state (the network-average iterate except for a
         stacked momentum state).
         """
         t = current.t
-        xbar = current.x_aug[:m].mean(axis=0) if momentum else mean
+        xbar = current.x[:m].mean(axis=0) if stacked else mean
         subopt = global_suboptimality(problem, xbar)
         if not math.isfinite(subopt):
             raise InvariantViolation(f"suboptimality of the average iterate is {subopt}", iteration=t)
@@ -486,44 +480,37 @@ def _execute(setup: RunSetup) -> Trace:
             record(current, eta_t, wavg)
         return wavg if noisy else subopt
 
-    # Each iteration's step size and state mean are computed once: observe
-    # uses them, then the next step and its mean-dynamics audit reuse them.
-    eta = step_size(sched, state.t)
-    mean = _state_mean(state)
-    metric = observe(state, eta, mean)
-    stopped_early = False
-    eps = cfg.eps_stop
-    if eps is not None and metric <= eps:
-        stopped_early = True
-
-    while not stopped_early and state.t < cfg.iters:
-        if cfg.algo == "ssdsgt":
-            assert isinstance(state, SsState)
-            w_step = setup.w if setup.w is not None else random_edge_gossip(setup.graph, streams.gossip)
-            state = ssdsgt_step(state, problem, w_step, sched, streams, eta)
-        elif cfg.algo == "dsgt":
-            assert isinstance(state, DsgtState)
-            w_step = setup.w if setup.w is not None else random_edge_gossip(setup.graph, streams.gossip)
-            state = dsgt_step(state, problem, w_step, sched, streams, eta)
-        else:
-            assert isinstance(state, AssState)
-            assert setup.aug is not None
-            state = assdsgt_step(state, problem, setup.aug, sched, streams, eta)
-
-        grad_mean = state.last_grad_mean
-        assert grad_mean is not None
-        mean_before, mean = mean, _state_mean(state)
-        err = vector_norm(mean - (mean_before - eta * grad_mean))
-        scale = max(vector_norm(mean), vector_norm(mean_before), eta * vector_norm(grad_mean))
-        audits.check("mean_dynamics", err, scale, state.t)
-
+    # A diverging state overflows before the finiteness checks see it; the
+    # checks report it with its iteration, so numpy's warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Each iteration's step size and state mean are computed once: observe
+        # uses them, then the next step and its mean-dynamics audit reuse them.
         eta = step_size(sched, state.t)
+        mean = state.x.mean(axis=0)
         metric = observe(state, eta, mean)
+        stopped_early = False
+        eps = cfg.eps_stop
         if eps is not None and metric <= eps:
             stopped_early = True
 
-    if records[-1].t != state.t:
-        record(state, eta, averager.average)
+        while not stopped_early and state.t < cfg.iters:
+            op = static_op or random_edge_gossip(setup.graph, streams.gossip)
+            state = step(state, problem, op, sched, streams, eta)
+
+            grad_mean = state.last_grad_mean
+            assert grad_mean is not None
+            mean_before, mean = mean, state.x.mean(axis=0)
+            err = vector_norm(mean - (mean_before - eta * grad_mean))
+            scale = max(vector_norm(mean), vector_norm(mean_before), eta * vector_norm(grad_mean))
+            audits.check("mean_dynamics", err, scale, state.t)
+
+            eta = step_size(sched, state.t)
+            metric = observe(state, eta, mean)
+            if eps is not None and metric <= eps:
+                stopped_early = True
+
+        if records[-1].t != state.t:
+            record(state, eta, averager.average)
 
     final = records[-1]
     summary = {

@@ -24,7 +24,6 @@ __all__ = [
     "make_quadratic_suite",
     "exact_gradient",
     "exact_gradients",
-    "gradients_at_point",
     "stochastic_gradient",
     "stochastic_gradients",
     "global_value",
@@ -213,12 +212,6 @@ def exact_gradients(problem: QuadraticProblem, x: np.ndarray) -> np.ndarray:
     if x.shape != (problem.m, problem.d):
         raise ValueError(f"state must have shape ({problem.m}, {problem.d}), got {x.shape}")
     return np.einsum("ijk,ik->ij", problem.quads, x) + problem.linears
-
-
-def gradients_at_point(problem: QuadraticProblem, v: np.ndarray) -> np.ndarray:
-    """Row-stacked exact gradients of every agent at the shared point ``v``."""
-    v = np.asarray(v, dtype=np.float64)
-    return problem.quads @ v + problem.linears
 
 
 def stochastic_gradient(

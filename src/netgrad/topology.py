@@ -1,19 +1,23 @@
-"""Communication graphs, gossip mixing matrices, and spectral quantities.
+"""Communication graphs, mixing operators, and spectral quantities.
 
 This module builds the network side of the simulator: undirected communication
-graphs, symmetric doubly stochastic mixing matrices (Metropolis weights, lazy
-variants, single-edge random gossip), and the momentum-augmented mixing
-operator that accelerates consensus. All matrices are small and dense; spectral
-quantities come from a full symmetric eigendecomposition.
+graphs, symmetric doubly stochastic mixing matrices (Metropolis weights and
+their lazy variants), single-edge random gossip, and the momentum-augmented
+mixing operator that accelerates consensus. Spectral quantities come from a
+full symmetric eigendecomposition of small dense matrices.
 
 Conventions:
-    * A mixing matrix ``W`` acts on row-stacked agent states ``x`` of shape
-      ``(m, d)`` as ``W @ x``.
+    * Every mixing operator acts on row-stacked agent states through one
+      method, ``apply(x)``: a :class:`MixingMatrix` returns ``W @ x`` for
+      ``x`` of shape ``(m, d)``; an :class:`EdgeGossip` draw averages the two
+      rows of its edge, bit for bit what the dense single-edge matrix gives,
+      without forming it; an :class:`AugmentedMixing` acts on ``(2m, d)``
+      duplicated block vectors.
     * The contraction parameter ``theta`` is ``1 - lambda2`` where ``lambda2``
       is the largest magnitude among the non-unit eigenvalues. For the random
       gossip family, ``lambda2`` and ``theta`` describe the expected one-step
       contraction of the whole family rather than a single draw; see
-      :func:`random_edge_gossip`.
+      :func:`gossip_contraction`.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ __all__ = [
     "MOMENTUM_ENVELOPE",
     "Graph",
     "MixingMatrix",
+    "EdgeGossip",
     "AugmentedMixing",
     "build_graph",
     "metropolis_mixing",
     "lazify",
-    "spectral_gap",
-    "apply_mixing",
     "random_edge_gossip",
     "gossip_contraction",
     "default_gamma",
@@ -134,6 +137,14 @@ class MixingMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Mix row-stacked agent states: returns ``W @ x``.
+
+        Preserves the column means of ``x`` up to floating point roundoff
+        because the weights are column stochastic.
+        """
+        return self.entries @ x
+
 
 def _validate_mixing_entries(w: np.ndarray) -> None:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -210,34 +221,6 @@ def _gap_from_spectrum(evals: np.ndarray) -> tuple[float, float]:
     return lambda2, theta
 
 
-def spectral_gap(w: np.ndarray | MixingMatrix) -> tuple[float, float]:
-    """Compute ``(lambda2, theta)`` for a symmetric doubly stochastic matrix.
-
-    ``lambda2`` is the largest magnitude among the eigenvalues after removing
-    the single unit eigenvalue; ``theta = 1 - lambda2``. The degenerate
-    one-agent matrix returns ``(0, 1)``.
-
-    Raises:
-        ValueError: If the matrix is not symmetric doubly stochastic (row sums
-            further than ``1e-8`` from one are rejected).
-    """
-    entries = w.entries if isinstance(w, MixingMatrix) else np.asarray(w, dtype=np.float64)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    row_dev = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
-    if row_dev > 1e-8:
-        raise ValueError(f"row sums deviate from one by {row_dev:.3e}")
-    asym = float(np.max(np.abs(entries - entries.T)))
-    if asym > 1e-8:
-        raise ValueError(f"matrix asymmetry {asym:.3e}; need a symmetric matrix")
-    if entries.shape[0] == 1:
-        return 0.0, 1.0
-    lambda2, theta = _gap_from_spectrum(_symmetric_spectrum(entries))
-    if theta <= 0.0:
-        raise ValueError("matrix does not contract: second eigenvalue magnitude is one")
-    return lambda2, theta
-
-
 def _finalize(entries: np.ndarray) -> MixingMatrix:
     """Validate entries, compute spectra, and wrap in a MixingMatrix."""
     _validate_mixing_entries(entries)
@@ -284,21 +267,6 @@ def lazify(w: MixingMatrix) -> MixingMatrix:
     return _finalize(lazy)
 
 
-def apply_mixing(w: MixingMatrix | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mix row-stacked agent states: returns ``W @ x``.
-
-    Preserves the column means of ``x`` up to floating point roundoff because
-    the weights are column stochastic.
-    """
-    entries = w.entries if isinstance(w, MixingMatrix) else np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != entries.shape[0]:
-        raise ValueError(
-            f"state has {x.shape[0]} rows but the matrix expects {entries.shape[0]}"
-        )
-    return entries @ x
-
-
 @lru_cache(maxsize=64)
 def _gossip_family(graph: Graph) -> tuple[float, float]:
     """Family contraction parameters for single-edge gossip on ``graph``.
@@ -334,26 +302,47 @@ def gossip_contraction(graph: Graph) -> tuple[float, float]:
     return _gossip_family(graph)
 
 
-def random_edge_gossip(graph: Graph, rng: np.random.Generator) -> MixingMatrix:
-    """Draw one uniform single-edge gossip matrix.
+@dataclass(frozen=True)
+class EdgeGossip:
+    """One single-edge gossip draw: agents ``i`` and ``j`` average their states.
 
-    The returned matrix averages one uniformly chosen edge:
-    ``W = I - (1/2)(e_i - e_j)(e_i - e_j)^T``. Its cached ``lambda2`` and
-    ``theta`` are the family contraction values from
-    :func:`gossip_contraction`, because a single draw taken alone does not
-    contract (it fixes every agent off the chosen edge); step-size rules
-    should use the family ``theta``.
+    Acts like the dense matrix ``W = I - (1/2)(e_i - e_j)(e_i - e_j)^T``
+    without forming it. The draw alone does not contract (it fixes every
+    agent off the edge); step-size rules use the family values from
+    :func:`gossip_contraction`.
     """
-    lambda2_eff, theta_eff = _gossip_family(graph)
-    edges = graph.edge_list()
-    idx = int(rng.integers(len(edges)))
-    i, j = edges[idx]
-    w = np.eye(graph.m)
-    w[i, i] = 0.5
-    w[j, j] = 0.5
-    w[i, j] = 0.5
-    w[j, i] = 0.5
-    return MixingMatrix(entries=w, lambda2=lambda2_eff, theta=theta_eff, psd_flag=True)
+
+    i: int
+    j: int
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Return a copy of ``x`` with rows ``i`` and ``j`` replaced by their average.
+
+        Written as ``0.5 * x[i] + 0.5 * x[j]`` so that it equals the dense
+        product ``W @ x`` bit for bit on finite inputs above the subnormal
+        range: halving them is exact, so both round the sum once.
+        """
+        out = x.copy()
+        avg = 0.5 * x[self.i] + 0.5 * x[self.j]
+        out[self.i] = avg
+        out[self.j] = avg
+        return out
+
+
+@lru_cache(maxsize=64)
+def _sorted_edges(graph: Graph) -> tuple[tuple[int, int], ...]:
+    """The graph's edge list, sorted once per graph rather than once per draw."""
+    return tuple(graph.edge_list())
+
+
+def random_edge_gossip(graph: Graph, rng: np.random.Generator) -> EdgeGossip:
+    """Draw one uniform single-edge gossip operator.
+
+    Makes one ``rng.integers(len(edges))`` draw over the sorted edge list.
+    """
+    edges = _sorted_edges(graph)
+    i, j = edges[int(rng.integers(len(edges)))]
+    return EdgeGossip(i, j)
 
 
 def default_gamma(lambda2: float) -> float:

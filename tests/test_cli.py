@@ -81,9 +81,12 @@ def test_invariant_violation_exits_with_three(monkeypatch, tmp_path: Path, capsy
     assert "identity" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_run_exits_with_three_naming_the_iteration(tmp_path: Path, capsys):
-    args = _run_args(tmp_path / "x.csv", ["--agents", "8", "--step-multiplier", "5e4", "--iters", "3000"])
+    # Seed 0 overflows inside numpy before the finiteness checks fire, so any
+    # RuntimeWarning that escapes the run fails the test.
+    extra = ["--agents", "8", "--step-multiplier", "5e4", "--iters", "3000", "--seed", "0"]
+    args = _run_args(tmp_path / "x.csv", extra)
     assert cli.main(args) == 3
     err = capsys.readouterr().err
     match = re.search(r"iteration (\d+)", err)

@@ -111,8 +111,8 @@ def test_lyapunov_psi_tilde_hand_assembly():
     problem = _toy_problem()
     state = init_state(problem, np.array([0.0]), "assdsgt")
     state = state.__class__(
-        x_aug=np.array([[1.0], [3.0], [0.0], [0.0]]),
-        s_aug=np.array([[2.0], [2.0], [1.0], [3.0]]),
+        x=np.array([[1.0], [3.0], [0.0], [0.0]]),
+        s=np.array([[2.0], [2.0], [1.0], [3.0]]),
         q=np.array([[1.0], [2.0]]),
         g_snap=state.g_snap,
         tau=0,

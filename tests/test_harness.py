@@ -105,6 +105,34 @@ def test_from_dict_rejects_wrong_types_and_unknown_keys():
     payload["workers"] = 4
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(payload)
+    # one wrong-typed value per field kind; the error names the field
+    for key, value in [
+        ("seed", 1.5),
+        ("mu", True),
+        ("mu", "1"),
+        ("eps_stop", False),
+        ("eps_stop", "small"),
+        ("algo", 3),
+        ("label", 7),
+        ("avg_checkpoints", 5),
+        ("avg_checkpoints", [1, True]),
+        ("avg_checkpoints", [1.0]),
+    ]:
+        payload = _small_cfg().to_dict()
+        payload[key] = value
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(payload)
+        assert info.value.field == key
+
+
+def test_from_dict_widens_ints_and_tuples_checkpoints():
+    payload = _small_cfg().to_dict()
+    payload.update(mu=1, eps_stop=2, x0_radius=None, label=None, avg_checkpoints=[3, 5])
+    cfg = ExperimentConfig.from_dict(payload)
+    assert type(cfg.mu) is float and cfg.mu == 1.0
+    assert type(cfg.eps_stop) is float and cfg.eps_stop == 2.0
+    assert cfg.x0_radius is None and cfg.label is None
+    assert cfg.avg_checkpoints == (3, 5)
 
 
 @settings(max_examples=40, deadline=None)

@@ -67,6 +67,10 @@ def test_noiseless_runs_leave_the_noise_streams_alone(algo):
 # included) for ring m=6, sigma=1, 300 iterations, stride 7, seed 0, as
 # produced by per-call draws before block serving existed.
 FROZEN = {
+    ("dsgt", "random-gossip"): (
+        "8f5bb06f988e84f17d39f34c05ff5715edfa444fa0aeecbf6b8c592160ecf7ba",
+        "e612e8f169dc11089a5c62a270f9779daaa5bc4b5af718cd12277f935d836191",
+    ),
     ("dsgt", "metropolis"): (
         "cc822674c20dac18ae70082be53a42541b700498d28b2957dc23a2819ec7574e",
         "f28462c728819585e0fce492bfc433fb7ca61f1102b3b7538dfccda95ccc75c5",

@@ -7,9 +7,10 @@ import pytest
 
 from netgrad.topology import (
     AugmentedMixing,
+    EdgeGossip,
     Graph,
+    MixingMatrix,
     MOMENTUM_ENVELOPE,
-    apply_mixing,
     build_graph,
     chebyshev_augment,
     default_gamma,
@@ -17,7 +18,6 @@ from netgrad.topology import (
     lazify,
     metropolis_mixing,
     random_edge_gossip,
-    spectral_gap,
 )
 
 
@@ -113,28 +113,28 @@ def test_lazify_halves_the_gap_and_turns_psd():
 
 
 def test_spectral_gap_single_agent_convention():
-    lam, theta = spectral_gap(np.array([[1.0]]))
-    assert (lam, theta) == (0.0, 1.0)
+    w = metropolis_mixing(build_graph("ring", 1))
+    assert (w.lambda2, w.theta) == (0.0, 1.0)
 
 
 def test_spectral_gap_rejects_non_doubly_stochastic():
     bad = np.array([[0.9, 0.0], [0.0, 0.9]])
     with pytest.raises(ValueError):
-        spectral_gap(bad)
+        MixingMatrix(entries=bad, lambda2=0.9, theta=0.1, psd_flag=True)
 
 
 def test_apply_mixing_preserves_column_means():
     w = _ring(8)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 5))
-    mixed = apply_mixing(w, x)
+    mixed = w.apply(x)
     assert np.abs(mixed.mean(axis=0) - x.mean(axis=0)).max() < 1e-12
 
 
 def test_apply_mixing_rejects_shape_mismatch():
     w = _ring(8)
     with pytest.raises(ValueError):
-        apply_mixing(w, np.zeros((7, 2)))
+        w.apply(np.zeros((7, 2)))
 
 
 def test_mixing_contracts_consensus_error():
@@ -144,7 +144,7 @@ def test_mixing_contracts_consensus_error():
     for _ in range(100):
         x = rng.standard_normal((8, 3))
         centered = x - x.mean(axis=0)
-        mixed = apply_mixing(lazy, x)
+        mixed = lazy.apply(x)
         centered_mixed = mixed - mixed.mean(axis=0)
         bound = lazy.lambda2 * np.linalg.norm(centered)
         assert np.linalg.norm(centered_mixed) <= bound * (1.0 + 1e-12)
@@ -223,8 +223,40 @@ def test_gossip_single_edge_matrix():
     rng = np.random.default_rng(0)
     draw = random_edge_gossip(path, rng)
     # the seeded stream picks edge (1, 2) first
-    assert draw.entries.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
-    assert abs(draw.theta - (1.0 - math.sqrt(3.0) / 2.0)) < 1e-12
+    assert draw == EdgeGossip(1, 2)
+    assert draw.apply(np.eye(3)).tolist() == [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]
+    _, theta = gossip_contraction(path)
+    assert abs(theta - (1.0 - math.sqrt(3.0) / 2.0)) < 1e-12
+
+
+def _edge_matrix(m: int, i: int, j: int) -> np.ndarray:
+    w = np.eye(m)
+    w[i, i] = w[j, j] = w[i, j] = w[j, i] = 0.5
+    return w
+
+
+def _wide_rows(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Rows of mixed sign spanning magnitudes 1e-8 to 1e8."""
+    return rng.standard_normal((m, 2)) * 10.0 ** rng.uniform(-8.0, 8.0, (m, 1))
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_edge_gossip_equals_dense_single_edge_product_on_every_edge(m):
+    rng = np.random.default_rng(m)
+    for i, j in build_graph("ring", m).edge_list():
+        x = _wide_rows(rng, m)
+        assert EdgeGossip(i, j).apply(x).tobytes() == (_edge_matrix(m, i, j) @ x).tobytes()
+
+
+def test_edge_gossip_equals_dense_product_on_large_ring_draws():
+    m = 1024
+    graph = build_graph("ring", m)
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        draw = random_edge_gossip(graph, rng)
+        x = _wide_rows(rng, m)
+        dense = _edge_matrix(m, draw.i, draw.j) @ x
+        assert draw.apply(x).tobytes() == dense.tobytes()
 
 
 def test_gossip_family_gap_frozen_ring_eight():
@@ -243,8 +275,7 @@ def test_gossip_empirical_contraction_matches_family_gap():
     total = 0.0
     draws = 10000
     for _ in range(draws):
-        w = random_edge_gossip(graph, rng)
-        mixed = w.entries @ x
+        mixed = random_edge_gossip(graph, rng).apply(x)
         centered = mixed - mixed.mean(axis=0)
         total += float(centered.ravel() @ centered.ravel())
     # single-edge averaging is idempotent, so the mean energy after one draw
