@@ -54,6 +54,7 @@ __all__ = [
     "assdsgt_step",
     "dsgt_step",
     "audit_identities",
+    "column_mean",
     "vector_norm",
 ]
 
@@ -223,7 +224,7 @@ class SsState:
 
     def __post_init__(self) -> None:
         if self.g_snap_mean is None:
-            self.g_snap_mean = self.g_snap.mean(axis=0)
+            self.g_snap_mean = column_mean(self.g_snap)
 
     @property
     def blocks(self) -> int:
@@ -261,7 +262,7 @@ class DsgtState:
 
     def __post_init__(self) -> None:
         if self.g_prev_mean is None:
-            self.g_prev_mean = self.g_prev.mean(axis=0)
+            self.g_prev_mean = column_mean(self.g_prev)
 
 
 AnyState = SsState | DsgtState
@@ -330,6 +331,17 @@ def init_state(
     )
 
 
+def _add_to_blocks(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``stack`` with the ``(m, d)`` array ``rows`` added to each of its blocks.
+
+    One block takes plain same-shape arithmetic; more blocks broadcast
+    ``rows`` over a ``(blocks, m, d)`` view. The sums are the same either way.
+    """
+    if stack.shape == rows.shape:
+        return stack + rows
+    return (stack.reshape(-1, *rows.shape) + rows).reshape(stack.shape)
+
+
 def ssdsgt_step(
     state: SsState,
     problem: QuadraticProblem,
@@ -345,7 +357,8 @@ def ssdsgt_step(
     ``op.apply``, then refresh the tracker (and, when the coin fired, move
     the snapshot to the pre-step working iterate and store its gradient
     realization). The ``(m, d)`` gradient correction is added to every block
-    of the stacked state. With one block and a mixing matrix or gossip edge
+    of the stacked state (plain same-shape arithmetic when there is one
+    block). With one block and a mixing matrix or gossip edge
     this is the snapshot iteration; with two blocks and the augmented
     operator it is the momentum iteration, and a zero momentum weight
     reproduces the one-block iteration bit for bit on the working block.
@@ -356,15 +369,13 @@ def ssdsgt_step(
     m = problem.m
     zeta = 1 if streams.coin_uniform() < sched.p else 0
     x, s = state.x, state.s
-    stacked = (-1, m, problem.d)
     g_x = _sampled_gradients(problem, x[:m], streams)
-    grad_mean = g_x.mean(axis=0)
+    grad_mean = column_mean(g_x)
     correction = g_x - state.g_snap
-    descent = x.reshape(stacked) - eta * (s.reshape(stacked) + correction)
-    x_new = op.apply(descent.reshape(x.shape))
+    x_new = op.apply(x - eta * _add_to_blocks(s, correction))
     mixed_s = op.apply(s)
     if zeta:
-        s_new = (mixed_s.reshape(stacked) + correction).reshape(x.shape)
+        s_new = _add_to_blocks(mixed_s, correction)
         q_new = x[:m].copy()
         g_snap_new, g_snap_mean_new = g_x, grad_mean
         tau_new = state.t
@@ -420,8 +431,17 @@ def dsgt_step(
         last_eta=eta,
         last_zeta=0,
         last_grad_mean=state.g_prev_mean,
-        g_prev_mean=g_new.mean(axis=0),
+        g_prev_mean=column_mean(g_new),
     )
+
+
+def column_mean(a: np.ndarray) -> np.ndarray:
+    """Column mean of a 2-D array, ``np.add.reduce(a, axis=0) / rows``.
+
+    This is the sum and division ``a.mean(axis=0)`` performs, so the bits are
+    the same, without the overhead of ``mean``'s argument handling.
+    """
+    return np.add.reduce(a, axis=0) / a.shape[0]
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -438,7 +458,9 @@ def _mean_check(name: str, a: np.ndarray, b: np.ndarray) -> tuple[str, float, fl
     return name, vector_norm(a - b), max(vector_norm(a), vector_norm(b))
 
 
-def audit_identities(state: AnyState) -> list[tuple[str, float, float]]:
+def audit_identities(
+    state: AnyState, working_mean: np.ndarray | None = None
+) -> list[tuple[str, float, float]]:
     """Raw self-check residuals for the tracking identities.
 
     Returns ``(name, error, scale)`` triples where ``error`` is the Euclidean
@@ -456,13 +478,20 @@ def audit_identities(state: AnyState) -> list[tuple[str, float, float]]:
           working block and the trailing block of the iterate and of the
           tracker keep equal column sums; the tracker mean is taken over the
           full stack.
+
+    ``working_mean`` is the column mean of the working block ``x[:m]`` when
+    the caller already has it; it is computed here when needed and not given.
     """
     if isinstance(state, DsgtState):
-        return [_mean_check("tracker_mean", state.s.mean(axis=0), state.g_prev_mean)]
-    m = state.q.shape[0]
-    stacks = (("block_sum_x", state.x), ("block_sum_s", state.s)) if state.blocks > 1 else ()
-    checks = [
-        _mean_check(name, stack[:m].mean(axis=0), stack[m:].mean(axis=0)) for name, stack in stacks
-    ]
-    checks.append(_mean_check("tracker_mean", state.s.mean(axis=0), state.g_snap_mean))
+        return [_mean_check("tracker_mean", column_mean(state.s), state.g_prev_mean)]
+    checks = []
+    if state.blocks > 1:
+        m = state.q.shape[0]
+        if working_mean is None:
+            working_mean = column_mean(state.x[:m])
+        checks.append(_mean_check("block_sum_x", working_mean, column_mean(state.x[m:])))
+        checks.append(
+            _mean_check("block_sum_s", column_mean(state.s[:m]), column_mean(state.s[m:]))
+        )
+    checks.append(_mean_check("tracker_mean", column_mean(state.s), state.g_snap_mean))
     return checks

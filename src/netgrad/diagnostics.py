@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AnyState, DsgtState, SsState
+from .algorithms import AnyState, DsgtState, SsState, column_mean
 from .objectives import QuadraticProblem, global_suboptimality
 from .topology import MOMENTUM_ENVELOPE
 
@@ -90,7 +90,7 @@ def consensus_error(x: np.ndarray, blocks: int = 1) -> float:
     """
     x = np.asarray(x, dtype=np.float64)
     if blocks == 1:
-        centered = x - x.mean(axis=0, keepdims=True)
+        centered = x - column_mean(x)
         return float(np.sum(centered * centered))
     if blocks == 2:
         if x.shape[0] % 2 != 0:
@@ -129,6 +129,11 @@ def lyapunov_psi(
     cx = consensus_error(state.x)
     cs = consensus_error(state.s)
     dist = snapshot_gradient_distance(problem, state.q)
+    return _psi(cx, cs, dist, eta, theta, L)
+
+
+def _psi(cx: float, cs: float, dist: float, eta: float, theta: float, L: float) -> float:
+    """The :func:`lyapunov_psi` combination of its three squared terms."""
     return cx + (4.0 * eta * eta / (theta * theta)) * cs + (2.0 * eta / (L * theta)) * dist
 
 
@@ -150,6 +155,13 @@ def lyapunov_psi_tilde(
     cx = consensus_error(state.x, blocks=2)
     cs = consensus_error(state.s, blocks=2)
     dist = snapshot_gradient_distance(problem, state.q)
+    return _psi_tilde(cx, cs, dist, eta, theta_tilde, alpha)
+
+
+def _psi_tilde(
+    cx: float, cs: float, dist: float, eta: float, theta_tilde: float, alpha: float
+) -> float:
+    """The :func:`lyapunov_psi_tilde` combination of its three squared terms."""
     tt2 = theta_tilde * theta_tilde
     return (
         cx
@@ -247,23 +259,18 @@ def record_iteration(
     the current iterate and the snapshot-family weights.
     """
     if isinstance(state, DsgtState):
-        xbar = state.x.mean(axis=0)
-        cx = consensus_error(state.x)
-        cs = consensus_error(state.s)
+        blocks = 1
         dist = snapshot_gradient_distance(problem, state.x)
-        psi = cx + (4.0 * eta * eta / (theta * theta)) * cs + (
-            2.0 * eta / (problem.L * theta)
-        ) * dist
     else:
         blocks = state.blocks
-        xbar = state.x[: problem.m].mean(axis=0)
-        cx = consensus_error(state.x, blocks)
-        cs = consensus_error(state.s, blocks)
         dist = snapshot_gradient_distance(problem, state.q)
-        if blocks == 1:
-            psi = lyapunov_psi(state, eta, theta, problem.L, problem)
-        else:
-            psi = lyapunov_psi_tilde(state, eta, theta, problem.L, alpha, problem)
+    xbar = column_mean(state.x[: problem.m])
+    cx = consensus_error(state.x, blocks)
+    cs = consensus_error(state.s, blocks)
+    if blocks == 1:
+        psi = _psi(cx, cs, dist, eta, theta, problem.L)
+    else:
+        psi = _psi_tilde(cx, cs, dist, eta, theta, alpha)
     delta = xbar - problem.x_star
     return IterRecord(
         t=state.t,

@@ -31,6 +31,7 @@ from .algorithms import (
     Schedule,
     assdsgt_step,
     audit_identities,
+    column_mean,
     dsgt_step,
     init_state,
     ssdsgt_step,
@@ -331,17 +332,17 @@ def prepare_run(cfg: ExperimentConfig, schedule_override: Schedule | None = None
     )
     x0 = _resolve_x0(cfg, problem, problem_rng)
 
-    base = metropolis_mixing(graph)
+    # Only the spectrum a run reads is computed: gossip runs build no matrix,
+    # and a lazy run decomposes the lazy matrix, never its Metropolis base.
+    w: MixingMatrix | None = None
     aug: AugmentedMixing | None = None
-    if cfg.mixing == "metropolis":
-        w: MixingMatrix | None = base
-        theta = base.theta
-    elif cfg.mixing == "lazy-metropolis":
-        w = lazify(base)
-        theta = w.theta
-    else:
-        w = None
+    if cfg.mixing == "random-gossip":
         _, theta = gossip_contraction(graph)
+    else:
+        w = metropolis_mixing(graph)
+        if cfg.mixing == "lazy-metropolis":
+            w = lazify(w)
+        theta = w.theta
 
     sched_theta = theta
     if cfg.algo == "assdsgt":
@@ -466,7 +467,7 @@ def _execute(setup: RunSetup) -> Trace:
         stacked momentum state).
         """
         t = current.t
-        xbar = current.x[:m].mean(axis=0) if stacked else mean
+        xbar = column_mean(current.x[:m]) if stacked else mean
         subopt = global_suboptimality(problem, xbar)
         if not math.isfinite(subopt):
             raise InvariantViolation(f"suboptimality of the average iterate is {subopt}", iteration=t)
@@ -474,7 +475,7 @@ def _execute(setup: RunSetup) -> Trace:
         wavg = averager.average
         if t in checkpoints:
             wavg_at[str(t)] = wavg
-        for name, err, scale in audit_identities(current):
+        for name, err, scale in audit_identities(current, xbar):
             audits.check(name, err, scale, t)
         if t % cfg.stride == 0 or t == cfg.iters:
             record(current, eta_t, wavg)
@@ -486,7 +487,7 @@ def _execute(setup: RunSetup) -> Trace:
         # Each iteration's step size and state mean are computed once: observe
         # uses them, then the next step and its mean-dynamics audit reuse them.
         eta = step_size(sched, state.t)
-        mean = state.x.mean(axis=0)
+        mean = column_mean(state.x)
         metric = observe(state, eta, mean)
         stopped_early = False
         eps = cfg.eps_stop
@@ -499,7 +500,7 @@ def _execute(setup: RunSetup) -> Trace:
 
             grad_mean = state.last_grad_mean
             assert grad_mean is not None
-            mean_before, mean = mean, state.x.mean(axis=0)
+            mean_before, mean = mean, column_mean(state.x)
             err = vector_norm(mean - (mean_before - eta * grad_mean))
             scale = max(vector_norm(mean), vector_norm(mean_before), eta * vector_norm(grad_mean))
             audits.check("mean_dynamics", err, scale, state.t)

@@ -4,7 +4,10 @@ This module builds the network side of the simulator: undirected communication
 graphs, symmetric doubly stochastic mixing matrices (Metropolis weights and
 their lazy variants), single-edge random gossip, and the momentum-augmented
 mixing operator that accelerates consensus. Spectral quantities come from a
-full symmetric eigendecomposition of small dense matrices.
+full symmetric eigendecomposition of small dense matrices. Each matrix computes
+its spectrum once, the first time its eigenvalues, ``lambda2``, ``theta`` or
+``psd_flag`` are read, and keeps it: a run decomposes only the matrices it
+reads, and the augmented operator reuses its base matrix's eigenvalues.
 
 Conventions:
     * Every mixing operator acts on row-stacked agent states through one
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,6 +55,12 @@ MOMENTUM_ENVELOPE: float = 14.0
 _ROW_SUM_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 _PSD_TOL = 1e-10
+#: Relative window around the numpy-located maximum in which the fit of
+#: ``theta_tilde`` evaluates the exact ``math`` functions; far wider than the
+#: last-bit differences between the numpy and ``math`` versions.
+_FIT_WINDOW = 1e-9
+#: Largest mode count the fit steps as Python floats rather than as arrays.
+_FLOAT_PATH_MODES = 32
 
 
 @dataclass(frozen=True)
@@ -107,31 +116,55 @@ class Graph:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Symmetric doubly stochastic mixing matrix with cached spectra.
+    """Symmetric doubly stochastic mixing matrix with a spectrum computed on demand.
+
+    Construction validates the entries, once. The spectral attributes come
+    from one symmetric eigendecomposition, made the first time any of them is
+    read and kept on the instance; reading one raises ``ValueError`` when the
+    matrix does not contract.
 
     Attributes:
         entries: Dense ``(m, m)`` weight matrix, entries in ``[0, 1]``,
             exactly symmetric, rows and columns summing to one.
-        lambda2: Largest magnitude among the non-unit eigenvalues. For a
-            random gossip draw this is the family value
-            ``sqrt(lambda2(E[W^T W]))`` shared by every draw.
+        eigenvalues: Ascending eigenvalues (read-only).
+        lambda2: Largest magnitude among the non-unit eigenvalues.
         theta: Spectral gap ``1 - lambda2``; always in ``(0, 1]``.
         psd_flag: True when the matrix is positive semidefinite (up to a
             ``1e-10`` eigenvalue tolerance).
     """
 
     entries: np.ndarray
-    lambda2: float
-    theta: float
-    psd_flag: bool
 
     def __post_init__(self) -> None:
         w = np.asarray(self.entries, dtype=np.float64)
         object.__setattr__(self, "entries", w)
         w.setflags(write=False)
         _validate_mixing_entries(w)
-        if not (0.0 < self.theta <= 1.0):
-            raise ValueError(f"spectral gap theta={self.theta} outside (0, 1]")
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        evals = _symmetric_spectrum(self.entries)
+        evals.setflags(write=False)
+        return evals
+
+    @cached_property
+    def _gap(self) -> tuple[float, float]:
+        lambda2, theta = _gap_from_spectrum(self.eigenvalues)
+        if theta <= 0.0:
+            raise ValueError("matrix does not contract: second eigenvalue magnitude is one")
+        return lambda2, theta
+
+    @property
+    def lambda2(self) -> float:
+        return self._gap[0]
+
+    @property
+    def theta(self) -> float:
+        return self._gap[1]
+
+    @property
+    def psd_flag(self) -> bool:
+        return bool(self.eigenvalues[0] >= -_PSD_TOL)
 
     @property
     def m(self) -> int:
@@ -221,19 +254,6 @@ def _gap_from_spectrum(evals: np.ndarray) -> tuple[float, float]:
     return lambda2, theta
 
 
-def _finalize(entries: np.ndarray) -> MixingMatrix:
-    """Validate entries, compute spectra, and wrap in a MixingMatrix."""
-    _validate_mixing_entries(entries)
-    if entries.shape[0] == 1:
-        return MixingMatrix(entries=entries, lambda2=0.0, theta=1.0, psd_flag=True)
-    evals = _symmetric_spectrum(entries)
-    lambda2, theta = _gap_from_spectrum(evals)
-    if theta <= 0.0:
-        raise ValueError("matrix does not contract: second eigenvalue magnitude is one")
-    psd = bool(evals[0] >= -_PSD_TOL)
-    return MixingMatrix(entries=entries, lambda2=lambda2, theta=theta, psd_flag=psd)
-
-
 def metropolis_mixing(graph: Graph) -> MixingMatrix:
     """Metropolis-Hastings weights for a connected graph.
 
@@ -251,7 +271,7 @@ def metropolis_mixing(graph: Graph) -> MixingMatrix:
     off_row_sums = w.sum(axis=1)
     for i in range(m):
         w[i, i] = 1.0 - off_row_sums[i]
-    return _finalize(w)
+    return MixingMatrix(w)
 
 
 def lazify(w: MixingMatrix) -> MixingMatrix:
@@ -259,12 +279,13 @@ def lazify(w: MixingMatrix) -> MixingMatrix:
 
     The result is positive semidefinite because every eigenvalue maps to
     ``(1 + eig) / 2`` and eigenvalues of a symmetric doubly stochastic matrix
-    lie in ``[-1, 1]``.
+    lie in ``[-1, 1]``. Reads only ``w.entries``, so ``w``'s own spectrum is
+    never computed on its behalf.
     """
     m = w.m
     lazy = 0.5 * (np.eye(m) + w.entries)
     lazy = 0.5 * (lazy + lazy.T)
-    return _finalize(lazy)
+    return MixingMatrix(lazy)
 
 
 @lru_cache(maxsize=64)
@@ -362,6 +383,34 @@ def default_gamma(lambda2: float) -> float:
     return (1.0 - root) / (1.0 + root)
 
 
+def _mode_paths(lams: np.ndarray, gamma: float, horizon: int) -> np.ndarray:
+    """Values of every augmented mode at steps ``-1..horizon``, one column each.
+
+    Row ``t + 1`` holds step ``t`` of the recursion
+    ``a_t = lam * ((1 + gamma) * a_{t-1} - gamma * a_{t-2})`` from the
+    duplicated start ``a_{-1} = a_0 = 1``. Up to ``_FLOAT_PATH_MODES`` modes
+    step faster as Python floats than through one numpy call per operation;
+    both round every operation to the same double.
+    """
+    grow = 1.0 + gamma
+    modes = np.ones((horizon + 2, lams.size))
+    if lams.size <= _FLOAT_PATH_MODES:
+        for k, lam in enumerate(lams.tolist()):
+            a = b = 1.0
+            path = []
+            for _ in range(horizon):
+                a, b = lam * (grow * a - gamma * b), a
+                path.append(a)
+            modes[2:, k] = path
+        return modes
+    scratch = np.empty(lams.size)
+    for t in range(1, horizon + 1):
+        np.multiply(grow, modes[t], out=scratch)
+        scratch -= gamma * modes[t - 1]
+        np.multiply(lams, scratch, out=modes[t + 1])
+    return modes
+
+
 def _fitted_theta_tilde(base_evals: np.ndarray, gamma: float, horizon: int = 200) -> float:
     """Fitted decay exponent of the augmented chain on duplicated inputs.
 
@@ -372,18 +421,29 @@ def _fitted_theta_tilde(base_evals: np.ndarray, gamma: float, horizon: int = 200
     duplicated block vector ``[x; x]``. The fitted exponent is the smallest
     decay rate such that the envelope
     ``sqrt(MOMENTUM_ENVELOPE) * (1 - theta_tilde)**t`` dominates the worst
-    mode at every step ``t`` in ``1..horizon``.
+    mode at every step ``t`` in ``1..horizon``: one minus the largest
+    ``exp((log |mode_t| - log sqrt(MOMENTUM_ENVELOPE)) / t)``.
+
+    The modes come from :func:`_mode_paths`, with the same floating point
+    operations a per-mode scalar recursion makes, so every value is exact.
+    numpy's ``hypot``, ``log`` and ``exp`` may differ from the ``math``
+    versions in the last bit, so they only locate the maximum: the ``math``
+    functions are evaluated on the steps and modes within a relative
+    ``_FIT_WINDOW`` of it, which always include the true maximum, and the fit
+    equals the all-``math`` scalar loop bit for bit.
     """
-    rest = base_evals[:-1] if base_evals.size > 1 else base_evals[:0]
     half_log_envelope = 0.5 * math.log(MOMENTUM_ENVELOPE)
+    modes = _mode_paths(np.asarray(base_evals[:-1], dtype=np.float64), gamma, horizon)
+    radii = np.hypot(modes[2:], modes[1:-1])
+    peaks = radii.max(axis=1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        rates = np.exp((np.log(peaks) - half_log_envelope) / np.arange(1, horizon + 1))
+    near = (rates >= rates.max() * (1.0 - _FIT_WINDOW)) & (peaks > 0.0)
     worst_rate = 0.0
-    for lam in np.asarray(rest, dtype=np.float64):
-        a, b = 1.0, 1.0
-        for t in range(1, horizon + 1):
-            a, b = lam * ((1.0 + gamma) * a - gamma * b), a
-            r = math.hypot(a, b)
-            if r <= 0.0:
-                continue
+    for step in np.flatnonzero(near).tolist():
+        t = step + 1
+        for i in np.flatnonzero(radii[step] >= peaks[step] * (1.0 - _FIT_WINDOW)).tolist():
+            r = math.hypot(modes[t + 1, i], modes[t, i])
             rate = math.exp((math.log(r) - half_log_envelope) / t)
             if rate > worst_rate:
                 worst_rate = rate
@@ -449,7 +509,8 @@ def chebyshev_augment(w: MixingMatrix, gamma: float) -> AugmentedMixing:
     """Build the momentum-augmented operator for a positive semidefinite base.
 
     The fitted contraction exponent ``theta_tilde`` is computed eagerly from
-    the eigenvalues of ``w`` so that schedules built on the augmented chain
+    the eigenvalues ``w`` keeps (decomposing ``w`` only if nothing has read
+    its spectrum yet) so that schedules built on the augmented chain
     can use it directly. With ``gamma = 0`` the operator reduces to the base
     matrix acting on the top block while the bottom block trails one step.
 
@@ -461,6 +522,5 @@ def chebyshev_augment(w: MixingMatrix, gamma: float) -> AugmentedMixing:
         raise ValueError("augmented mixing requires a positive semidefinite base matrix")
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    evals = _symmetric_spectrum(w.entries)
-    theta_tilde = _fitted_theta_tilde(evals, gamma)
+    theta_tilde = _fitted_theta_tilde(w.eigenvalues, gamma)
     return AugmentedMixing(base=w, gamma=gamma, theta_tilde=theta_tilde)

@@ -12,6 +12,7 @@ from netgrad.algorithms import (
     Schedule,
     assdsgt_step,
     audit_identities,
+    column_mean,
     dsgt_step,
     init_state,
     ssdsgt_step,
@@ -159,6 +160,32 @@ def test_momentum_block_identities_hold_over_noisy_run():
         state = assdsgt_step(state, problem, aug, sched, streams)
         worst = max(worst, _max_audit_ratio(state))
     assert worst <= 1e-9
+
+
+def test_audit_reuses_a_given_working_block_mean():
+    problem = _problem(m=6, sigma_bar=1.0)
+    lazy = lazify(_mixing(6))
+    aug = chebyshev_augment(lazy, default_gamma(lazy.lambda2))
+    sched = theory_schedule("assdsgt", "constant", aug.theta_tilde, problem.L, problem.mu)
+    streams = StreamBundle.from_seed(13, 6)
+    state = init_state(problem, np.zeros(2), "assdsgt", streams)
+    for _ in range(20):
+        state = assdsgt_step(state, problem, aug, sched, streams)
+    working_mean = state.x[:6].mean(axis=0)
+    assert audit_identities(state, working_mean) == audit_identities(state)
+    shifted = audit_identities(state, working_mean + 1.0)
+    assert dict((n, e) for n, e, _ in shifted)["block_sum_x"] > 1.0
+
+
+def test_column_mean_equals_ndarray_mean_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 3, 7, 16, 33, 256, 1024):
+        for d in (1, 2, 3):
+            for scale in (1e-8, 1.0, 1e8):
+                a = scale * rng.standard_normal((m, d))
+                half = a[: (m + 1) // 2]
+                assert column_mean(a).tobytes() == a.mean(axis=0).tobytes()
+                assert column_mean(half).tobytes() == half.mean(axis=0).tobytes()
 
 
 def test_baseline_tracker_mean_follows_last_gradients():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -121,6 +124,15 @@ def test_validate_mixing_gossip_reports_family_gap(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["theta"] == pytest.approx(0.018476517016368987, rel=1e-12)
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "netgrad", "validate-mixing", "--topology", "ring", "--agents", "4"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["agents"] == 4
 
 
 def test_plot_emits_wellformed_svg(tmp_path: Path, capsys):

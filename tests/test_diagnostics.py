@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from netgrad.algorithms import init_state, ssdsgt_step, theory_schedule
+from netgrad.algorithms import assdsgt_step, init_state, ssdsgt_step, theory_schedule
 from netgrad.diagnostics import (
     CSV_COLUMNS,
     IterRecord,
@@ -23,7 +23,7 @@ from netgrad.objectives import (
     make_quadratic_suite,
 )
 from netgrad.streams import StreamBundle
-from netgrad.topology import build_graph, metropolis_mixing
+from netgrad.topology import build_graph, chebyshev_augment, default_gamma, lazify, metropolis_mixing
 
 
 def _toy_problem() -> QuadraticProblem:
@@ -263,3 +263,28 @@ def test_averager_survives_weight_overflow():
     for _ in range(4000):
         avg.push(0.5, 1.5)
     assert avg.average == pytest.approx(1.5, rel=1e-9)
+
+
+def test_record_iteration_psi_equals_the_public_lyapunov_values_exactly():
+    rng = np.random.default_rng(5)
+    problem = make_quadratic_suite(6, 2, 0.5, 4.0, 1.0, rng, sigma_bar=1.0)
+    w = lazify(metropolis_mixing(build_graph("ring", 6)))
+    aug = chebyshev_augment(w, default_gamma(w.lambda2))
+    for algo, op, step, theta in (
+        ("ssdsgt", w, ssdsgt_step, w.theta),
+        ("assdsgt", aug, assdsgt_step, aug.theta_tilde),
+    ):
+        sched = theory_schedule(algo, "constant", theta, problem.L, problem.mu)
+        streams = StreamBundle.from_seed(8, 6)
+        state = init_state(problem, np.zeros(2), algo, streams)
+        for _ in range(7):
+            state = step(state, problem, op, sched, streams)
+        eta = state.last_eta
+        record = record_iteration(state, problem, eta, theta)
+        if algo == "ssdsgt":
+            expected = lyapunov_psi(state, eta, theta, problem.L, problem)
+        else:
+            expected = lyapunov_psi_tilde(state, eta, theta, problem.L, 14.0, problem)
+        assert record.psi == expected
+        assert record.consensus_x == consensus_error(state.x, state.blocks)
+        assert record.snap_grad_dist == snapshot_gradient_distance(problem, state.q)

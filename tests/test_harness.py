@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgrad import topology
 from netgrad.errors import ConfigError, InvariantViolation
 from netgrad.harness import (
     ExperimentConfig,
@@ -159,6 +160,35 @@ def test_stride_row_count_includes_the_final_iteration():
     assert [r.t for r in trace.records] == [0, 3, 6, 9, 10]
     aligned = run_experiment(_small_cfg(iters=9, stride=3))
     assert [r.t for r in aligned.records] == [0, 3, 6, 9]
+
+
+@pytest.mark.parametrize(
+    "mixing, algo, matrices",
+    [
+        ("metropolis", "ssdsgt", 1),
+        ("lazy-metropolis", "ssdsgt", 2),
+        ("lazy-metropolis", "assdsgt", 2),
+        ("random-gossip", "ssdsgt", 0),
+    ],
+)
+def test_prepare_run_decomposes_one_spectrum_and_validates_each_matrix_once(
+    monkeypatch, mixing, algo, matrices
+):
+    counts = {"_symmetric_spectrum": 0, "_validate_mixing_entries": 0}
+    for name in counts:
+        original = getattr(topology, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(topology, name, counted)
+    topology._gossip_family.cache_clear()
+    setup = prepare_run(_small_cfg(agents=16, mixing=mixing, algo=algo))
+    assert counts == {"_symmetric_spectrum": 1, "_validate_mixing_entries": matrices}
+    if setup.w is not None:  # the run's matrix keeps the spectrum set-up computed
+        _ = (setup.w.lambda2, setup.w.theta, setup.w.psd_flag)
+    assert counts["_symmetric_spectrum"] == 1
 
 
 def test_prepare_run_start_radius():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from netgrad import topology
 from netgrad.topology import (
     AugmentedMixing,
     EdgeGossip,
@@ -120,7 +121,13 @@ def test_spectral_gap_single_agent_convention():
 def test_spectral_gap_rejects_non_doubly_stochastic():
     bad = np.array([[0.9, 0.0], [0.0, 0.9]])
     with pytest.raises(ValueError):
-        MixingMatrix(entries=bad, lambda2=0.9, theta=0.1, psd_flag=True)
+        MixingMatrix(entries=bad)
+
+
+def test_non_contracting_matrix_raises_when_its_spectrum_is_read():
+    w = MixingMatrix(np.eye(2))
+    with pytest.raises(ValueError, match="does not contract"):
+        w.theta
 
 
 def test_apply_mixing_preserves_column_means():
@@ -289,3 +296,145 @@ def test_augmented_mixing_is_frozen():
     assert isinstance(aug, AugmentedMixing)
     with pytest.raises(AttributeError):
         aug.gamma = 0.5
+
+
+# --- spectra: computed once per matrix, on first read, and unchanged ---
+
+
+def _kind_sizes(kind: str, sizes=(1, 2, 3, 8, 16, 64, 256, 1024)) -> list[int]:
+    if kind == "grid":
+        return [m for m in sizes if math.isqrt(m) ** 2 == m]
+    return list(sizes)
+
+
+def _reference_spectrum(entries: np.ndarray) -> tuple[float, float, bool]:
+    """``(lambda2, theta, psd_flag)`` straight from a fresh decomposition."""
+    evals = np.linalg.eigvalsh(entries)
+    if evals.size <= 1:
+        return 0.0, 1.0, True
+    lambda2 = min(max(float(np.max(np.abs(evals[:-1]))), 0.0), 1.0)
+    return lambda2, 1.0 - lambda2, bool(evals[0] >= -1e-10)
+
+
+@pytest.mark.parametrize("kind", ["ring", "grid", "star", "complete"])
+def test_spectral_fields_equal_a_fresh_decomposition(kind):
+    for m in _kind_sizes(kind, (1, 2, 3, 8, 16, 64, 256)):
+        plain = metropolis_mixing(build_graph(kind, m))
+        for w in (plain, lazify(plain)):
+            assert (w.lambda2, w.theta, w.psd_flag) == _reference_spectrum(w.entries)
+            assert w.eigenvalues.tobytes() == np.linalg.eigvalsh(w.entries).tobytes()
+
+
+def test_spectral_fields_frozen_values():
+    # bit patterns of lambda2 and theta recorded before spectra became lazy
+    w = _ring(16)
+    assert (w.lambda2.hex(), w.theta.hex(), w.psd_flag) == (
+        "0x1.e6047df7708d8p-1", "0x1.9fb82088f7280p-5", False
+    )
+    lazy = lazify(_ring(256))
+    assert (lazy.lambda2.hex(), lazy.theta.hex(), lazy.psd_flag) == (
+        "0x1.fff2d758199b6p-1", "0x1.a514fccc94000p-14", True
+    )
+    aug = chebyshev_augment(lazy, default_gamma(lazy.lambda2))
+    assert (aug.gamma.hex(), aug.theta_tilde.hex()) == ("0x1.f5d775de327d7p-1", "0x1.332d1639a99c0p-7")
+    star = lazify(metropolis_mixing(build_graph("star", 64)))
+    assert star.lambda2.hex() == "0x1.fc0000000001dp-1"
+    assert chebyshev_augment(star, default_gamma(star.lambda2)).theta_tilde.hex() == "0x1.30e07d9e8b938p-4"
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls to ``topology.<name>`` made from now on."""
+    calls = [0]
+    original = getattr(topology, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(topology, name, counted)
+    return calls
+
+
+def test_mixing_matrix_decomposes_once_on_first_read(monkeypatch):
+    spectra = _count_calls(monkeypatch, "_symmetric_spectrum")
+    base = _ring(8)
+    lazy = lazify(base)
+    assert spectra[0] == 0
+    for _ in range(2):
+        assert (lazy.lambda2, lazy.theta, lazy.psd_flag) == _reference_spectrum(lazy.entries)
+    chebyshev_augment(lazy, default_gamma(lazy.lambda2))
+    assert spectra[0] == 1
+    assert "eigenvalues" not in vars(base)
+    with pytest.raises(ValueError):
+        lazy.eigenvalues[0] = 0.0
+
+
+def test_mixing_entries_are_validated_once_per_matrix(monkeypatch):
+    checks = _count_calls(monkeypatch, "_validate_mixing_entries")
+    base = _ring(8)
+    assert checks[0] == 1
+    lazy = lazify(base)
+    assert checks[0] == 2
+    lazy.theta
+    chebyshev_augment(lazy, 0.3)
+    assert checks[0] == 2
+
+
+def _reference_fitted_theta_tilde(base_evals: np.ndarray, gamma: float, horizon: int = 200) -> float:
+    """The per-mode scalar loop the vectorized fit must reproduce bit for bit."""
+    rest = base_evals[:-1] if base_evals.size > 1 else base_evals[:0]
+    half_log_envelope = 0.5 * math.log(MOMENTUM_ENVELOPE)
+    worst_rate = 0.0
+    for lam in np.asarray(rest, dtype=np.float64):
+        a, b = 1.0, 1.0
+        for t in range(1, horizon + 1):
+            a, b = lam * ((1.0 + gamma) * a - gamma * b), a
+            r = math.hypot(a, b)
+            if r <= 0.0:
+                continue
+            rate = math.exp((math.log(r) - half_log_envelope) / t)
+            if rate > worst_rate:
+                worst_rate = rate
+    if worst_rate >= 1.0:
+        raise ValueError(f"augmented chain does not contract within {horizon} steps (gamma={gamma})")
+    return 1.0 - worst_rate
+
+
+def _fit_outcome(fit, evals: np.ndarray, gamma: float) -> str:
+    try:
+        return fit(evals, gamma).hex()
+    except ValueError:
+        return "raises"
+
+
+@pytest.mark.parametrize("kind", ["ring", "grid", "star", "complete"])
+def test_fitted_theta_tilde_equals_the_scalar_loop_bit_for_bit(kind):
+    for m in _kind_sizes(kind):
+        lazy = lazify(metropolis_mixing(build_graph(kind, m)))
+        evals = np.linalg.eigvalsh(lazy.entries)
+        for gamma in (default_gamma(lazy.lambda2), 0.0, 0.3, 0.9, 0.99):
+            expected = _reference_fitted_theta_tilde(evals, gamma)
+            assert chebyshev_augment(lazy, gamma).theta_tilde.hex() == expected.hex(), (m, gamma)
+
+
+@pytest.mark.parametrize("float_path_modes", [0, 10**6])
+def test_fitted_theta_tilde_equals_the_scalar_loop_on_signed_spectra(monkeypatch, float_path_modes):
+    # plain Metropolis spectra reach down towards -1, where strong momentum
+    # makes the chain grow instead of contract; every mode count runs once
+    # through the array recursion and once through the float one
+    monkeypatch.setattr(topology, "_FLOAT_PATH_MODES", float_path_modes)
+    outcomes = []
+    for kind in ("ring", "grid", "star", "complete"):
+        for m in _kind_sizes(kind, (2, 3, 8, 16, 64)):
+            evals = metropolis_mixing(build_graph(kind, m)).eigenvalues
+            for gamma in (0.0, 0.3, 0.5, 0.9, 0.99):
+                expected = _fit_outcome(_reference_fitted_theta_tilde, evals, gamma)
+                assert _fit_outcome(topology._fitted_theta_tilde, evals, gamma) == expected
+                outcomes.append(expected)
+    assert "raises" in outcomes
+
+
+def test_fitted_theta_tilde_raises_when_the_chain_does_not_contract():
+    evals = metropolis_mixing(build_graph("grid", 16)).eigenvalues
+    with pytest.raises(ValueError, match="does not contract"):
+        topology._fitted_theta_tilde(evals, 0.9)
