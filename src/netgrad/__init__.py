@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .algorithms import (
     ALGORITHMS,
-    DsgtState,
     Schedule,
     SsState,
     assdsgt_step,
@@ -84,7 +83,6 @@ __all__ = [
     "MOMENTUM_ENVELOPE",
     "AugmentedMixing",
     "ConfigError",
-    "DsgtState",
     "EdgeGossip",
     "ExperimentConfig",
     "Graph",

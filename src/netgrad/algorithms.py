@@ -1,10 +1,13 @@
 """Decentralized gradient-tracking iterations and their step-size schedules.
 
-Three iteration families share this module, and two step functions:
+Three iteration families share this module, one state type
+(:class:`SsState`), and two step functions:
 
 * ``dsgt``: plain stochastic gradient tracking (:func:`dsgt_step`). Every
   agent refreshes its gradient every iteration and a tracker variable follows
-  the network-average gradient through mixing.
+  the network-average gradient through mixing. In state terms it re-takes its
+  snapshot at every iterate: the snapshot point is the iterate itself and the
+  stored gradients are the ones last sampled there.
 * ``ssdsgt``: snapshot gradient tracking (:func:`ssdsgt_step`). Fresh
   gradients are paired with a cached snapshot gradient as a control variate
   every iteration, while the tracker itself is refreshed only when a shared
@@ -16,9 +19,9 @@ Three iteration families share this module, and two step functions:
 
 Both steps mix only through the operator's ``apply(x)``: a dense mixing
 matrix, one random-gossip edge, or the augmented operator (see
-:mod:`netgrad.topology`). States are row-stacked: ``(m, d)`` for ``dsgt``,
-and ``blocks`` stacked ``(m, d)`` blocks for the snapshot state (one for the
-plain operator, two for the augmented one). Randomness comes exclusively from a
+:mod:`netgrad.topology`). States are row-stacked: ``blocks`` stacked
+``(m, d)`` blocks, one for a plain operator and two for the augmented one.
+Randomness comes exclusively from a
 :class:`~netgrad.streams.StreamBundle`, which serves the coin uniforms and the
 noise rows from blocks; noiseless runs draw nothing from the gradient streams
 and are bit-identical to exact-gradient runs.
@@ -48,7 +51,6 @@ __all__ = [
     "theory_schedule",
     "step_size",
     "SsState",
-    "DsgtState",
     "init_state",
     "ssdsgt_step",
     "assdsgt_step",
@@ -80,7 +82,7 @@ class Schedule:
         mode: ``constant`` holds ``eta0`` forever; ``decaying`` uses
             ``eta_t = 6 beta / (L + beta * mu * t)``.
         p: Per-iteration probability of refreshing the snapshot (unused by
-            ``dsgt``, which keeps no snapshot).
+            ``dsgt``, which re-takes its snapshot at every iterate).
         L: Smoothness constant of the objective.
         mu: Strong convexity modulus.
         theta: Contraction parameter the schedule was derived from; kept for
@@ -199,7 +201,7 @@ def step_size(sched: Schedule, t: int) -> float:
 
 @dataclass
 class SsState:
-    """Snapshot tracking state, plain or momentum-augmented.
+    """Tracking state of all three iterations.
 
     ``x`` and ``s`` are the row-stacked iterates and trackers. They stack
     ``blocks`` copies of the ``(m, d)`` agent block: one for the plain
@@ -207,8 +209,10 @@ class SsState:
     trailing block). The working iterate is ``x[:m]``. ``q`` is the snapshot
     point and ``g_snap`` the stored gradient realization taken at ``q`` when
     the coin last fired (iteration ``tau``), with column mean ``g_snap_mean``
-    (computed from ``g_snap`` when not given). The ``last_*`` fields
-    describe the most recent transition for diagnostics.
+    (computed from ``g_snap`` when not given). ``dsgt`` re-takes its snapshot
+    at every iterate: after each of its steps ``q`` is ``x`` (the same array),
+    ``g_snap`` holds the gradients sampled there and ``tau == t``. The
+    ``last_*`` fields describe the most recent transition for diagnostics.
     """
 
     x: np.ndarray
@@ -241,31 +245,6 @@ class SsState:
         """Read-only alias of ``s``, the stacked momentum tracker."""
         return self.s
 
-
-@dataclass
-class DsgtState:
-    """Plain gradient-tracking state with the last sampled gradients.
-
-    Kept apart from :class:`SsState` because its recursion samples gradients
-    at the new iterate and keeps no snapshot. ``g_prev_mean`` is the column
-    mean of ``g_prev`` (computed from it when not given).
-    """
-
-    x: np.ndarray
-    s: np.ndarray
-    g_prev: np.ndarray
-    t: int
-    last_eta: float = 0.0
-    last_zeta: int = 0
-    last_grad_mean: np.ndarray | None = None
-    g_prev_mean: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.g_prev_mean is None:
-            self.g_prev_mean = column_mean(self.g_prev)
-
-
-AnyState = SsState | DsgtState
 
 #: A mixing operator: anything whose ``apply(x)`` mixes row-stacked states.
 Operator = MixingMatrix | EdgeGossip | AugmentedMixing
@@ -301,12 +280,13 @@ def init_state(
     x0: np.ndarray,
     algo: str,
     streams: StreamBundle | None = None,
-) -> AnyState:
+) -> SsState:
     """Build the iteration state at a shared start point.
 
-    Every agent starts at ``x0``. Trackers and snapshot caches start from one
-    stochastic gradient draw per agent at the start point (no draws happen
-    when the problem is noiseless).
+    Every agent starts at ``x0``, which is also the snapshot point. Trackers
+    and snapshot caches start from one stochastic gradient draw per agent at
+    the start point (no draws happen when the problem is noiseless). The
+    momentum iteration stacks two copies of the iterate and tracker blocks.
 
     Args:
         problem: Objective suite.
@@ -315,7 +295,7 @@ def init_state(
         streams: Random streams; required when the problem has gradient noise.
 
     Returns:
-        The matching state object with ``t = 0``.
+        The :class:`SsState` with ``t = 0``.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm tag '{algo}'")
@@ -323,8 +303,6 @@ def init_state(
         raise ValueError("noisy problems need a stream bundle")
     x = _start_rows(problem, x0)
     g0 = _sampled_gradients(problem, x, streams)
-    if algo == "dsgt":
-        return DsgtState(x=x, s=g0.copy(), g_prev=g0.copy(), t=0)
     reps = (2, 1) if algo == "assdsgt" else (1, 1)
     return SsState(
         x=np.tile(x, reps), s=np.tile(g0, reps), q=x.copy(), g_snap=g0.copy(), tau=0, t=0
@@ -404,34 +382,37 @@ assdsgt_step = ssdsgt_step
 
 
 def dsgt_step(
-    state: DsgtState,
+    state: SsState,
     problem: QuadraticProblem,
     op: MixingMatrix | EdgeGossip,
     sched: Schedule,
     streams: StreamBundle,
     eta: float | None = None,
-) -> DsgtState:
+) -> SsState:
     """Advance the plain tracking iteration by one step.
 
     The iterate descends along the tracker through ``op.apply``, fresh
     gradients are sampled at the new iterate, and the tracker absorbs the
-    gradient increment. With one agent and the identity matrix this is plain
-    stochastic gradient descent.
+    increment over the stored gradients. The snapshot then moves to the new
+    iterate with the gradients just sampled. With one agent and the identity
+    matrix this is plain stochastic gradient descent.
     """
     if eta is None:
         eta = step_size(sched, state.t)
     x_new = op.apply(state.x - eta * state.s)
     g_new = _sampled_gradients(problem, x_new, streams)
-    s_new = op.apply(state.s) + (g_new - state.g_prev)
-    return DsgtState(
+    s_new = op.apply(state.s) + (g_new - state.g_snap)
+    return SsState(
         x=x_new,
         s=s_new,
-        g_prev=g_new,
+        q=x_new,
+        g_snap=g_new,
+        tau=state.t + 1,
         t=state.t + 1,
         last_eta=eta,
         last_zeta=0,
-        last_grad_mean=state.g_prev_mean,
-        g_prev_mean=column_mean(g_new),
+        last_grad_mean=state.g_snap_mean,
+        g_snap_mean=column_mean(g_new),
     )
 
 
@@ -459,7 +440,7 @@ def _mean_check(name: str, a: np.ndarray, b: np.ndarray) -> tuple[str, float, fl
 
 
 def audit_identities(
-    state: AnyState, working_mean: np.ndarray | None = None
+    state: SsState, working_mean: np.ndarray | None = None
 ) -> list[tuple[str, float, float]]:
     """Raw self-check residuals for the tracking identities.
 
@@ -470,11 +451,9 @@ def audit_identities(
     converged toward zero.
 
     Checked identities:
-        * snapshot tracking: column mean of the tracker equals the column
-          mean of the stored snapshot gradients;
-        * plain tracking: column mean of the tracker equals the column mean
-          of the last sampled gradients;
-        * stacked snapshot state (more than one block): additionally, the
+        * tracking: column mean of the tracker equals the column mean of the
+          stored snapshot gradients (for ``dsgt``, the last sampled ones);
+        * stacked state (more than one block): additionally, the
           working block and the trailing block of the iterate and of the
           tracker keep equal column sums; the tracker mean is taken over the
           full stack.
@@ -482,8 +461,6 @@ def audit_identities(
     ``working_mean`` is the column mean of the working block ``x[:m]`` when
     the caller already has it; it is computed here when needed and not given.
     """
-    if isinstance(state, DsgtState):
-        return [_mean_check("tracker_mean", column_mean(state.s), state.g_prev_mean)]
     checks = []
     if state.blocks > 1:
         m = state.q.shape[0]

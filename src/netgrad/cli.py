@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation
 from .harness import (
+    MIXINGS,
     ExperimentConfig,
     Trace,
     load_config,
@@ -187,7 +188,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_mixing(args: argparse.Namespace) -> int:
-    if args.mixing not in ("metropolis", "lazy-metropolis", "random-gossip"):
+    if args.mixing not in MIXINGS:
         raise ConfigError(f"unknown mixing variant '{args.mixing}'", "mixing")
     graph = build_graph(args.topology, args.agents)
     report: dict = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AnyState, DsgtState, SsState, column_mean
+from .algorithms import SsState, column_mean
 from .objectives import QuadraticProblem, global_suboptimality
 from .topology import MOMENTUM_ENVELOPE
 
@@ -181,15 +181,13 @@ class WeightedAverager:
 
     Args:
         mu: Strong convexity modulus entering the weight growth.
-        log_offset: Uniform shift applied to every log weight. The average is
-            invariant to it.
     """
 
-    def __init__(self, mu: float, log_offset: float = 0.0) -> None:
+    def __init__(self, mu: float) -> None:
         if mu < 0.0:
             raise ValueError(f"mu must be nonnegative, got {mu}")
         self._mu = mu
-        self._log_w = log_offset
+        self._log_w = 0.0
         self._eta_prev: float | None = None
         self._count = 0
         self._wmax = -math.inf
@@ -241,36 +239,30 @@ class WeightedAverager:
 
 
 def record_iteration(
-    state: AnyState,
+    state: SsState,
     problem: QuadraticProblem,
     eta: float,
     theta: float,
-    alpha: float = MOMENTUM_ENVELOPE,
     wavg_subopt: float | None = None,
 ) -> IterRecord:
     """Assemble the diagnostic record for the current state.
 
     The suboptimality field is recomputed here from the problem and the
     network-average (working-block) iterate, independent of whatever the
-    driving loop tracks. Consensus errors are taken blockwise, and a stacked
-    snapshot state gets the momentum Lyapunov value ``psi_tilde`` in place of
-    ``psi``. For the plain tracking iteration, which keeps no snapshot, the
-    snapshot slot of the gradient-distance and Lyapunov fields is filled with
-    the current iterate and the snapshot-family weights.
+    driving loop tracks. The gradient distance is taken at the snapshot
+    point ``state.q``. Consensus errors are taken blockwise, and a stacked
+    state gets the momentum Lyapunov value ``psi_tilde``, with the envelope
+    constant :data:`~netgrad.topology.MOMENTUM_ENVELOPE`, in place of ``psi``.
     """
-    if isinstance(state, DsgtState):
-        blocks = 1
-        dist = snapshot_gradient_distance(problem, state.x)
-    else:
-        blocks = state.blocks
-        dist = snapshot_gradient_distance(problem, state.q)
+    blocks = state.blocks
+    dist = snapshot_gradient_distance(problem, state.q)
     xbar = column_mean(state.x[: problem.m])
     cx = consensus_error(state.x, blocks)
     cs = consensus_error(state.s, blocks)
     if blocks == 1:
         psi = _psi(cx, cs, dist, eta, theta, problem.L)
     else:
-        psi = _psi_tilde(cx, cs, dist, eta, theta, alpha)
+        psi = _psi_tilde(cx, cs, dist, eta, theta, MOMENTUM_ENVELOPE)
     delta = xbar - problem.x_star
     return IterRecord(
         t=state.t,

@@ -27,8 +27,8 @@ import numpy as np
 
 from .algorithms import (
     ALGORITHMS,
-    AnyState,
     Schedule,
+    SsState,
     assdsgt_step,
     audit_identities,
     column_mean,
@@ -453,13 +453,13 @@ def _execute(setup: RunSetup) -> Trace:
     checkpoints = set(cfg.avg_checkpoints)
     noisy = cfg.sigma_bar > 0.0
 
-    def record(current: AnyState, eta_t: float, wavg: float) -> None:
+    def record(current: SsState, eta_t: float, wavg: float) -> None:
         try:
             records.append(record_iteration(current, problem, eta_t, setup.theta, wavg_subopt=wavg))
         except ValueError as exc:  # a non-finite or negative diagnostic
             raise InvariantViolation(str(exc), iteration=current.t) from None
 
-    def observe(current: AnyState, eta_t: float, mean: np.ndarray) -> float:
+    def observe(current: SsState, eta_t: float, mean: np.ndarray) -> float:
         """Push diagnostics for the current iteration; returns the stop metric.
 
         ``eta_t`` is the step size at ``current.t`` and ``mean`` the column

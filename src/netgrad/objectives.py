@@ -105,22 +105,14 @@ class QuadraticProblem:
             raise ValueError(f"curvature stack has shape {self.quads.shape}")
         if self.linears.shape != (self.m, self.d):
             raise ValueError(f"linear stack has shape {self.linears.shape}")
-        for i in range(self.m):
-            evals = np.linalg.eigvalsh(self.quads[i])
-            if evals[0] < self.mu - _EIG_TOL or evals[-1] > self.L + _EIG_TOL:
-                raise ValueError(
-                    f"agent {i} eigenvalues [{evals[0]:.12g}, {evals[-1]:.12g}] "
-                    f"escape [{self.mu}, {self.L}]"
-                )
-
-
-def _random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-ish random orthogonal matrix with a deterministic sign convention."""
-    gauss = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
+        evals = np.linalg.eigvalsh(self.quads)
+        escaped = (evals[:, 0] < self.mu - _EIG_TOL) | (evals[:, -1] > self.L + _EIG_TOL)
+        if escaped.any():
+            i = int(np.argmax(escaped))
+            raise ValueError(
+                f"agent {i} eigenvalues [{evals[i, 0]:.12g}, {evals[i, -1]:.12g}] "
+                f"escape [{self.mu}, {self.L}]"
+            )
 
 
 def make_quadratic_suite(
@@ -161,11 +153,15 @@ def make_quadratic_suite(
     if m * d >= 2:
         slots[m - 1, d - 1] = L
 
-    quads = np.empty((m, d, d))
-    for i in range(m):
-        rotation = _random_rotation(rng, d)
-        quads[i] = (rotation * slots[i]) @ rotation.T
-        quads[i] = 0.5 * (quads[i] + quads[i].T)
+    # One Haar-ish rotation per agent, column signs fixed by the diagonal of
+    # R. The (m, d, d) draw takes the stream's values in agent order, as m
+    # separate (d, d) draws would.
+    rot, r = np.linalg.qr(rng.standard_normal((m, d, d)))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    signs[signs == 0.0] = 1.0
+    rot = rot * signs[:, None, :]
+    quads = (rot * slots[:, None, :]) @ rot.swapaxes(1, 2)
+    quads = 0.5 * (quads + quads.swapaxes(1, 2))
 
     base_linear = rng.standard_normal(d)
     shifts = rng.standard_normal((m, d))

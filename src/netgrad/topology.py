@@ -26,7 +26,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -289,8 +289,8 @@ def lazify(w: MixingMatrix) -> MixingMatrix:
 
 
 @lru_cache(maxsize=64)
-def _gossip_family(graph: Graph) -> tuple[float, float]:
-    """Family contraction parameters for single-edge gossip on ``graph``.
+def gossip_contraction(graph: Graph) -> tuple[float, float]:
+    """Return ``(lambda2_eff, theta_eff)`` for the single-edge gossip family.
 
     Enumerates every edge exactly. A single gossip draw for edge ``(i, j)``
     is the projection ``I - (1/2)(e_i - e_j)(e_i - e_j)^T``; each draw is
@@ -316,11 +316,6 @@ def _gossip_family(graph: Graph) -> tuple[float, float]:
     if theta_eff <= 0.0:
         raise ValueError("gossip family does not contract on this graph")
     return lambda2_eff, theta_eff
-
-
-def gossip_contraction(graph: Graph) -> tuple[float, float]:
-    """Return ``(lambda2_eff, theta_eff)`` for the single-edge gossip family."""
-    return _gossip_family(graph)
 
 
 @dataclass(frozen=True)
@@ -475,7 +470,7 @@ class AugmentedMixing:
 
     base: MixingMatrix
     gamma: float
-    theta_tilde: float = field(default=0.0)
+    theta_tilde: float
 
     @property
     def m(self) -> int:
@@ -492,7 +487,7 @@ class AugmentedMixing:
         mixed_top = self.base.entries @ top
         mixed_bottom = self.base.entries @ bottom
         new_top = (1.0 + self.gamma) * mixed_top - self.gamma * mixed_bottom
-        return np.concatenate([new_top, top.copy()], axis=0)
+        return np.concatenate([new_top, top], axis=0)
 
     def as_matrix(self) -> np.ndarray:
         """Materialize the dense ``(2m, 2m)`` operator (diagnostics only)."""

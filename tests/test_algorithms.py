@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,7 +199,9 @@ def test_baseline_tracker_mean_follows_last_gradients():
     for _ in range(200):
         state = dsgt_step(state, problem, w, sched, streams)
         assert _max_audit_ratio(state) <= 1e-9
-        assert np.allclose(state.s.mean(axis=0), state.g_prev.mean(axis=0), atol=1e-12)
+        assert np.allclose(state.s.mean(axis=0), state.g_snap.mean(axis=0), atol=1e-12)
+        # the snapshot is re-taken at every iterate
+        assert state.q is state.x and state.tau == state.t
 
 
 def test_zero_momentum_step_equals_snapshot_step_bitwise():
@@ -277,6 +281,22 @@ def test_init_state_duplicates_momentum_blocks():
     state = init_state(problem, np.array([0.2, 0.4]), "assdsgt", streams)
     assert np.array_equal(state.x_aug[:6], state.x_aug[6:])
     assert np.array_equal(state.s_aug[:6], state.s_aug[6:])
+
+
+@pytest.mark.parametrize(
+    "sigma_bar, digest",
+    [
+        (0.0, "8cc33663d76edac25a63dfe1326bdb9334000c5601fb44a49fea6131136ce163"),
+        (1.0, "5b6bfbeb163d88f2259e64d16a8eba287887820b39044ebff22c5d885b57d801"),
+    ],
+)
+def test_init_state_dsgt_frozen_start(sigma_bar, digest):
+    # sha256 of x and s as the separate plain-tracking state type built them
+    problem = _problem(sigma_bar=sigma_bar)
+    state = init_state(problem, np.array([1.5, -0.5]), "dsgt", StreamBundle.from_seed(17, 8))
+    assert state.x.shape == state.s.shape == (8, 2)
+    assert hashlib.sha256(state.x.tobytes() + state.s.tobytes()).hexdigest() == digest
+    assert np.array_equal(state.q, state.x) and state.g_snap.tobytes() == state.s.tobytes()
 
 
 def test_init_state_needs_streams_for_noisy_problems():

@@ -237,18 +237,6 @@ def test_averager_matches_extended_precision_reference():
     assert avg.average == pytest.approx(reference, rel=1e-10)
 
 
-def test_averager_is_invariant_to_log_offset():
-    plain = WeightedAverager(mu=1.0)
-    shifted = WeightedAverager(mu=1.0, log_offset=250.0)
-    rng = np.random.default_rng(9)
-    eta = 0.05
-    for _ in range(40):
-        value = float(rng.uniform(0.1, 2.0))
-        plain.push(eta, value)
-        shifted.push(eta, value)
-    assert plain.average == pytest.approx(shifted.average, rel=1e-12)
-
-
 def test_averager_rejects_bad_inputs():
     with pytest.raises(ValueError):
         WeightedAverager(mu=-1.0)

@@ -183,7 +183,7 @@ def test_prepare_run_decomposes_one_spectrum_and_validates_each_matrix_once(
             return _original(*args)
 
         monkeypatch.setattr(topology, name, counted)
-    topology._gossip_family.cache_clear()
+    topology.gossip_contraction.cache_clear()
     setup = prepare_run(_small_cfg(agents=16, mixing=mixing, algo=algo))
     assert counts == {"_symmetric_spectrum": 1, "_validate_mixing_entries": matrices}
     if setup.w is not None:  # the run's matrix keeps the spectrum set-up computed

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,15 @@ def test_suite_generation_is_deterministic():
     assert np.array_equal(a.quads, b.quads)
     assert np.array_equal(a.linears, b.linears)
     assert np.array_equal(a.x_star, b.x_star)
+
+
+def test_problem_names_the_first_agent_whose_curvature_escapes():
+    problem = _suite(m=6)
+    quads = problem.quads.copy()
+    quads[3] = (problem.L + 1.0) * np.eye(problem.d)
+    quads[5] = 0.5 * problem.mu * np.eye(problem.d)
+    with pytest.raises(ValueError, match=r"^agent 3 eigenvalues \[5, 5\] escape \[0\.5, 4\.0\]$"):
+        replace(problem, quads=quads)
 
 
 def test_problem_arrays_are_read_only():
