@@ -96,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--algo", required=True, help="comma-separated algorithm tags")
     sweep_p.add_argument("--eps", type=float, default=1e-6, help="suboptimality target")
     sweep_p.add_argument("--seeds", type=int, default=3, help="runs per cell")
-    sweep_p.add_argument("--workers", type=int, default=1, help="worker threads")
+    sweep_p.add_argument(
+        "--workers", type=int, default=1, help="accepted; has no effect (sweeps run serially)"
+    )
     sweep_p.add_argument("--config", help="JSON configuration file for the base run")
     sweep_p.add_argument("--out", help="sweep table CSV output path")
     sweep_p.add_argument("--topology", help="graph family")
@@ -107,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--dsgt-tuning",
         choices=("matched", "tuned"),
-        default="matched",
-        help="step selection for the plain tracking baseline (default: matched)",
+        help="step selection for the plain tracking baseline "
+        "(default: the config file's dsgt_tuning, else matched)",
     )
     sweep_p.add_argument(
         "--dsgt-multiplier",
@@ -155,7 +157,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     args.algo = None
     base = load_config(args.config) if args.config else ExperimentConfig()
     base = _apply_overrides(base, args)
-    base = replace(base, dsgt_tuning=args.dsgt_tuning)
+    if args.dsgt_tuning is not None:
+        base = replace(base, dsgt_tuning=args.dsgt_tuning)
     multipliers = {"dsgt": args.dsgt_multiplier} if args.dsgt_multiplier != 1.0 else None
     result = sweep_topology(
         base,

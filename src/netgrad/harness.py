@@ -19,7 +19,6 @@ import json
 import math
 import os
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -419,18 +418,24 @@ def run_experiment(
     Returns:
         The completed :class:`Trace`.
     """
-    setup = prepare_run(cfg, schedule_override)
-    if (
-        schedule_override is None
-        and cfg.algo == "dsgt"
-        and cfg.dsgt_tuning == "tuned"
-    ):
-        if cfg.sigma_bar == 0.0:
-            tuned = tune_dsgt_step(cfg)
-        else:
-            tuned = tune_dsgt_beta(cfg)
-        setup = prepare_run(cfg, tuned)
-    return _execute(setup)
+    if schedule_override is None:
+        schedule_override = _tuned_schedule(cfg)
+    return _execute(prepare_run(cfg, schedule_override))
+
+
+def _tuned_schedule(cfg: ExperimentConfig) -> Schedule | None:
+    """The tuner's schedule for a tuned baseline config, else ``None``.
+
+    Noiseless runs get the halving search toward ``cfg.eps_stop`` and noisy
+    runs the decay-scale grid.
+    """
+    if cfg.algo != "dsgt" or cfg.dsgt_tuning != "tuned":
+        return None
+    # A bad config fails as prepare_run reports it, before a tuner reads it.
+    cfg.validate()
+    if cfg.sigma_bar == 0.0:
+        return tune_dsgt_step(cfg)
+    return tune_dsgt_beta(cfg)
 
 
 def _execute(setup: RunSetup) -> Trace:
@@ -671,8 +676,7 @@ def tune_dsgt_beta(cfg: ExperimentConfig, multipliers: tuple[float, ...] | None 
     if cfg.sigma_bar <= 0.0:
         raise ConfigError("the decay grid needs a noisy run", "sigma_bar")
     grid = multipliers if multipliers is not None else (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    setup = prepare_run(cfg, _constant_dsgt_schedule(cfg, 1.0))
-    theta = setup.w.theta if setup.w is not None else setup.theta
+    theta = prepare_run(cfg, _constant_dsgt_schedule(cfg, 1.0)).theta
 
     best: tuple[float, Schedule] | None = None
     for multiplier in grid:
@@ -777,9 +781,9 @@ def sweep_topology(
     upward) execute with early stopping at ``eps`` and the first recorded
     iteration at or below the target is collected. The momentum algorithm is
     switched to its required lazy mixing automatically, and the plain
-    tracking baseline is step-tuned once per size for fairness when
-    ``base.dsgt_tuning`` is ``"tuned"``. Worker threads only parallelize
-    independent runs, so results do not depend on ``workers``.
+    tracking baseline is tuned once per size, on the size's first seed, for
+    fairness when ``base.dsgt_tuning`` is ``"tuned"``. Cells and seeds run
+    serially; ``workers`` is accepted for compatibility and has no effect.
 
     ``multipliers`` maps an algorithm name to a constant factor applied to
     its template step size in every cell (others keep ``base``'s
@@ -793,6 +797,10 @@ def sweep_topology(
         raise ConfigError(f"needs at least one seed, got {seeds}", "seeds")
     sizes = tuple(int(v) for v in sizes)
     algos = tuple(algos)
+    if not sizes:
+        raise ConfigError("needs at least one network size", "agents")
+    if not algos:
+        raise ConfigError("needs at least one algorithm", "algo")
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ConfigError(f"must be one of {ALGORITHMS}, got '{algo}'", "algo")
@@ -821,45 +829,20 @@ def sweep_topology(
             label=None,
         )
 
-    overrides: dict[tuple[str, int], Schedule | None] = {}
-    for algo in algos:
-        for m in sizes:
-            if algo == "dsgt" and base.dsgt_tuning == "tuned":
-                tuning_cfg = cell_config(algo, m, 0)
-                if base.sigma_bar == 0.0:
-                    overrides[(algo, m)] = tune_dsgt_step(tuning_cfg, eps=eps)
-                else:
-                    overrides[(algo, m)] = tune_dsgt_beta(tuning_cfg)
-            else:
-                overrides[(algo, m)] = None
-
-    jobs = [(algo, m, k) for algo in algos for m in sizes for k in range(seeds)]
-
-    def run_job(job: tuple[str, int, int]) -> tuple[tuple[str, int, int], int | None, float]:
-        algo, m, k = job
-        cfg = cell_config(algo, m, k)
-        trace = run_experiment(cfg, schedule_override=overrides[(algo, m)])
-        # Exponents compare algorithms on the network's own contraction
-        # parameter, so the momentum cells report their base (pre-momentum)
-        # gap rather than the accelerated schedule parameter.
-        gap = trace.summary.get("base_theta", trace.summary["theta"])
-        return job, iterations_to_epsilon(trace, eps), gap
-
-    results: dict[tuple[str, int, int], tuple[int | None, float]] = {}
-    if workers <= 1:
-        for job in jobs:
-            key, count, theta = run_job(job)
-            results[key] = (count, theta)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, count, theta in pool.map(run_job, jobs):
-                results[key] = (count, theta)
-
     rows: list[SweepRow] = []
     for algo in algos:
         for m in sizes:
-            counts = tuple(results[(algo, m, k)][0] for k in range(seeds))
-            theta = results[(algo, m, 0)][1]
+            sched = _tuned_schedule(cell_config(algo, m, 0))
+            traces = [
+                run_experiment(cell_config(algo, m, k), schedule_override=sched)
+                for k in range(seeds)
+            ]
+            counts = tuple(iterations_to_epsilon(trace, eps) for trace in traces)
+            # Exponents compare algorithms on the network's own contraction
+            # parameter, so the momentum cells report their base (pre-momentum)
+            # gap rather than the accelerated schedule parameter.
+            summary = traces[0].summary
+            theta = summary.get("base_theta", summary["theta"])
             rows.append(SweepRow(algo=algo, m=m, theta=theta, counts=counts))
 
     exponents: dict[str, float] = {}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from netgrad import cli
+from netgrad import cli, harness
 from netgrad.errors import InvariantViolation
 from netgrad.harness import load_config
 
@@ -183,3 +183,34 @@ def test_sweep_smoke_prints_table_and_writes_csv(tmp_path: Path, capsys):
     assert out.exists()
     header = out.read_text().splitlines()[0]
     assert header.startswith("algo,")
+
+
+
+def test_sweep_takes_dsgt_tuning_from_the_config_file(monkeypatch, tmp_path: Path, capsys):
+    calls: list[int] = []
+    tuner = harness.tune_dsgt_step
+
+    def counting(cfg, *args, **kwargs):
+        calls.append(cfg.agents)
+        return tuner(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "tune_dsgt_step", counting)
+    config = tmp_path / "base.json"
+    config.write_text(json.dumps({"dsgt_tuning": "tuned", "x0_radius": 3.0, "problem_seed": 7}))
+    argv = ["sweep", "--config", str(config), "--agents", "4,8", "--algo", "dsgt"]
+    argv += ["--eps", "1e-3", "--iters", "2000", "--seeds", "2"]
+    assert cli.main(argv) == 0
+    assert calls == [4, 8]
+    # The flag, when given, still overrides the file.
+    assert cli.main(argv + ["--dsgt-tuning", "matched"]) == 0
+    assert calls == [4, 8]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "agents, algo, field",
+    [("", "ssdsgt", "agents"), (",", "ssdsgt", "agents"), ("4", ",", "algo"), ("4", "", "algo")],
+)
+def test_sweep_with_an_empty_axis_exits_with_two(agents, algo, field, capsys):
+    assert cli.main(["sweep", "--agents", agents, "--algo", algo, "--iters", "10"]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netgrad import topology
+from netgrad import harness, topology
 from netgrad.errors import ConfigError, InvariantViolation
 from netgrad.harness import (
     ExperimentConfig,
@@ -294,6 +296,10 @@ def test_noisy_stop_metric_uses_weighted_average():
         assert trace.records[-1].wavg_subopt <= 0.5
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_sweep_is_identical_across_worker_counts(tmp_path: Path):
     base = _small_cfg(iters=20000, x0_radius=3.0)
     serial = sweep_topology(base, (4, 8), ("ssdsgt",), eps=1e-3, seeds=2, workers=1)
@@ -302,8 +308,69 @@ def test_sweep_is_identical_across_worker_counts(tmp_path: Path):
     serial.to_csv(a)
     threaded.to_csv(b)
     assert a.read_bytes() == b.read_bytes()
+    assert _sha256(a) == "9b502360011a84cc57bd88968f343625eddab1e44ed5584cfd69235a964f6b43"
     assert "ssdsgt" in serial.format_table()
     assert serial.exponents.keys() == {"ssdsgt"}
+
+
+# sha256 of tuned sweep tables and of tuned baseline traces (CSV and sorted
+# JSON summary), as produced when the sweep tuned every baseline cell up front
+# and could fan seeds out to worker threads.
+def test_tuned_noiseless_sweep_matches_frozen_digest(tmp_path: Path):
+    base = _small_cfg(iters=20000, x0_radius=3.0, dsgt_tuning="tuned")
+    result = sweep_topology(base, (4, 8), ("dsgt", "ssdsgt"), eps=1e-5, seeds=2)
+    path = tmp_path / "sweep.csv"
+    result.to_csv(path)
+    assert _sha256(path) == "f420ec9da3062e30241476cb3354b462562eb53ef4c5f94bd17ec280471f0bcd"
+
+
+def test_tuned_noisy_sweep_matches_frozen_digest(tmp_path: Path):
+    base = _small_cfg(sigma_bar=0.5, iters=400, x0_radius=1.0, dsgt_tuning="tuned")
+    result = sweep_topology(base, (4, 8), ("dsgt",), eps=0.25, seeds=2)
+    path = tmp_path / "sweep.csv"
+    result.to_csv(path)
+    assert all(None not in row.counts for row in result.rows)
+    assert _sha256(path) == "8899895e29a2bfbfe8980e1d900a1fc1ea30eb4dec4279eea3eb489a6afb385e"
+
+
+TUNED_RUNS = {
+    "noiseless": (
+        dict(agents=8, iters=20000, stride=7, x0_radius=3.0, eps_stop=1e-10),
+        "d2e003eb2d9733665c282da94d3a7b8ef31de991949b9e8c508aff41601cca4d",
+        "1c5bd804ee78fed38dbec137c407043e37f978ee658cd073d676bd0503ee7323",
+    ),
+    "noisy": (
+        dict(sigma_bar=1.0, iters=200, stride=7),
+        "b3b25aeaefc519cacf2a6c62c6a01eb4af5f3b9b53808095b52b779b7f8a8315",
+        "ebc2960256ac08ca1016b72a724d79ef1a4f47c6cbc7ce1206096be5a738ea28",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TUNED_RUNS))
+def test_tuned_baseline_runs_match_frozen_digests(case, tmp_path: Path):
+    overrides, *frozen = TUNED_RUNS[case]
+    trace = run_experiment(_small_cfg(algo="dsgt", dsgt_tuning="tuned", **overrides))
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    summary = json.dumps(trace.summary, sort_keys=True).encode()
+    assert [_sha256(path), hashlib.sha256(summary).hexdigest()] == frozen
+
+
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_tuned_sweep_tunes_once_per_baseline_cell(seeds, monkeypatch):
+    calls: list[tuple[int, int]] = []
+    tuner = harness.tune_dsgt_step
+
+    def counting(cfg, *args, **kwargs):
+        calls.append((cfg.agents, cfg.seed))
+        return tuner(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "tune_dsgt_step", counting)
+    base = _small_cfg(iters=20000, x0_radius=3.0, dsgt_tuning="tuned")
+    result = sweep_topology(base, (4, 8), ("dsgt", "ssdsgt"), eps=1e-3, seeds=seeds)
+    assert calls == [(4, base.seed), (8, base.seed)]
+    assert [len(row.counts) for row in result.rows] == [seeds] * 4
 
 
 def test_sweep_single_size_has_no_exponent():
@@ -325,6 +392,10 @@ def test_sweep_rejects_bad_arguments():
         sweep_topology(base, (4,), ("ssdsgt",), eps=1e-3, multipliers={"dsgt": -1.0})
     with pytest.raises(ConfigError):
         sweep_topology(base, (4,), ("ssdsgt",), eps=1e-3, multipliers={"sgd": 2.0})
+    with pytest.raises(ConfigError, match="'agents'"):
+        sweep_topology(base, (), ("ssdsgt",), eps=1e-3)
+    with pytest.raises(ConfigError, match="'algo'"):
+        sweep_topology(base, (4,), (), eps=1e-3)
 
 
 def test_tuned_baseline_step_reaches_target():
