@@ -19,6 +19,7 @@ from .algorithms import (
     dsgt_step,
     init_state,
     ssdsgt_step,
+    state_means,
     step_size,
     theory_schedule,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "save_config",
     "snapshot_gradient_distance",
     "ssdsgt_step",
+    "state_means",
     "step_size",
     "stochastic_gradient",
     "stochastic_gradients",

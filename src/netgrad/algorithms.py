@@ -20,7 +20,9 @@ Three iteration families share this module, one state type
 Both steps mix only through the operator's ``apply(x)``: a dense mixing
 matrix, one random-gossip edge, or the augmented operator (see
 :mod:`netgrad.topology`). States are row-stacked: ``blocks`` stacked
-``(m, d)`` blocks, one for a plain operator and two for the augmented one.
+``(m, d)`` blocks, one for a plain operator and two for the augmented one,
+and the iterate and the tracker are stored as one ``(2, blocks * m, d)``
+array, so each step mixes both with one batched ``apply``.
 Randomness comes exclusively from a
 :class:`~netgrad.streams.StreamBundle`, which serves the coin uniforms and the
 noise rows from blocks; noiseless runs draw nothing from the gradient streams
@@ -30,7 +32,7 @@ and are bit-identical to exact-gradient runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +57,7 @@ __all__ = [
     "ssdsgt_step",
     "assdsgt_step",
     "dsgt_step",
+    "state_means",
     "audit_identities",
     "column_mean",
     "vector_norm",
@@ -199,25 +202,26 @@ def step_size(sched: Schedule, t: int) -> float:
     return 6.0 * sched.beta / (sched.L + sched.beta * sched.mu * t)
 
 
-@dataclass
+@dataclass(slots=True)
 class SsState:
     """Tracking state of all three iterations.
 
-    ``x`` and ``s`` are the row-stacked iterates and trackers. They stack
-    ``blocks`` copies of the ``(m, d)`` agent block: one for the plain
-    operator, two for the augmented operator (the working block on top of the
-    trailing block). The working iterate is ``x[:m]``. ``q`` is the snapshot
-    point and ``g_snap`` the stored gradient realization taken at ``q`` when
-    the coin last fired (iteration ``tau``), with column mean ``g_snap_mean``
-    (computed from ``g_snap`` when not given). ``dsgt`` re-takes its snapshot
-    at every iterate: after each of its steps ``q`` is ``x`` (the same array),
+    ``xs`` stores the iterate and the tracker as one ``(2, blocks * m, d)``
+    array, so one batched ``apply`` mixes both; ``x`` (``xs[0]``) and ``s``
+    (``xs[1]``) are views of it. Each stacks ``blocks`` copies of the
+    ``(m, d)`` agent block: one for the plain operator, two for the augmented
+    operator (the working block on top of the trailing block). The working
+    iterate is ``x[:m]``. ``q`` is the snapshot point and ``g_snap`` the
+    stored gradient realization taken at ``q`` when the coin last fired
+    (iteration ``tau``), with column mean ``g_snap_mean`` (computed from
+    ``g_snap`` when not given). ``dsgt`` re-takes its snapshot at every
+    iterate: it passes ``q=None``, which makes ``q`` the view ``x`` itself,
     ``g_snap`` holds the gradients sampled there and ``tau == t``. The
     ``last_*`` fields describe the most recent transition for diagnostics.
     """
 
-    x: np.ndarray
-    s: np.ndarray
-    q: np.ndarray
+    xs: np.ndarray
+    q: np.ndarray | None
     g_snap: np.ndarray
     tau: int
     t: int
@@ -225,15 +229,21 @@ class SsState:
     last_zeta: int = 0
     last_grad_mean: np.ndarray | None = None
     g_snap_mean: np.ndarray | None = None
+    x: np.ndarray = field(init=False, repr=False)
+    s: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.x = self.xs[0]
+        self.s = self.xs[1]
+        if self.q is None:
+            self.q = self.x
         if self.g_snap_mean is None:
             self.g_snap_mean = column_mean(self.g_snap)
 
     @property
     def blocks(self) -> int:
         """Number of stacked ``(m, d)`` blocks in ``x`` and ``s``."""
-        return self.x.shape[0] // self.q.shape[0]
+        return self.x.shape[0] // self.g_snap.shape[0]
 
     @property
     def x_aug(self) -> np.ndarray:
@@ -303,21 +313,19 @@ def init_state(
         raise ValueError("noisy problems need a stream bundle")
     x = _start_rows(problem, x0)
     g0 = _sampled_gradients(problem, x, streams)
-    reps = (2, 1) if algo == "assdsgt" else (1, 1)
-    return SsState(
-        x=np.tile(x, reps), s=np.tile(g0, reps), q=x.copy(), g_snap=g0.copy(), tau=0, t=0
-    )
+    blocks = 2 if algo == "assdsgt" else 1
+    return SsState(xs=np.tile(np.stack([x, g0]), (1, blocks, 1)), q=x, g_snap=g0, tau=0, t=0)
 
 
-def _add_to_blocks(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``stack`` with the ``(m, d)`` array ``rows`` added to each of its blocks.
+def _add_to_blocks(stack: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write ``stack`` plus the ``(m, d)`` array ``rows``, block by block, to ``out``.
 
-    One block takes plain same-shape arithmetic; more blocks broadcast
-    ``rows`` over a ``(blocks, m, d)`` view. The sums are the same either way.
+    Plain same-shape arithmetic per block gives the sums a broadcast over a
+    ``(blocks, m, d)`` view would, at less call overhead.
     """
-    if stack.shape == rows.shape:
-        return stack + rows
-    return (stack.reshape(-1, *rows.shape) + rows).reshape(stack.shape)
+    m = len(rows)
+    for top in range(0, len(stack), m):
+        np.add(stack[top : top + m], rows, out=out[top : top + m])
 
 
 def ssdsgt_step(
@@ -331,40 +339,45 @@ def ssdsgt_step(
     """Advance the snapshot tracking iteration by one step, for any block count.
 
     Order of operations: draw the shared coin, sample fresh gradients at the
-    working block ``x[:m]``, take the corrected tracked descent step through
-    ``op.apply``, then refresh the tracker (and, when the coin fired, move
-    the snapshot to the pre-step working iterate and store its gradient
-    realization). The ``(m, d)`` gradient correction is added to every block
-    of the stacked state (plain same-shape arithmetic when there is one
-    block). With one block and a mixing matrix or gossip edge
-    this is the snapshot iteration; with two blocks and the augmented
-    operator it is the momentum iteration, and a zero momentum weight
-    reproduces the one-block iteration bit for bit on the working block.
+    working block ``x[:m]``, mix the corrected tracked descent argument and
+    the tracker in one ``op.apply`` call, then refresh the tracker (and, when
+    the coin fired, move the snapshot to the pre-step working iterate and
+    store its gradient realization). The ``(m, d)`` gradient correction is
+    added to every block of the stacked state. With one block and a mixing
+    matrix or gossip edge this is the snapshot iteration; with two blocks
+    and the augmented operator it is the momentum iteration, and a zero
+    momentum weight reproduces the one-block iteration bit for bit on the
+    working block.
     ``eta`` is ``step_size(sched, state.t)``, computed here when not given.
     """
     if eta is None:
         eta = step_size(sched, state.t)
     m = problem.m
     zeta = 1 if streams.coin_uniform() < sched.p else 0
-    x, s = state.x, state.s
+    x = state.x
     g_x = _sampled_gradients(problem, x[:m], streams)
     grad_mean = column_mean(g_x)
     correction = g_x - state.g_snap
-    x_new = op.apply(x - eta * _add_to_blocks(s, correction))
-    mixed_s = op.apply(s)
+    # The descent argument replaces the iterate in a copy of the stacked
+    # state, so one apply mixes it and the tracker.
+    mixing = state.xs.copy()
+    descent = mixing[0]
+    _add_to_blocks(mixing[1], correction, descent)
+    descent *= eta
+    np.subtract(x, descent, out=descent)
+    xs_new = op.apply(mixing)
     if zeta:
-        s_new = _add_to_blocks(mixed_s, correction)
+        s_new = xs_new[1]
+        _add_to_blocks(s_new, correction, s_new)
         q_new = x[:m].copy()
         g_snap_new, g_snap_mean_new = g_x, grad_mean
         tau_new = state.t
     else:
-        s_new = mixed_s
         q_new = state.q
         g_snap_new, g_snap_mean_new = state.g_snap, state.g_snap_mean
         tau_new = state.tau
     return SsState(
-        x=x_new,
-        s=s_new,
+        xs=xs_new,
         q=q_new,
         g_snap=g_snap_new,
         tau=tau_new,
@@ -391,21 +404,25 @@ def dsgt_step(
 ) -> SsState:
     """Advance the plain tracking iteration by one step.
 
-    The iterate descends along the tracker through ``op.apply``, fresh
-    gradients are sampled at the new iterate, and the tracker absorbs the
-    increment over the stored gradients. The snapshot then moves to the new
-    iterate with the gradients just sampled. With one agent and the identity
-    matrix this is plain stochastic gradient descent.
+    The iterate descends along the tracker and is mixed together with the
+    tracker in one ``op.apply`` call, fresh gradients are sampled at the new
+    iterate, and the tracker absorbs the increment over the stored
+    gradients. The snapshot then moves to the new iterate with the gradients
+    just sampled. With one agent and the identity matrix this is plain
+    stochastic gradient descent.
     """
     if eta is None:
         eta = step_size(sched, state.t)
-    x_new = op.apply(state.x - eta * state.s)
+    mixing = state.xs.copy()
+    descent = mixing[0]
+    descent -= eta * state.s
+    xs_new = op.apply(mixing)
+    x_new, s_new = xs_new[0], xs_new[1]
     g_new = _sampled_gradients(problem, x_new, streams)
-    s_new = op.apply(state.s) + (g_new - state.g_snap)
+    s_new += g_new - state.g_snap
     return SsState(
-        x=x_new,
-        s=s_new,
-        q=x_new,
+        xs=xs_new,
+        q=None,
         g_snap=g_new,
         tau=state.t + 1,
         t=state.t + 1,
@@ -434,13 +451,33 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _mean_check(name: str, a: np.ndarray, b: np.ndarray) -> tuple[str, float, float]:
-    """``(name, |a - b|, max(|a|, |b|))`` for two column means."""
-    return name, vector_norm(a - b), max(vector_norm(a), vector_norm(b))
+def state_means(state: SsState) -> np.ndarray:
+    """Column means of the stacked state, one reduction per block layout.
+
+    Rows 0 and 1 are the full-stack means of ``x`` and ``s``. A stacked
+    state adds rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``,
+    ``s[:m]`` and ``s[m:]``, from a second reduction over the
+    ``(2, blocks, m, d)`` view. Every row equals :func:`column_mean` of its
+    slice bit for bit.
+    """
+    xs = state.xs
+    blocks = state.blocks
+    if blocks == 1:
+        means = np.add.reduce(xs, axis=1)
+        means /= xs.shape[1]
+        return means
+    m, d = state.g_snap.shape
+    means = np.empty((2 + 2 * blocks, d))
+    full, block = means[:2], means[2:]
+    np.add.reduce(xs, axis=1, out=full)
+    np.add.reduce(xs.reshape(2 * blocks, m, d), axis=1, out=block)
+    full /= xs.shape[1]
+    block /= m
+    return means
 
 
 def audit_identities(
-    state: SsState, working_mean: np.ndarray | None = None
+    state: SsState, means: np.ndarray | None = None, mean_before: np.ndarray | None = None
 ) -> list[tuple[str, float, float]]:
     """Raw self-check residuals for the tracking identities.
 
@@ -450,25 +487,49 @@ def audit_identities(
     scale so that late-run ratios stay meaningful after the quantities have
     converged toward zero.
 
-    Checked identities:
-        * tracking: column mean of the tracker equals the column mean of the
-          stored snapshot gradients (for ``dsgt``, the last sampled ones);
-        * stacked state (more than one block): additionally, the
-          working block and the trailing block of the iterate and of the
-          tracker keep equal column sums; the tracker mean is taken over the
-          full stack.
+    Checked identities, in this order:
+        * mean dynamics (only when ``mean_before``, the full-stack iterate
+          mean before the last step, is given): the full-stack iterate mean
+          moved by exactly ``-last_eta * last_grad_mean``;
+        * stacked state (more than one block): the working block and the
+          trailing block of the iterate and of the tracker keep equal column
+          sums;
+        * tracking: column mean of the tracker (over the full stack) equals
+          the column mean of the stored snapshot gradients (for ``dsgt``, the
+          last sampled ones).
 
-    ``working_mean`` is the column mean of the working block ``x[:m]`` when
-    the caller already has it; it is computed here when needed and not given.
+    ``means`` is :func:`state_means` of ``state`` when the caller already has
+    it. Every norm comes from one ``sqrt(vecdot)`` over the stacked vectors,
+    which equals :func:`vector_norm` of each bit for bit.
     """
+    if means is None:
+        means = state_means(state)
+    k = len(means)
+    stacked = k > 2
+    # Rows: the means; the full-stack means x and s should have (x moved by
+    # the step from mean_before, s at the snapshot gradient mean); the
+    # residuals of the two; the step's gradient mean and mean_before; and,
+    # for a stacked state, the top-minus-bottom block residuals of x and s.
+    rows = np.zeros((k + (8 if stacked else 6), means.shape[1]))
+    rows[:k] = means
+    target = rows[k : k + 2]
+    if mean_before is not None:
+        moved = target[0]
+        np.multiply(state.last_grad_mean, state.last_eta, out=moved)
+        np.subtract(mean_before, moved, out=moved)
+        rows[k + 4] = state.last_grad_mean
+        rows[k + 5] = mean_before
+    target[1] = state.g_snap_mean
+    np.subtract(means[:2], target, out=rows[k + 2 : k + 4])
+    if stacked:
+        np.subtract(means[2::2], means[3::2], out=rows[k + 6 :])
+    norms = np.sqrt(np.vecdot(rows, rows)).tolist()
     checks = []
-    if state.blocks > 1:
-        m = state.q.shape[0]
-        if working_mean is None:
-            working_mean = column_mean(state.x[:m])
-        checks.append(_mean_check("block_sum_x", working_mean, column_mean(state.x[m:])))
-        checks.append(
-            _mean_check("block_sum_s", column_mean(state.s[:m]), column_mean(state.s[m:]))
-        )
-    checks.append(_mean_check("tracker_mean", column_mean(state.s), state.g_snap_mean))
+    if mean_before is not None:
+        scale = max(norms[0], norms[k + 5], state.last_eta * norms[k + 4])
+        checks.append(("mean_dynamics", norms[k + 2], scale))
+    if stacked:
+        checks.append(("block_sum_x", norms[k + 6], max(norms[2], norms[3])))
+        checks.append(("block_sum_s", norms[k + 7], max(norms[4], norms[5])))
+    checks.append(("tracker_mean", norms[k + 3], max(norms[1], norms[k + 1])))
     return checks

@@ -250,18 +250,28 @@ def record_iteration(
     The suboptimality field is recomputed here from the problem and the
     network-average (working-block) iterate, independent of whatever the
     driving loop tracks. The gradient distance is taken at the snapshot
-    point ``state.q``. Consensus errors are taken blockwise, and a stacked
+    point ``state.q``. Consensus errors are taken blockwise, equal bit for bit
+    to :func:`consensus_error` of ``state.x`` and ``state.s``, and a stacked
     state gets the momentum Lyapunov value ``psi_tilde``, with the envelope
     constant :data:`~netgrad.topology.MOMENTUM_ENVELOPE`, in place of ``psi``.
     """
     blocks = state.blocks
     dist = snapshot_gradient_distance(problem, state.q)
-    xbar = column_mean(state.x[: problem.m])
-    cx = consensus_error(state.x, blocks)
-    cs = consensus_error(state.s, blocks)
+    # One centred reduction over the (2 * blocks, m, d) layout of the stacked
+    # state gives every block's consensus error, as consensus_error would.
+    parts = state.xs.reshape(2 * blocks, problem.m, problem.d)
+    means = np.add.reduce(parts, axis=1)
+    means /= problem.m
+    centered = parts - means[:, None, :]
+    centered *= centered
+    squares = np.add.reduce(centered.reshape(2 * blocks, -1), axis=1).tolist()
+    xbar = means[0]
     if blocks == 1:
+        cx, cs = squares
         psi = _psi(cx, cs, dist, eta, theta, problem.L)
     else:
+        cx = squares[0] + squares[1]
+        cs = squares[2] + squares[3]
         psi = _psi_tilde(cx, cs, dist, eta, theta, MOMENTUM_ENVELOPE)
     delta = xbar - problem.x_star
     return IterRecord(

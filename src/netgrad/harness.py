@@ -30,13 +30,12 @@ from .algorithms import (
     SsState,
     assdsgt_step,
     audit_identities,
-    column_mean,
     dsgt_step,
     init_state,
     ssdsgt_step,
+    state_means,
     step_size,
     theory_schedule,
-    vector_norm,
 )
 from .diagnostics import CSV_COLUMNS, IterRecord, WeightedAverager, record_iteration
 from .errors import ConfigError, InvariantViolation
@@ -372,26 +371,42 @@ def prepare_run(cfg: ExperimentConfig, schedule_override: Schedule | None = None
     )
 
 
+#: Every identity a run audits (see :func:`~netgrad.algorithms.audit_identities`).
+_AUDITED = ("mean_dynamics", "block_sum_x", "block_sum_s", "tracker_mean")
+
+
 class _AuditTracker:
-    """Normalizes identity residuals against running scale maxima."""
+    """Normalizes identity residuals against running scale maxima.
+
+    Every audited identity has a fixed slot, so a check updates two known
+    keys. An identity whose ratio never leaves zero keeps a zero slot and
+    stays out of :meth:`summary`.
+    """
 
     def __init__(self) -> None:
-        self.scales: dict[str, float] = {}
-        self.max_ratio: dict[str, float] = {}
+        self.scales = dict.fromkeys(_AUDITED, 0.0)
+        self.max_ratio = dict.fromkeys(_AUDITED, 0.0)
 
-    def check(self, name: str, err: float, scale: float, t: int) -> None:
-        running = max(self.scales.get(name, 0.0), scale)
-        self.scales[name] = running
-        ratio = 0.0 if err == 0.0 else err / max(running, 1e-300)
-        if ratio > self.max_ratio.get(name, 0.0):
-            self.max_ratio[name] = ratio
-        # Written so that a NaN ratio (a non-finite state) also aborts.
-        if not ratio <= AUDIT_ABORT_TOL:
-            raise InvariantViolation(
-                f"identity '{name}' off by a relative {ratio:.3e} "
-                f"(threshold {AUDIT_ABORT_TOL:g})",
-                iteration=t,
-            )
+    def check(self, checks: list[tuple[str, float, float]], t: int) -> None:
+        """Fold in ``(name, error, scale)`` triples; raise on the first bad ratio."""
+        scales, max_ratio = self.scales, self.max_ratio
+        for name, err, scale in checks:
+            running = max(scales[name], scale)
+            scales[name] = running
+            ratio = 0.0 if err == 0.0 else err / max(running, 1e-300)
+            if ratio > max_ratio[name]:
+                max_ratio[name] = ratio
+            # Written so that a NaN ratio (a non-finite state) also aborts.
+            if not ratio <= AUDIT_ABORT_TOL:
+                raise InvariantViolation(
+                    f"identity '{name}' off by a relative {ratio:.3e} "
+                    f"(threshold {AUDIT_ABORT_TOL:g})",
+                    iteration=t,
+                )
+
+    def summary(self) -> dict[str, float]:
+        """The largest ratio of every identity that was ever off, by name."""
+        return {name: r for name, r in sorted(self.max_ratio.items()) if r > 0.0}
 
 
 def run_experiment(
@@ -442,10 +457,10 @@ def _execute(setup: RunSetup) -> Trace:
     cfg = setup.cfg
     problem = setup.problem
     sched = setup.sched
-    m = problem.m
-    streams = StreamBundle.from_seed(cfg.seed, m)
+    streams = StreamBundle.from_seed(cfg.seed, problem.m)
     state = init_state(problem, setup.x0, cfg.algo, streams)
-    stacked = state.x.shape[0] > m
+    # Row of state_means holding the working-block mean of the iterate.
+    xbar_row = 2 if state.blocks > 1 else 0
     # The step functions and the gossip draw are looked up as module globals
     # on every run, so wrappers installed on these names see every call.
     step = {"dsgt": dsgt_step, "ssdsgt": ssdsgt_step, "assdsgt": assdsgt_step}[cfg.algo]
@@ -457,6 +472,7 @@ def _execute(setup: RunSetup) -> Trace:
     wavg_at: dict[str, float] = {}
     checkpoints = set(cfg.avg_checkpoints)
     noisy = cfg.sigma_bar > 0.0
+    eps = cfg.eps_stop
 
     def record(current: SsState, eta_t: float, wavg: float) -> None:
         try:
@@ -464,56 +480,48 @@ def _execute(setup: RunSetup) -> Trace:
         except ValueError as exc:  # a non-finite or negative diagnostic
             raise InvariantViolation(str(exc), iteration=current.t) from None
 
-    def observe(current: SsState, eta_t: float, mean: np.ndarray) -> float:
-        """Push diagnostics for the current iteration; returns the stop metric.
+    def observe(
+        current: SsState, eta_t: float, means: np.ndarray, mean_before: np.ndarray | None
+    ) -> bool:
+        """Audit and push diagnostics for the current iteration; True to stop early.
 
-        ``eta_t`` is the step size at ``current.t`` and ``mean`` the column
-        mean of the full state (the network-average iterate except for a
-        stacked momentum state).
+        ``eta_t`` is the step size at ``current.t``, ``means`` the
+        :func:`state_means` of ``current`` and ``mean_before`` the full-stack
+        iterate mean before the last step (``None`` at the start). The mean
+        dynamics are checked first, then the suboptimality, then the other
+        identities.
         """
         t = current.t
-        xbar = column_mean(current.x[:m]) if stacked else mean
-        subopt = global_suboptimality(problem, xbar)
+        checks = audit_identities(current, means, mean_before)
+        first = 0 if mean_before is None else 1
+        audits.check(checks[:first], t)
+        subopt = global_suboptimality(problem, means[xbar_row])
         if not math.isfinite(subopt):
             raise InvariantViolation(f"suboptimality of the average iterate is {subopt}", iteration=t)
         averager.push(eta_t, subopt)
-        wavg = averager.average
+        audits.check(checks[first:], t)
         if t in checkpoints:
-            wavg_at[str(t)] = wavg
-        for name, err, scale in audit_identities(current, xbar):
-            audits.check(name, err, scale, t)
+            wavg_at[str(t)] = averager.average
         if t % cfg.stride == 0 or t == cfg.iters:
-            record(current, eta_t, wavg)
-        return wavg if noisy else subopt
+            record(current, eta_t, averager.average)
+        return eps is not None and (averager.average if noisy else subopt) <= eps
 
     # A diverging state overflows before the finiteness checks see it; the
     # checks report it with its iteration, so numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Each iteration's step size and state mean are computed once: observe
-        # uses them, then the next step and its mean-dynamics audit reuse them.
+        # Each iteration's step size and state means are computed once:
+        # observe uses them, then the next step and its mean-dynamics audit
+        # reuse them.
         eta = step_size(sched, state.t)
-        mean = column_mean(state.x)
-        metric = observe(state, eta, mean)
-        stopped_early = False
-        eps = cfg.eps_stop
-        if eps is not None and metric <= eps:
-            stopped_early = True
+        means = state_means(state)
+        stopped_early = observe(state, eta, means, None)
 
         while not stopped_early and state.t < cfg.iters:
             op = static_op or random_edge_gossip(setup.graph, streams.gossip)
             state = step(state, problem, op, sched, streams, eta)
-
-            grad_mean = state.last_grad_mean
-            assert grad_mean is not None
-            mean_before, mean = mean, column_mean(state.x)
-            err = vector_norm(mean - (mean_before - eta * grad_mean))
-            scale = max(vector_norm(mean), vector_norm(mean_before), eta * vector_norm(grad_mean))
-            audits.check("mean_dynamics", err, scale, state.t)
-
+            mean_before, means = means[0], state_means(state)
             eta = step_size(sched, state.t)
-            metric = observe(state, eta, mean)
-            if eps is not None and metric <= eps:
-                stopped_early = True
+            stopped_early = observe(state, eta, means, mean_before)
 
         if records[-1].t != state.t:
             record(state, eta, averager.average)
@@ -529,7 +537,7 @@ def _execute(setup: RunSetup) -> Trace:
         "eta0": sched.eta0,
         "beta": sched.beta,
         "p": sched.p,
-        "audit_max": dict(sorted(audits.max_ratio.items())),
+        "audit_max": audits.summary(),
         "wavg_at": wavg_at,
     }
     if setup.aug is not None:

@@ -44,12 +44,21 @@ class StreamBundle:
     Attributes:
         coin: Stream for the shared snapshot coin, one uniform per iteration.
         gossip: Stream for random edge selection.
-        agents: One gradient-noise stream per agent, in agent order.
+        agent_parent: Seed sequence the agent streams are spawned from.
+        m: Number of agents.
+        agents: One gradient-noise stream per agent, in agent order, spawned
+            from ``agent_parent`` on first read. A noiseless run never reads
+            them and so never pays for them; the streams are the same as if
+            they had been spawned up front.
     """
 
     coin: np.random.Generator
     gossip: np.random.Generator
-    agents: tuple[np.random.Generator, ...]
+    agent_parent: np.random.SeedSequence
+    m: int
+    _agents: tuple[np.random.Generator, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _coins: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
     _coin_next: int = field(default=0, init=False, repr=False, compare=False)
     # Shape (m, k, d): row j of agent i's contiguous (k, d) block is that
@@ -62,12 +71,13 @@ class StreamBundle:
         """Fan a single integer seed out into the per-purpose streams."""
         root = np.random.SeedSequence(seed)
         coin_seq, gossip_seq, agents_parent = root.spawn(3)
-        agent_seqs = agents_parent.spawn(m)
-        return cls(
-            coin=_generator(coin_seq),
-            gossip=_generator(gossip_seq),
-            agents=tuple(_generator(s) for s in agent_seqs),
-        )
+        return cls(_generator(coin_seq), _generator(gossip_seq), agents_parent, m)
+
+    @property
+    def agents(self) -> tuple[np.random.Generator, ...]:
+        if self._agents is None:
+            self._agents = tuple(_generator(s) for s in self.agent_parent.spawn(self.m))
+        return self._agents
 
     def coin_uniform(self) -> float:
         """The next uniform of the coin stream."""
@@ -87,8 +97,8 @@ class StreamBundle:
         """
         block = self._noise
         if block is None:
-            k = max(1, NOISE_BLOCK_DOUBLES // (len(self.agents) * d))
-            block = self._noise = np.empty((len(self.agents), k, d))
+            k = max(1, NOISE_BLOCK_DOUBLES // (self.m * d))
+            block = self._noise = np.empty((self.m, k, d))
             self._noise_next = k
         elif block.shape[2] != d:
             raise ValueError(f"noise rows have dimension {block.shape[2]}, asked for {d}")

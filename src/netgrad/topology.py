@@ -15,7 +15,9 @@ Conventions:
       ``x`` of shape ``(m, d)``; an :class:`EdgeGossip` draw averages the two
       rows of its edge, bit for bit what the dense single-edge matrix gives,
       without forming it; an :class:`AugmentedMixing` acts on ``(2m, d)``
-      duplicated block vectors.
+      duplicated block vectors. ``apply`` also takes leading batch axes,
+      ``(..., rows, d)``, and mixes every slice as a separate call would, bit
+      for bit, so an iteration mixes its iterate and tracker in one call.
     * The contraction parameter ``theta`` is ``1 - lambda2`` where ``lambda2``
       is the largest magnitude among the non-unit eigenvalues. For the random
       gossip family, ``lambda2`` and ``theta`` describe the expected one-step
@@ -173,8 +175,9 @@ class MixingMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Mix row-stacked agent states: returns ``W @ x``.
 
-        Preserves the column means of ``x`` up to floating point roundoff
-        because the weights are column stochastic.
+        ``x`` has shape ``(..., m, d)``; each slice is mixed as ``W @ x[k]``
+        alone would be. Preserves the column means of ``x`` up to floating
+        point roundoff because the weights are column stochastic.
         """
         return self.entries @ x
 
@@ -334,14 +337,16 @@ class EdgeGossip:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return a copy of ``x`` with rows ``i`` and ``j`` replaced by their average.
 
-        Written as ``0.5 * x[i] + 0.5 * x[j]`` so that it equals the dense
-        product ``W @ x`` bit for bit on finite inputs above the subnormal
-        range: halving them is exact, so both round the sum once.
+        Rows are the second-to-last axis of ``x``, so leading batch axes are
+        mixed slice by slice. Written as ``0.5 * x[i] + 0.5 * x[j]`` so that
+        it equals the dense product ``W @ x`` bit for bit on finite inputs
+        above the subnormal range: halving them is exact, so both round the
+        sum once.
         """
         out = x.copy()
-        avg = 0.5 * x[self.i] + 0.5 * x[self.j]
-        out[self.i] = avg
-        out[self.j] = avg
+        avg = 0.5 * x[..., self.i, :] + 0.5 * x[..., self.j, :]
+        out[..., self.i, :] = avg
+        out[..., self.j, :] = avg
         return out
 
 
@@ -476,18 +481,34 @@ class AugmentedMixing:
     def m(self) -> int:
         return self.base.m
 
+    @cached_property
+    def _block_weights(self) -> np.ndarray:
+        """``1 + gamma`` and ``-gamma``, shaped to scale the two flattened mixed blocks."""
+        return np.array([[1.0 + self.gamma], [-self.gamma]])
+
     def apply(self, x_aug: np.ndarray) -> np.ndarray:
-        """Apply the operator to a ``(2m, d)`` stacked block vector."""
+        """Apply the operator to ``(..., 2m, d)`` stacked block vectors.
+
+        Both blocks of every slice are mixed by one batched product with the
+        base matrix; each slice comes out as a separate call would give it.
+        The new top block is the sum of the two scaled mixed blocks, which
+        rounds exactly as ``(1 + gamma) * (W @ top) - gamma * (W @ bottom)``
+        does: negating a product is exact, and subtracting is adding the
+        negation.
+        """
         m = self.base.m
         x_aug = np.asarray(x_aug, dtype=np.float64)
-        if x_aug.shape[0] != 2 * m:
-            raise ValueError(f"augmented state needs {2 * m} rows, got {x_aug.shape[0]}")
-        top = x_aug[:m]
-        bottom = x_aug[m:]
-        mixed_top = self.base.entries @ top
-        mixed_bottom = self.base.entries @ bottom
-        new_top = (1.0 + self.gamma) * mixed_top - self.gamma * mixed_bottom
-        return np.concatenate([new_top, top], axis=0)
+        if x_aug.shape[-2] != 2 * m:
+            raise ValueError(f"augmented state needs {2 * m} rows, got {x_aug.shape[-2]}")
+        d = x_aug.shape[-1]
+        mixed = self.base.entries @ x_aug.reshape(-1, 2, m, d)
+        # Elementwise work on (batch, 2, m * d) views: fewer axes, less overhead.
+        flat = mixed.reshape(-1, 2, m * d)
+        flat *= self._block_weights
+        top = flat[:, 0]
+        top += flat[:, 1]
+        flat[:, 1] = x_aug.reshape(-1, 2, m * d)[:, 0]
+        return mixed.reshape(x_aug.shape)
 
     def as_matrix(self) -> np.ndarray:
         """Materialize the dense ``(2m, 2m)`` operator (diagnostics only)."""

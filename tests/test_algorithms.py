@@ -18,6 +18,7 @@ from netgrad.algorithms import (
     dsgt_step,
     init_state,
     ssdsgt_step,
+    state_means,
     step_size,
     theory_schedule,
 )
@@ -173,9 +174,11 @@ def test_audit_reuses_a_given_working_block_mean():
     state = init_state(problem, np.zeros(2), "assdsgt", streams)
     for _ in range(20):
         state = assdsgt_step(state, problem, aug, sched, streams)
-    working_mean = state.x[:6].mean(axis=0)
-    assert audit_identities(state, working_mean) == audit_identities(state)
-    shifted = audit_identities(state, working_mean + 1.0)
+    means = state_means(state)
+    assert means[2].tobytes() == state.x[:6].mean(axis=0).tobytes()
+    assert audit_identities(state, means) == audit_identities(state)
+    means[2] += 1.0  # the working-block mean
+    shifted = audit_identities(state, means)
     assert dict((n, e) for n, e, _ in shifted)["block_sum_x"] > 1.0
 
 

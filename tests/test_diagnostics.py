@@ -92,8 +92,7 @@ def test_lyapunov_psi_hand_assembly():
     problem = _toy_problem()
     state = init_state(problem, np.array([0.0]), "ssdsgt")
     state = state.__class__(
-        x=np.array([[1.0], [3.0]]),
-        s=np.array([[1.0], [3.0]]),
+        xs=np.stack([np.array([[1.0], [3.0]]), np.array([[1.0], [3.0]])]),
         q=np.array([[1.0], [2.0]]),
         g_snap=state.g_snap,
         tau=0,
@@ -111,8 +110,7 @@ def test_lyapunov_psi_tilde_hand_assembly():
     problem = _toy_problem()
     state = init_state(problem, np.array([0.0]), "assdsgt")
     state = state.__class__(
-        x=np.array([[1.0], [3.0], [0.0], [0.0]]),
-        s=np.array([[2.0], [2.0], [1.0], [3.0]]),
+        xs=np.stack([np.array([[1.0], [3.0], [0.0], [0.0]]), np.array([[2.0], [2.0], [1.0], [3.0]])]),
         q=np.array([[1.0], [2.0]]),
         g_snap=state.g_snap,
         tau=0,

@@ -47,3 +47,28 @@ def test_traced_gossip_run_counts_one_draw_and_one_step_per_iteration():
     assert trace.summary["final_t"] == 20
     assert p.stats["topology.random_edge_gossip"].calls == 20
     assert p.stats["algorithms.step"].calls == 20
+
+
+# Calls per layer on a traced 20-iteration ring-6 run, as the two-apply loop
+# made them: one step per iteration, one audit and one suboptimality per
+# observed iteration, and (stride 1) one record, which reads the
+# suboptimality again. The batched step mixes the momentum state in one
+# augmented apply per iteration, where the two-apply step made two.
+_LAYER_CALLS = {
+    "algorithms.step": 20,
+    "algorithms.audit_identities": 21,
+    "objectives.global_suboptimality": 42,
+    "diagnostics.record_iteration": 21,
+}
+
+
+def test_traced_runs_keep_their_layer_call_counts():
+    probe = _load_probe()
+    for algo, mixing in (("dsgt", "metropolis"), ("ssdsgt", "metropolis"), ("assdsgt", "lazy-metropolis")):
+        cfg = ExperimentConfig(topology="ring", agents=6, algo=algo, mixing=mixing, iters=20)
+        with probe.Probe(traced=True) as p:
+            netgrad.harness.run_experiment(cfg)
+        calls = {layer: p.stats[layer].calls for layer in _LAYER_CALLS}
+        assert calls == _LAYER_CALLS, algo
+        augmented = p.stats.get("topology.augmented_apply")
+        assert (augmented.calls if augmented else 0) == (20 if algo == "assdsgt" else 0), algo
