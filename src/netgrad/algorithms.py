@@ -458,7 +458,9 @@ def state_means(state: SsState) -> np.ndarray:
     state adds rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``,
     ``s[:m]`` and ``s[m:]``, from a second reduction over the
     ``(2, blocks, m, d)`` view. Every row equals :func:`column_mean` of its
-    slice bit for bit.
+    slice bit for bit. Either way the last ``2 * blocks`` rows are the block
+    means, x blocks before s blocks, and row ``-2 * blocks`` is the mean of
+    the working iterate ``x[:m]``.
     """
     xs = state.xs
     blocks = state.blocks

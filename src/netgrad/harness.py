@@ -83,6 +83,10 @@ AUDIT_ABORT_TOL = 1e-7
 
 _SCHEDULE_MODES = ("auto", "constant", "decaying")
 _DSGT_TUNINGS = ("matched", "tuned")
+#: Float fields of :class:`ExperimentConfig`; each must be finite when set.
+_FLOAT_FIELDS = (
+    "mu", "L", "sigma_bar", "heterogeneity", "step_multiplier", "x0_radius", "eps_stop"
+)
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,10 @@ class ExperimentConfig:
             )
         if not isinstance(self.d, int) or self.d < 1:
             raise ConfigError(f"needs a positive integer, got {self.d!r}", "d")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"must be finite, got {value}", name)
         if not (self.mu > 0.0):
             raise ConfigError(f"must be positive, got {self.mu}", "mu")
         if not (self.L >= self.mu):
@@ -187,6 +195,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"must be one of {_DSGT_TUNINGS}, got '{self.dsgt_tuning}'", "dsgt_tuning"
             )
+        for name in ("problem_seed", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ConfigError(f"needs a nonnegative integer, got {value!r}", name)
         if not isinstance(self.iters, int) or self.iters < 1:
             raise ConfigError(f"needs a positive integer, got {self.iters!r}", "iters")
         if not isinstance(self.stride, int) or self.stride < 1:
@@ -458,9 +470,6 @@ def _execute(setup: RunSetup) -> Trace:
     problem = setup.problem
     sched = setup.sched
     streams = StreamBundle.from_seed(cfg.seed, problem.m)
-    state = init_state(problem, setup.x0, cfg.algo, streams)
-    # Row of state_means holding the working-block mean of the iterate.
-    xbar_row = 2 if state.blocks > 1 else 0
     # The step functions and the gossip draw are looked up as module globals
     # on every run, so wrappers installed on these names see every call.
     step = {"dsgt": dsgt_step, "ssdsgt": ssdsgt_step, "assdsgt": assdsgt_step}[cfg.algo]
@@ -474,16 +483,10 @@ def _execute(setup: RunSetup) -> Trace:
     noisy = cfg.sigma_bar > 0.0
     eps = cfg.eps_stop
 
-    def record(current: SsState, eta_t: float, wavg: float) -> None:
-        try:
-            records.append(record_iteration(current, problem, eta_t, setup.theta, wavg_subopt=wavg))
-        except ValueError as exc:  # a non-finite or negative diagnostic
-            raise InvariantViolation(str(exc), iteration=current.t) from None
-
     def observe(
         current: SsState, eta_t: float, means: np.ndarray, mean_before: np.ndarray | None
     ) -> bool:
-        """Audit and push diagnostics for the current iteration; True to stop early.
+        """Audit, push and record the current iteration; True to stop early.
 
         ``eta_t`` is the step size at ``current.t``, ``means`` the
         :func:`state_means` of ``current`` and ``mean_before`` the full-stack
@@ -495,20 +498,28 @@ def _execute(setup: RunSetup) -> Trace:
         checks = audit_identities(current, means, mean_before)
         first = 0 if mean_before is None else 1
         audits.check(checks[:first], t)
-        subopt = global_suboptimality(problem, means[xbar_row])
+        subopt = global_suboptimality(problem, means[-2 * current.blocks])
         if not math.isfinite(subopt):
             raise InvariantViolation(f"suboptimality of the average iterate is {subopt}", iteration=t)
         averager.push(eta_t, subopt)
         audits.check(checks[first:], t)
         if t in checkpoints:
             wavg_at[str(t)] = averager.average
-        if t % cfg.stride == 0 or t == cfg.iters:
-            record(current, eta_t, averager.average)
-        return eps is not None and (averager.average if noisy else subopt) <= eps
+        stop = eps is not None and (averager.average if noisy else subopt) <= eps
+        if stop or t % cfg.stride == 0 or t == cfg.iters:
+            try:
+                records.append(
+                    record_iteration(current, problem, eta_t, setup.theta, means, subopt, averager.average)
+                )
+            except ValueError as exc:  # a non-finite or negative diagnostic
+                raise InvariantViolation(str(exc), iteration=t) from None
+        return stop
 
-    # A diverging state overflows before the finiteness checks see it; the
-    # checks report it with its iteration, so numpy's warnings add nothing.
+    # A diverging state, or an overflowing start, overflows before the
+    # finiteness checks see it; the checks report it with its iteration, so
+    # numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
+        state = init_state(problem, setup.x0, cfg.algo, streams)
         # Each iteration's step size and state means are computed once:
         # observe uses them, then the next step and its mean-dynamics audit
         # reuse them.
@@ -522,9 +533,6 @@ def _execute(setup: RunSetup) -> Trace:
             mean_before, means = means[0], state_means(state)
             eta = step_size(sched, state.t)
             stopped_early = observe(state, eta, means, mean_before)
-
-        if records[-1].t != state.t:
-            record(state, eta, averager.average)
 
     final = records[-1]
     summary = {

@@ -67,6 +67,24 @@ def test_bad_configuration_exits_with_two(tmp_path: Path, capsys):
     assert "agents" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, extra, field",
+    [
+        (None, ["--seed", "-1"], "seed"),
+        (None, ["--sigma", "nan"], "sigma_bar"),
+        (None, ["--step-multiplier", "inf"], "step_multiplier"),
+        ('{"mu": Infinity, "L": Infinity}', [], "mu"),
+    ],
+)
+def test_non_finite_or_negative_values_exit_with_two(tmp_path: Path, capsys, config, extra, field):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        extra = [*extra, "--config", str(path)]
+    assert cli.main(_run_args(tmp_path / "x.csv", extra)) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_unreadable_config_exits_with_two(tmp_path: Path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{nope}")

@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from netgrad.algorithms import assdsgt_step, init_state, ssdsgt_step, theory_schedule
+from netgrad.algorithms import assdsgt_step, init_state, ssdsgt_step, state_means, theory_schedule
 from netgrad.diagnostics import (
     CSV_COLUMNS,
     IterRecord,
@@ -176,12 +176,12 @@ def test_record_iteration_recomputes_from_state():
     state = init_state(problem, np.zeros(2), "ssdsgt", streams)
     for _ in range(5):
         state = ssdsgt_step(state, problem, w, sched, streams)
-    record = record_iteration(state, problem, state.last_eta, sched.theta)
+    xbar = state.x.mean(axis=0)
+    subopt = global_suboptimality(problem, xbar)
+    record = record_iteration(state, problem, state.last_eta, sched.theta, state_means(state), subopt)
     assert record.t == state.t
     assert record.zeta == state.last_zeta
     assert record.consensus_x == pytest.approx(consensus_error(state.x), rel=1e-14)
-    xbar = state.x.mean(axis=0)
-    assert record.subopt == pytest.approx(global_suboptimality(problem, xbar), rel=1e-14)
     assert record.mean_dist == pytest.approx(float(np.sum((xbar - problem.x_star) ** 2)), rel=1e-14)
     assert record.psi == pytest.approx(
         lyapunov_psi(state, state.last_eta, sched.theta, problem.L, problem), rel=1e-14
@@ -266,7 +266,8 @@ def test_record_iteration_psi_equals_the_public_lyapunov_values_exactly():
         for _ in range(7):
             state = step(state, problem, op, sched, streams)
         eta = state.last_eta
-        record = record_iteration(state, problem, eta, theta)
+        subopt = global_suboptimality(problem, state.x[: problem.m].mean(axis=0))
+        record = record_iteration(state, problem, eta, theta, state_means(state), subopt)
         if algo == "ssdsgt":
             expected = lyapunov_psi(state, eta, theta, problem.L, problem)
         else:

@@ -68,6 +68,17 @@ def _small_cfg(**overrides) -> ExperimentConfig:
         (dict(x0_radius=-1.0), "x0_radius"),
         (dict(eps_stop=0.0), "eps_stop"),
         (dict(avg_checkpoints=(-3,)), "avg_checkpoints"),
+        (dict(mu=float("inf"), L=float("inf")), "mu"),
+        (dict(L=float("inf")), "L"),
+        (dict(sigma_bar=float("nan")), "sigma_bar"),
+        (dict(sigma_bar=float("inf")), "sigma_bar"),
+        (dict(heterogeneity=float("nan")), "heterogeneity"),
+        (dict(step_multiplier=float("inf")), "step_multiplier"),
+        (dict(x0_radius=float("inf")), "x0_radius"),
+        (dict(eps_stop=float("inf")), "eps_stop"),
+        (dict(seed=-1), "seed"),
+        (dict(problem_seed=-1), "problem_seed"),
+        (dict(seed=1.5), "seed"),
     ],
 )
 def test_validate_names_the_offending_field(overrides, field):
@@ -75,6 +86,15 @@ def test_validate_names_the_offending_field(overrides, field):
     with pytest.raises(ConfigError) as excinfo:
         cfg.validate()
     assert excinfo.value.field == field
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_start_fails_at_iteration_zero_without_numpy_warnings():
+    # The start point's gradients overflow inside numpy during set-up; the
+    # run must report that as its own failure, not as a numpy warning.
+    with pytest.raises(InvariantViolation) as caught:
+        run_experiment(_small_cfg(x0_radius=1e308))
+    assert str(caught.value).startswith("iteration 0: suboptimality of the average iterate is ")
 
 
 def test_momentum_requires_lazy_mixing():

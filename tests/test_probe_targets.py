@@ -49,15 +49,16 @@ def test_traced_gossip_run_counts_one_draw_and_one_step_per_iteration():
     assert p.stats["algorithms.step"].calls == 20
 
 
-# Calls per layer on a traced 20-iteration ring-6 run, as the two-apply loop
-# made them: one step per iteration, one audit and one suboptimality per
-# observed iteration, and (stride 1) one record, which reads the
-# suboptimality again. The batched step mixes the momentum state in one
-# augmented apply per iteration, where the two-apply step made two.
+# Calls per layer on a traced 20-iteration ring-6 run: one step per
+# iteration, one audit and one suboptimality per observed iteration, and
+# (stride 1) one record. The record reuses the loop's suboptimality, where it
+# used to read it a second time (42 calls). The batched step mixes the
+# momentum state in one augmented apply per iteration, where the two-apply
+# step made two.
 _LAYER_CALLS = {
     "algorithms.step": 20,
     "algorithms.audit_identities": 21,
-    "objectives.global_suboptimality": 42,
+    "objectives.global_suboptimality": 21,
     "diagnostics.record_iteration": 21,
 }
 
