@@ -208,16 +208,26 @@ class SsState:
 
     ``xs`` stores the iterate and the tracker as one ``(2, blocks * m, d)``
     array, so one batched ``apply`` mixes both; ``x`` (``xs[0]``) and ``s``
-    (``xs[1]``) are views of it. Each stacks ``blocks`` copies of the
-    ``(m, d)`` agent block: one for the plain operator, two for the augmented
-    operator (the working block on top of the trailing block). The working
-    iterate is ``x[:m]``. ``q`` is the snapshot point and ``g_snap`` the
-    stored gradient realization taken at ``q`` when the coin last fired
-    (iteration ``tau``), with column mean ``g_snap_mean`` (computed from
-    ``g_snap`` when not given). ``dsgt`` re-takes its snapshot at every
-    iterate: it passes ``q=None``, which makes ``q`` the view ``x`` itself,
-    ``g_snap`` holds the gradients sampled there and ``tau == t``. The
-    ``last_*`` fields describe the most recent transition for diagnostics.
+    (``xs[1]``) are views of it. Each stacks ``blocks`` (set from the
+    shapes) copies of the ``(m, d)`` agent block: one for the plain
+    operator, two for the augmented operator (the working block on top of
+    the trailing block). The working iterate is ``x[:m]``. ``q`` is the
+    snapshot point and ``g_snap`` the stored gradient realization taken at
+    ``q`` when the coin last fired (iteration ``tau``), with column mean
+    ``g_snap_mean`` (computed from ``g_snap`` when not given). ``dsgt``
+    re-takes its snapshot at every iterate: it passes ``q=None``, which
+    makes ``q`` the view ``x`` itself, ``g_snap`` holds the gradients
+    sampled there and ``tau == t``. The ``last_*`` fields describe the most
+    recent transition for diagnostics.
+
+    ``trailing_product`` is the unscaled base product ``W @ s[m:]`` of a
+    stacked state, when the step that made it already holds those bits, and
+    ``None`` otherwise: at ``t = 0``, for one-block states, and after a step
+    whose coin fired. When the coin does not fire, the step adds no
+    correction to the tracker, so the augmented operator leaves the new
+    trailing block ``s[m:]`` equal, bit for bit, to the previous working
+    block ``s[:m]``, whose product the step has just computed; the next
+    ``apply`` reuses it instead of multiplying that block again.
     """
 
     xs: np.ndarray
@@ -229,21 +239,19 @@ class SsState:
     last_zeta: int = 0
     last_grad_mean: np.ndarray | None = None
     g_snap_mean: np.ndarray | None = None
+    trailing_product: np.ndarray | None = None
     x: np.ndarray = field(init=False, repr=False)
     s: np.ndarray = field(init=False, repr=False)
+    blocks: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.x = self.xs[0]
         self.s = self.xs[1]
+        self.blocks = len(self.x) // len(self.g_snap)
         if self.q is None:
             self.q = self.x
         if self.g_snap_mean is None:
             self.g_snap_mean = column_mean(self.g_snap)
-
-    @property
-    def blocks(self) -> int:
-        """Number of stacked ``(m, d)`` blocks in ``x`` and ``s``."""
-        return self.x.shape[0] // self.g_snap.shape[0]
 
     @property
     def x_aug(self) -> np.ndarray:
@@ -318,14 +326,18 @@ def init_state(
 
 
 def _add_to_blocks(stack: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """Write ``stack`` plus the ``(m, d)`` array ``rows``, block by block, to ``out``.
+    """Write ``stack`` plus the ``(m, d)`` array ``rows``, added to every block, to ``out``.
 
-    Plain same-shape arithmetic per block gives the sums a broadcast over a
-    ``(blocks, m, d)`` view would, at less call overhead.
+    One block is plain same-shape arithmetic, the cheapest call; more blocks
+    take one broadcast over ``(blocks, m, d)`` views, which costs no more than
+    a call per block. Either way every sum is rounded once, as block-by-block
+    additions round it.
     """
-    m = len(rows)
-    for top in range(0, len(stack), m):
-        np.add(stack[top : top + m], rows, out=out[top : top + m])
+    if len(stack) == len(rows):
+        np.add(stack, rows, out=out)
+    else:
+        blocks = (-1, *rows.shape)
+        np.add(stack.reshape(blocks), rows, out=out.reshape(blocks))
 
 
 def ssdsgt_step(
@@ -347,7 +359,10 @@ def ssdsgt_step(
     matrix or gossip edge this is the snapshot iteration; with two blocks
     and the augmented operator it is the momentum iteration, and a zero
     momentum weight reproduces the one-block iteration bit for bit on the
-    working block.
+    working block. The momentum step passes the state's
+    ``trailing_product`` to ``apply`` and carries the new one (see
+    :class:`SsState`), so a step whose predecessor's coin did not fire
+    makes three base-matrix products instead of four.
     ``eta`` is ``step_size(sched, state.t)``, computed here when not given.
     """
     if eta is None:
@@ -365,13 +380,24 @@ def ssdsgt_step(
     _add_to_blocks(mixing[1], correction, descent)
     descent *= eta
     np.subtract(x, descent, out=descent)
-    xs_new = op.apply(mixing)
+    if state.blocks == 1:
+        xs_new, kept = op.apply(mixing), None
+    else:
+        # The augmented apply reuses the carried product of the trailing
+        # tracker block and leaves every unscaled product in ``products``;
+        # the tracker's working-block product is the next one to carry.
+        products = np.empty(mixing.shape)
+        xs_new = op.apply(mixing, state.trailing_product, products)
+        kept = products[1, :m]
     if zeta:
         s_new = xs_new[1]
         _add_to_blocks(s_new, correction, s_new)
         q_new = x[:m].copy()
         g_snap_new, g_snap_mean_new = g_x, grad_mean
         tau_new = state.t
+        # The correction now sits in both tracker blocks, so the trailing
+        # block no longer has the bits of the product just computed.
+        kept = None
     else:
         q_new = state.q
         g_snap_new, g_snap_mean_new = state.g_snap, state.g_snap_mean
@@ -386,6 +412,7 @@ def ssdsgt_step(
         last_zeta=zeta,
         last_grad_mean=grad_mean,
         g_snap_mean=g_snap_mean_new,
+        trailing_product=kept,
     )
 
 
@@ -437,9 +464,11 @@ def column_mean(a: np.ndarray) -> np.ndarray:
     """Column mean of a 2-D array, ``np.add.reduce(a, axis=0) / rows``.
 
     This is the sum and division ``a.mean(axis=0)`` performs, so the bits are
-    the same, without the overhead of ``mean``'s argument handling.
+    the same, without the overhead of ``mean``'s argument handling. The row
+    count is passed as a float: the quotient is the same, and numpy's path
+    for a Python float is cheaper than its path for a Python int.
     """
-    return np.add.reduce(a, axis=0) / a.shape[0]
+    return np.add.reduce(a, axis=0) / float(len(a))
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -466,15 +495,16 @@ def state_means(state: SsState) -> np.ndarray:
     blocks = state.blocks
     if blocks == 1:
         means = np.add.reduce(xs, axis=1)
-        means /= xs.shape[1]
+        means /= float(xs.shape[1])
         return means
     m, d = state.g_snap.shape
     means = np.empty((2 + 2 * blocks, d))
     full, block = means[:2], means[2:]
     np.add.reduce(xs, axis=1, out=full)
     np.add.reduce(xs.reshape(2 * blocks, m, d), axis=1, out=block)
-    full /= xs.shape[1]
-    block /= m
+    # Float divisors, as in column_mean.
+    full /= float(xs.shape[1])
+    block /= float(m)
     return means
 
 

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation
 from .harness import (
-    MIXINGS,
     ExperimentConfig,
     Trace,
     load_config,
@@ -191,8 +190,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_mixing(args: argparse.Namespace) -> int:
-    if args.mixing not in MIXINGS:
-        raise ConfigError(f"unknown mixing variant '{args.mixing}'", "mixing")
+    ExperimentConfig(topology=args.topology, agents=args.agents, mixing=args.mixing).validate()
     graph = build_graph(args.topology, args.agents)
     report: dict = {
         "topology": args.topology,

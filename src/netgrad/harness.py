@@ -163,6 +163,11 @@ class ExperimentConfig:
                 )
         if self.mixing not in MIXINGS:
             raise ConfigError(f"must be one of {MIXINGS}, got '{self.mixing}'", "mixing")
+        if self.mixing == "random-gossip" and self.agents < 2:
+            raise ConfigError(
+                f"random gossip draws an edge, so it needs at least 2 agents, got {self.agents}",
+                "agents",
+            )
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"must be one of {ALGORITHMS}, got '{self.algo}'", "algo")
         if self.algo == "assdsgt" and self.mixing != "lazy-metropolis":

@@ -14,6 +14,7 @@ curvatures are attained exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,13 @@ class NoiseModel:
             raise ValueError(f"noise level must be nonnegative, got {self.sigma_bar}")
 
     def scale(self, d: int) -> float:
-        """Coordinate standard deviation ``sigma_bar / sqrt(d)``."""
-        return self.sigma_bar / np.sqrt(d)
+        """Coordinate standard deviation ``sigma_bar / sqrt(d)``.
+
+        ``math.sqrt`` and ``np.sqrt`` both round the square root correctly,
+        so the quotient has the same bits either way; ``math.sqrt`` skips
+        numpy's scalar path, which costs about ten times as much.
+        """
+        return self.sigma_bar / math.sqrt(d)
 
     def sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
         """Draw one noise vector of dimension ``d``."""

@@ -18,6 +18,12 @@ Conventions:
       duplicated block vectors. ``apply`` also takes leading batch axes,
       ``(..., rows, d)``, and mixes every slice as a separate call would, bit
       for bit, so an iteration mixes its iterate and tracker in one call.
+    * The augmented ``apply`` can reuse one base product. Its new bottom
+      block is a copy of the old top block, so when nothing is added to the
+      momentum tracker in between (the snapshot coin did not fire), the next
+      iteration's ``W @ bottom`` is the ``W @ top`` already computed from the
+      same bits. The iteration carries that product in its state and passes
+      it back as ``trailing``; three of the four ``(m, d)`` products remain.
     * The contraction parameter ``theta`` is ``1 - lambda2`` where ``lambda2``
       is the largest magnitude among the non-unit eigenvalues. For the random
       gossip family, ``lambda2`` and ``theta`` describe the expected one-step
@@ -486,29 +492,54 @@ class AugmentedMixing:
         """``1 + gamma`` and ``-gamma``, shaped to scale the two flattened mixed blocks."""
         return np.array([[1.0 + self.gamma], [-self.gamma]])
 
-    def apply(self, x_aug: np.ndarray) -> np.ndarray:
+    def apply(
+        self,
+        x_aug: np.ndarray,
+        trailing: np.ndarray | None = None,
+        products: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Apply the operator to ``(..., 2m, d)`` stacked block vectors.
 
-        Both blocks of every slice are mixed by one batched product with the
+        The blocks of every slice are mixed by one batched product with the
         base matrix; each slice comes out as a separate call would give it.
-        The new top block is the sum of the two scaled mixed blocks, which
-        rounds exactly as ``(1 + gamma) * (W @ top) - gamma * (W @ bottom)``
-        does: negating a product is exact, and subtracting is adding the
-        negation.
+        The new top block is the sum of the two scaled mixed blocks, written
+        to a fresh output, which rounds exactly as
+        ``(1 + gamma) * (W @ top) - gamma * (W @ bottom)`` does: negating a
+        product is exact, and subtracting is adding the negation.
+
+        ``trailing``, when given, is ``W @ bottom`` of the last slice, already
+        computed by an earlier product of a block with the same bits; it is
+        used in place of that product, so only the other blocks are
+        multiplied. A batched product gives each slice the bits a lone
+        product would, so the reused bits are the ones the multiplication
+        would give. ``products``, when given, is a C-contiguous array shaped
+        like ``x_aug`` that receives the unscaled products ``W @ top`` and
+        ``W @ bottom`` of every slice (``trailing`` copied into its slot); the
+        output is a separate array, so a caller can hold a view of one
+        product for a later call. Plain ``apply(x_aug)`` multiplies every
+        block.
         """
-        m = self.base.m
+        w = self.base.entries
+        m = len(w)
         x_aug = np.asarray(x_aug, dtype=np.float64)
-        if x_aug.shape[-2] != 2 * m:
-            raise ValueError(f"augmented state needs {2 * m} rows, got {x_aug.shape[-2]}")
-        d = x_aug.shape[-1]
-        mixed = self.base.entries @ x_aug.reshape(-1, 2, m, d)
+        shape = x_aug.shape
+        if shape[-2] != 2 * m:
+            raise ValueError(f"augmented state needs {2 * m} rows, got {shape[-2]}")
+        if products is None:
+            products = np.empty(shape)
+        blocks, mixed = x_aug.reshape(-1, m, shape[-1]), products.reshape(-1, m, shape[-1])
+        if trailing is None:
+            np.matmul(w, blocks, out=mixed)
+        else:
+            np.matmul(w, blocks[:-1], out=mixed[:-1])
+            mixed[-1] = trailing
         # Elementwise work on (batch, 2, m * d) views: fewer axes, less overhead.
-        flat = mixed.reshape(-1, 2, m * d)
-        flat *= self._block_weights
+        halves = (-1, 2, m * shape[-1])
+        flat = mixed.reshape(halves) * self._block_weights
         top = flat[:, 0]
         top += flat[:, 1]
-        flat[:, 1] = x_aug.reshape(-1, 2, m * d)[:, 0]
-        return mixed.reshape(x_aug.shape)
+        flat[:, 1] = x_aug.reshape(halves)[:, 0]
+        return flat.reshape(shape)
 
     def as_matrix(self) -> np.ndarray:
         """Materialize the dense ``(2m, 2m)`` operator (diagnostics only)."""

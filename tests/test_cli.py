@@ -85,6 +85,15 @@ def test_non_finite_or_negative_values_exit_with_two(tmp_path: Path, capsys, con
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate-mixing"])
+def test_one_agent_random_gossip_exits_with_two_naming_agents(tmp_path: Path, capsys, command):
+    argv = ["--topology", "ring", "--agents", "1", "--mixing", "random-gossip"]
+    if command == "run":
+        argv += ["--iters", "5", "--out", str(tmp_path / "x.csv")]
+    assert cli.main([command, *argv]) == 2
+    assert "config field 'agents'" in capsys.readouterr().err
+
+
 def test_unreadable_config_exits_with_two(tmp_path: Path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{nope}")

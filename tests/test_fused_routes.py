@@ -9,13 +9,9 @@ replaces, over agent counts, dimensions and scales from 1e-8 to 1e8.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
+from _one_thread import run_one_thread
 
 from netgrad.algorithms import SsState, audit_identities, column_mean, state_means, vector_norm
 from netgrad.diagnostics import (
@@ -88,17 +84,8 @@ def test_batched_apply_equals_per_slice_apply(m):
 def test_batched_apply_equals_per_slice_apply_at_1024_agents():
     # The bits of an m=1024 product depend on the BLAS thread count; the
     # claim is made at one OpenBLAS thread, which only a fresh process sets.
-    tests = str(Path(__file__).resolve().parent)
-    src = str(Path(tests).parent / "src")
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])),
-    )
     script = "import test_fused_routes as t; print(t.batched_apply_mismatches(1024))"
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
-    )
+    done = run_one_thread(script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 

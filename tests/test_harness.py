@@ -79,6 +79,7 @@ def _small_cfg(**overrides) -> ExperimentConfig:
         (dict(seed=-1), "seed"),
         (dict(problem_seed=-1), "problem_seed"),
         (dict(seed=1.5), "seed"),
+        (dict(agents=1, mixing="random-gossip"), "agents"),
     ],
 )
 def test_validate_names_the_offending_field(overrides, field):

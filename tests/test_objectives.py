@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netgrad.objectives import (
+    NoiseModel,
     exact_gradient,
     exact_gradients,
     global_suboptimality,
@@ -193,3 +194,12 @@ def test_problem_arrays_are_read_only():
 def test_suite_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
         make_quadratic_suite(rng=np.random.default_rng(0), **kwargs)
+
+
+def test_noise_scale_equals_the_numpy_square_root_quotient():
+    # ``scale`` divides by ``math.sqrt(d)``. It and ``np.sqrt`` both round
+    # the root correctly, so every quotient equals the numpy one bit for bit.
+    for sigma in (1e-8, 0.3, 1.0, 2.5, 7.0, 1e8):
+        model = NoiseModel(sigma)
+        got = [model.scale(d).hex() for d in range(1, 5000)]
+        assert got == [float(sigma / np.sqrt(d)).hex() for d in range(1, 5000)], sigma

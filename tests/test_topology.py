@@ -2,13 +2,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from _one_thread import run_one_thread
 
 from netgrad import topology
 from netgrad.topology import (
@@ -350,16 +347,7 @@ def test_spectral_fields_frozen_values():
     # The last bits of an m=256 spectrum depend on the BLAS thread count, so
     # the pinned bit patterns are those of one OpenBLAS thread, the count
     # perfbench fixes; a fresh process is the only way to set it.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", _SPECTRAL_FIELDS_SCRIPT],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_one_thread(_SPECTRAL_FIELDS_SCRIPT, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [
         ["0x1.e6047df7708d8p-1", "0x1.9fb82088f7280p-5", False],
