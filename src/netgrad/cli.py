@@ -212,7 +212,7 @@ def cmd_validate_mixing(args: argparse.Namespace) -> int:
         report["theta"] = w.theta
         report["psd"] = w.psd_flag
         report["row_sum_deviation"] = float(abs(entries.sum(axis=1) - 1.0).max())
-        report["asymmetry"] = float(abs(entries - entries.T).max())
+        report["asymmetry"] = w.asymmetry
         if w.psd_flag:
             gamma = default_gamma(w.lambda2)
             aug = chebyshev_augment(w, gamma)

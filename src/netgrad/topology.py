@@ -9,6 +9,12 @@ its spectrum once, the first time its eigenvalues, ``lambda2``, ``theta`` or
 ``psd_flag`` are read, and keeps it: a run decomposes only the matrices it
 reads, and the augmented operator reuses its base matrix's eigenvalues.
 
+Everything else a matrix's set-up does costs a few passes over its entries,
+so at large ``m`` the decomposition dominates: the Metropolis weights are
+scattered from edge arrays, the symmetry check compares cache-sized tiles
+with their mirrors rather than forming ``W - W.T``, and :func:`lazify` writes
+``(I + W) / 2`` into its one output array.
+
 Conventions:
     * Every mixing operator acts on row-stacked agent states through one
       method, ``apply(x)``: a :class:`MixingMatrix` returns ``W @ x`` for
@@ -34,8 +40,9 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -63,6 +70,9 @@ MOMENTUM_ENVELOPE: float = 14.0
 _ROW_SUM_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 _PSD_TOL = 1e-10
+#: Side of the square tiles the symmetry check compares with their mirrors: a
+#: tile, its mirror and the difference buffer (3 x 128 KiB) stay in cache.
+_SYMMETRY_TILE = 128
 #: Relative window around the numpy-located maximum in which the fit of
 #: ``theta_tilde`` evaluates the exact ``math`` functions; far wider than the
 #: last-bit differences between the numpy and ``math`` versions.
@@ -109,13 +119,17 @@ class Graph:
                     stack.append(other)
         return len(seen) == self.m
 
+    @cached_property
+    def _endpoints(self) -> np.ndarray:
+        """The edges as an ``(edges, 2)`` index array, in set order."""
+        count = 2 * len(self.edges)
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=count)
+        flat.setflags(write=False)
+        return flat.reshape(-1, 2)
+
     def degrees(self) -> np.ndarray:
         """Return the integer degree of every agent."""
-        deg = np.zeros(self.m, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self._endpoints.ravel(), minlength=self.m)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Return the edges in sorted order (deterministic indexing)."""
@@ -133,7 +147,9 @@ class MixingMatrix:
 
     Attributes:
         entries: Dense ``(m, m)`` weight matrix, entries in ``[0, 1]``,
-            exactly symmetric, rows and columns summing to one.
+            symmetric, rows and columns summing to one.
+        asymmetry: ``max |W - W.T|`` as the validation measured it: at most
+            ``1e-12``, and exactly zero for the Metropolis weights.
         eigenvalues: Ascending eigenvalues (read-only).
         lambda2: Largest magnitude among the non-unit eigenvalues.
         theta: Spectral gap ``1 - lambda2``; always in ``(0, 1]``.
@@ -142,12 +158,13 @@ class MixingMatrix:
     """
 
     entries: np.ndarray
+    asymmetry: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.entries, dtype=np.float64)
         object.__setattr__(self, "entries", w)
         w.setflags(write=False)
-        _validate_mixing_entries(w)
+        object.__setattr__(self, "asymmetry", _validate_mixing_entries(w))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -188,17 +205,50 @@ class MixingMatrix:
         return self.entries @ x
 
 
-def _validate_mixing_entries(w: np.ndarray) -> None:
+def _validate_mixing_entries(w: np.ndarray) -> float:
+    """Check a candidate mixing matrix and return its asymmetry ``max |W - W.T|``.
+
+    Every bound is written ``not value <= bound``, so a NaN fails it. A
+    non-finite entry makes the asymmetry NaN or infinite (its own diagonal
+    difference or its mirror difference is), which is reported as such.
+    """
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
-    asym = float(np.max(np.abs(w - w.T))) if w.size else 0.0
-    if asym > _SYMMETRY_TOL:
+    asym = _asymmetry(w) if w.size else 0.0
+    if not math.isfinite(asym):
+        raise ValueError("mixing matrix has non-finite entries")
+    if not asym <= _SYMMETRY_TOL:
         raise ValueError(f"mixing matrix asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL}")
-    row_dev = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
-    if row_dev > _ROW_SUM_TOL:
+    row_dev = float(np.abs(w.sum(axis=1) - 1.0).max())
+    if not row_dev <= _ROW_SUM_TOL:
         raise ValueError(f"row sums deviate from one by {row_dev:.3e}")
-    if float(w.min()) < -1e-12 or float(w.max()) > 1.0 + 1e-12:
+    if not (float(w.min()) >= -1e-12 and float(w.max()) <= 1.0 + 1e-12):
         raise ValueError("mixing weights must lie in [0, 1]")
+    return asym
+
+
+def _asymmetry(w: np.ndarray) -> float:
+    """``max |W - W.T|`` of a non-empty square matrix, one tile pair at a time.
+
+    ``|a - b|`` equals ``|b - a|`` exactly, so only the tiles on and above the
+    diagonal are compared with the transposes of their mirrors; the result is
+    the value ``np.max(np.abs(w - w.T))`` gives, NaN included, without an
+    ``(m, m)`` temporary or a transposed pass over the whole matrix.
+    """
+    m, tile = len(w), _SYMMETRY_TILE
+    scratch = np.empty(min(m, tile) ** 2)
+    peak = 0.0
+    for a in range(0, m, tile):
+        for b in range(a, m, tile):
+            block = w[a : a + tile, b : b + tile]
+            diff = scratch[: block.size].reshape(block.shape)
+            np.subtract(block, w[b : b + tile, a : a + tile].T, out=diff)
+            tile_peak = float(np.abs(diff, out=diff).max())
+            if not tile_peak <= peak:  # larger, or NaN
+                peak = tile_peak
+                if math.isnan(peak):
+                    return peak
+    return peak
 
 
 def build_graph(kind: str, m: int) -> Graph:
@@ -267,19 +317,18 @@ def metropolis_mixing(graph: Graph) -> MixingMatrix:
     """Metropolis-Hastings weights for a connected graph.
 
     Each edge ``(i, j)`` receives weight ``1 / (1 + max(deg_i, deg_j))`` and
-    the diagonal absorbs the remainder, which yields an exactly symmetric
-    doubly stochastic matrix.
+    the diagonal absorbs the remainder, one minus the row's off-diagonal sum,
+    which yields an exactly symmetric doubly stochastic matrix. The weights
+    are scattered from the edge arrays in one step.
     """
     m = graph.m
     deg = graph.degrees()
+    i, j = graph._endpoints.T
+    weight = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     w = np.zeros((m, m), dtype=np.float64)
-    for i, j in graph.edge_list():
-        weight = 1.0 / (1.0 + float(max(deg[i], deg[j])))
-        w[i, j] = weight
-        w[j, i] = weight
-    off_row_sums = w.sum(axis=1)
-    for i in range(m):
-        w[i, i] = 1.0 - off_row_sums[i]
+    w[i, j] = weight
+    w[j, i] = weight
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix(w)
 
 
@@ -288,12 +337,22 @@ def lazify(w: MixingMatrix) -> MixingMatrix:
 
     The result is positive semidefinite because every eigenvalue maps to
     ``(1 + eig) / 2`` and eigenvalues of a symmetric doubly stochastic matrix
-    lie in ``[-1, 1]``. Reads only ``w.entries``, so ``w``'s own spectrum is
-    never computed on its behalf.
+    lie in ``[-1, 1]``. Reads only ``w.entries`` and ``w.asymmetry``, so
+    ``w``'s own spectrum is never computed on its behalf.
+
+    The sum is formed in the one output array: adding ``0.0`` to every entry
+    and then ``1.0`` to the diagonal rounds as ``I + W`` does (it also turns
+    ``-0.0`` into ``0.0``), and halving follows. Halving the symmetrised
+    ``(lazy + lazy.T)`` returns the same bits when ``W`` is exactly symmetric,
+    so that pass runs only when ``w.asymmetry`` is not zero.
     """
-    m = w.m
-    lazy = 0.5 * (np.eye(m) + w.entries)
-    lazy = 0.5 * (lazy + lazy.T)
+    entries = w.entries
+    lazy = np.add(entries, 0.0)
+    diagonal = lazy.reshape(-1)[:: len(entries) + 1]
+    diagonal += 1.0
+    lazy *= 0.5
+    if w.asymmetry != 0.0:
+        lazy = 0.5 * (lazy + lazy.T)
     return MixingMatrix(lazy)
 
 
