@@ -8,7 +8,9 @@ Usage:
 
 Exit codes:
     0  success
-    2  configuration problem (bad flag, malformed config file, invalid value)
+    2  configuration problem (bad flag, malformed config file or trace,
+       invalid value; a sweep checks every cell's config before it runs
+       any), or a file that cannot be read or written, naming the path
     3  runtime invariant violation inside a run (a broken tracking identity
        or a non-finite value), naming the iteration
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation
@@ -26,7 +28,6 @@ from .harness import (
     ExperimentConfig,
     Trace,
     load_config,
-    prepare_run,
     read_trace,
     run_experiment,
     save_config,
@@ -39,41 +40,45 @@ from .topology import build_graph, chebyshev_augment, default_gamma, gossip_cont
 __all__ = ["main", "build_parser"]
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--topology", help="graph family (ring, grid, star, complete)")
-    parser.add_argument("--agents", type=int, help="number of agents")
-    parser.add_argument("--algo", help="algorithm tag (dsgt, ssdsgt, assdsgt)")
-    parser.add_argument("--mixing", help="mixing variant")
-    parser.add_argument("--sigma", type=float, help="gradient noise level")
-    parser.add_argument("--iters", type=int, help="iteration horizon")
-    parser.add_argument("--stride", type=int, help="recording stride")
-    parser.add_argument("--eps", type=float, help="early-stop suboptimality target")
-    parser.add_argument("--step-multiplier", type=float, help="scale on the template step size")
-    parser.add_argument("--label", help="display label used in plots")
+#: Every config override flag, declared once: flag -> (the
+#: :class:`ExperimentConfig` field it sets, its type, its help). ``run``
+#: takes all but ``--dsgt-tuning``; ``sweep`` takes :data:`_SWEEP_OVERRIDES`.
+_OVERRIDES: dict[str, tuple[str, type, str]] = {
+    "--seed": ("seed", int, "run seed (a sweep's first seed)"),
+    "--topology": ("topology", str, "graph family (ring, grid, star, complete)"),
+    "--agents": ("agents", int, "number of agents"),
+    "--algo": ("algo", str, "algorithm tag (dsgt, ssdsgt, assdsgt)"),
+    "--mixing": ("mixing", str, "mixing variant (a sweep's momentum cells use lazy-metropolis)"),
+    "--sigma": ("sigma_bar", float, "gradient noise level"),
+    "--iters": ("iters", int, "iteration horizon (a sweep's cap per run)"),
+    "--stride": ("stride", int, "recording stride"),
+    "--eps": ("eps_stop", float, "early-stop suboptimality target"),
+    "--step-multiplier": ("step_multiplier", float, "scale on the template step size"),
+    "--label": ("label", str, "display label used in plots"),
+    "--dsgt-tuning": (
+        "dsgt_tuning",
+        str,
+        "step selection for the plain tracking baseline, matched or tuned "
+        "(default: the config file's dsgt_tuning, else matched)",
+    ),
+}
+_SWEEP_OVERRIDES = ("--topology", "--mixing", "--sigma", "--iters", "--seed", "--dsgt-tuning")
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates: dict = {}
-    mapping = {
-        "seed": "seed",
-        "topology": "topology",
-        "agents": "agents",
-        "algo": "algo",
-        "mixing": "mixing",
-        "sigma": "sigma_bar",
-        "iters": "iters",
-        "stride": "stride",
-        "eps": "eps_stop",
-        "step_multiplier": "step_multiplier",
-        "label": "label",
-    }
-    for flag, field_name in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field_name] = value
-    if updates:
-        cfg = replace(cfg, **updates)
+def _add_run_inputs(parser: argparse.ArgumentParser, overrides: tuple[str, ...], out: str) -> None:
+    parser.add_argument("--config", help="JSON configuration file (a sweep's base run)")
+    # Not a config override: its dest keeps it off the config's `out` field.
+    parser.add_argument("--out", dest="out_path", help=out)
+    for flag in overrides:
+        dest, kind, text = _OVERRIDES[flag]
+        parser.add_argument(flag, dest=dest, type=kind, help=text)
+
+
+def _run_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file (or the defaults) with every override flag that was given."""
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    given = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
+    cfg = replace(cfg, **{name: value for name, value in given.items() if value is not None})
     cfg.validate()
     return cfg
 
@@ -86,30 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute one experiment and write its trace")
-    run_p.add_argument("--config", help="JSON configuration file")
-    run_p.add_argument("--out", help="trace CSV output path")
-    _add_override_flags(run_p)
+    run_flags = tuple(flag for flag in _OVERRIDES if flag != "--dsgt-tuning")
+    _add_run_inputs(run_p, run_flags, "trace CSV output path")
 
     sweep_p = sub.add_parser("sweep", help="iterations-to-target across network sizes")
-    sweep_p.add_argument("--agents", required=True, help="comma-separated sizes, e.g. 8,16,32")
-    sweep_p.add_argument("--algo", required=True, help="comma-separated algorithm tags")
+    sweep_p.add_argument(
+        "--agents", dest="sizes", required=True, help="comma-separated sizes, e.g. 8,16,32"
+    )
+    sweep_p.add_argument("--algo", dest="algos", required=True, help="comma-separated algorithm tags")
     sweep_p.add_argument("--eps", type=float, default=1e-6, help="suboptimality target")
     sweep_p.add_argument("--seeds", type=int, default=3, help="runs per cell")
     sweep_p.add_argument(
         "--workers", type=int, default=1, help="accepted; has no effect (sweeps run serially)"
-    )
-    sweep_p.add_argument("--config", help="JSON configuration file for the base run")
-    sweep_p.add_argument("--out", help="sweep table CSV output path")
-    sweep_p.add_argument("--topology", help="graph family")
-    sweep_p.add_argument("--mixing", help="mixing variant for the non-momentum algorithms")
-    sweep_p.add_argument("--sigma", type=float, help="gradient noise level")
-    sweep_p.add_argument("--iters", type=int, help="iteration cap per run")
-    sweep_p.add_argument("--seed", type=int, help="base run seed")
-    sweep_p.add_argument(
-        "--dsgt-tuning",
-        choices=("matched", "tuned"),
-        help="step selection for the plain tracking baseline "
-        "(default: the config file's dsgt_tuning, else matched)",
     )
     sweep_p.add_argument(
         "--dsgt-multiplier",
@@ -117,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="constant factor on the matched baseline step (exponent-neutral)",
     )
+    _add_run_inputs(sweep_p, _SWEEP_OVERRIDES, "sweep table CSV output path")
 
     plot_p = sub.add_parser("plot", help="render trace CSVs as a self-contained SVG")
     plot_p.add_argument("traces", nargs="+", help="trace CSV files")
@@ -131,10 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    cfg = _apply_overrides(cfg, args)
+    cfg = _run_config(args)
     trace = run_experiment(cfg)
-    out = args.out if args.out is not None else cfg.out
+    out = args.out_path if args.out_path is not None else cfg.out
     if out:
         write_trace(trace, out)
         save_config(cfg, str(out) + ".config.json")
@@ -146,21 +139,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        sizes = [int(part) for part in args.agents.split(",") if part]
+        sizes = [int(part) for part in args.sizes.split(",") if part]
     except ValueError:
-        raise ConfigError(f"cannot parse sizes from '{args.agents}'", "agents") from None
-    algos = [part.strip() for part in args.algo.split(",") if part.strip()]
-    # The sweep owns the size and algorithm axes; keep the list-valued flags
-    # away from the scalar config fields of the same name.
-    args.agents = None
-    args.algo = None
-    base = load_config(args.config) if args.config else ExperimentConfig()
-    base = _apply_overrides(base, args)
-    if args.dsgt_tuning is not None:
-        base = replace(base, dsgt_tuning=args.dsgt_tuning)
+        raise ConfigError(f"cannot parse sizes from '{args.sizes}'", "agents") from None
+    algos = [part.strip() for part in args.algos.split(",") if part.strip()]
     multipliers = {"dsgt": args.dsgt_multiplier} if args.dsgt_multiplier != 1.0 else None
     result = sweep_topology(
-        base,
+        _run_config(args),
         sizes,
         algos,
         eps=args.eps,
@@ -169,8 +154,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         multipliers=multipliers,
     )
     print(result.format_table())
-    if args.out:
-        result.to_csv(args.out)
+    if args.out_path:
+        result.to_csv(args.out_path)
     return 0
 
 
@@ -239,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

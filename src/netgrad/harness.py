@@ -83,10 +83,6 @@ AUDIT_ABORT_TOL = 1e-7
 
 _SCHEDULE_MODES = ("auto", "constant", "decaying")
 _DSGT_TUNINGS = ("matched", "tuned")
-#: Float fields of :class:`ExperimentConfig`; each must be finite when set.
-_FLOAT_FIELDS = (
-    "mu", "L", "sigma_bar", "heterogeneity", "step_multiplier", "x0_radius", "eps_stop"
-)
 
 
 @dataclass(frozen=True)
@@ -200,6 +196,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"must be one of {_DSGT_TUNINGS}, got '{self.dsgt_tuning}'", "dsgt_tuning"
             )
+        step_search = self.algo == "dsgt" and self.dsgt_tuning == "tuned" and self.sigma_bar == 0.0
+        if step_search and self.mixing == "random-gossip":
+            raise ConfigError(
+                "the noiseless step search needs a static mixing matrix, got 'random-gossip'",
+                "dsgt_tuning",
+            )
         for name in ("problem_seed", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
@@ -246,6 +248,14 @@ class ExperimentConfig:
         cfg = _coerce_config(cls, kwargs)
         cfg.validate()
         return cfg
+
+
+#: Float fields of :class:`ExperimentConfig`; each must be finite when set.
+_FLOAT_FIELDS = tuple(
+    name
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if float in (hint, *typing.get_args(hint))
+)
 
 
 def _coerce_config(cls: type, kwargs: dict) -> "ExperimentConfig":
@@ -331,8 +341,11 @@ def _resolve_x0(cfg: ExperimentConfig, problem: QuadraticProblem, rng: np.random
     return problem.x_star + (cfg.x0_radius / norm) * direction
 
 
-def prepare_run(cfg: ExperimentConfig, schedule_override: Schedule | None = None) -> RunSetup:
-    """Validate the config and build every run ingredient deterministically."""
+def prepare_run(cfg: ExperimentConfig) -> RunSetup:
+    """Validate the config and build every run ingredient deterministically.
+
+    The schedule is the config's template; :func:`run_experiment` may replace it.
+    """
     cfg.validate()
     graph = build_graph(cfg.topology, cfg.agents)
     problem_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.problem_seed)))
@@ -365,17 +378,14 @@ def prepare_run(cfg: ExperimentConfig, schedule_override: Schedule | None = None
         aug = chebyshev_augment(w, default_gamma(w.lambda2))
         sched_theta = aug.theta_tilde
 
-    if schedule_override is not None:
-        sched = schedule_override
-    else:
-        sched = theory_schedule(
-            cfg.algo,
-            cfg.effective_schedule_mode(),
-            sched_theta,
-            cfg.L,
-            cfg.mu,
-            multiplier=cfg.step_multiplier,
-        )
+    sched = theory_schedule(
+        cfg.algo,
+        cfg.effective_schedule_mode(),
+        sched_theta,
+        cfg.L,
+        cfg.mu,
+        multiplier=cfg.step_multiplier,
+    )
     return RunSetup(
         cfg=cfg,
         graph=graph,
@@ -450,9 +460,9 @@ def run_experiment(
     Returns:
         The completed :class:`Trace`.
     """
-    if schedule_override is None:
-        schedule_override = _tuned_schedule(cfg)
-    return _execute(prepare_run(cfg, schedule_override))
+    sched = schedule_override or _tuned_schedule(cfg)
+    setup = prepare_run(cfg)
+    return _execute(setup if sched is None else replace(setup, sched=sched))
 
 
 def _tuned_schedule(cfg: ExperimentConfig) -> Schedule | None:
@@ -632,7 +642,7 @@ def tune_dsgt_step(cfg: ExperimentConfig, eps: float | None = None) -> Schedule:
     if cfg.sigma_bar != 0.0:
         raise ConfigError("the halving search needs a noiseless run", "sigma_bar")
     target = eps if eps is not None else (cfg.eps_stop if cfg.eps_stop is not None else 1e-6)
-    setup = prepare_run(cfg, _constant_dsgt_schedule(cfg, 1.0))
+    setup = prepare_run(cfg)
 
     best_eta: float | None = None
     best_count: int | None = None
@@ -697,7 +707,7 @@ def tune_dsgt_beta(cfg: ExperimentConfig, multipliers: tuple[float, ...] | None 
     if cfg.sigma_bar <= 0.0:
         raise ConfigError("the decay grid needs a noisy run", "sigma_bar")
     grid = multipliers if multipliers is not None else (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-    theta = prepare_run(cfg, _constant_dsgt_schedule(cfg, 1.0)).theta
+    theta = prepare_run(cfg).theta
 
     best: tuple[float, Schedule] | None = None
     for multiplier in grid:
@@ -812,8 +822,8 @@ def sweep_topology(
     across sizes, so fitted exponents are unaffected; it exists to keep
     slow template schedules inside the iteration budget.
     """
-    if eps <= 0.0:
-        raise ConfigError(f"must be positive, got {eps}", "eps")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ConfigError(f"must be positive and finite, got {eps}", "eps")
     if seeds < 1:
         raise ConfigError(f"needs at least one seed, got {seeds}", "seeds")
     sizes = tuple(int(v) for v in sizes)
@@ -822,15 +832,12 @@ def sweep_topology(
         raise ConfigError("needs at least one network size", "agents")
     if not algos:
         raise ConfigError("needs at least one algorithm", "algo")
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ConfigError(f"must be one of {ALGORITHMS}, got '{algo}'", "algo")
     scale = {k: float(v) for k, v in (multipliers or {}).items()}
     for algo, value in scale.items():
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm '{algo}'", "multipliers")
-        if not value > 0.0:
-            raise ConfigError(f"must be positive, got {value}", "multipliers")
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"must be positive and finite, got {value}", "multipliers")
 
     def cell_config(algo: str, m: int, seed_index: int) -> ExperimentConfig:
         mixing = "lazy-metropolis" if algo == "assdsgt" else base.mixing
@@ -850,21 +857,24 @@ def sweep_topology(
             label=None,
         )
 
+    # Every cell's runs are checked before the first one starts, so a bad
+    # cell fails the sweep at once rather than after the cells before it.
+    cells = [[cell_config(algo, m, k) for k in range(seeds)] for algo in algos for m in sizes]
+    for runs in cells:
+        for cfg in runs:
+            cfg.validate()
+
     rows: list[SweepRow] = []
-    for algo in algos:
-        for m in sizes:
-            sched = _tuned_schedule(cell_config(algo, m, 0))
-            traces = [
-                run_experiment(cell_config(algo, m, k), schedule_override=sched)
-                for k in range(seeds)
-            ]
-            counts = tuple(iterations_to_epsilon(trace, eps) for trace in traces)
-            # Exponents compare algorithms on the network's own contraction
-            # parameter, so the momentum cells report their base (pre-momentum)
-            # gap rather than the accelerated schedule parameter.
-            summary = traces[0].summary
-            theta = summary.get("base_theta", summary["theta"])
-            rows.append(SweepRow(algo=algo, m=m, theta=theta, counts=counts))
+    for runs in cells:
+        sched = _tuned_schedule(runs[0])
+        traces = [run_experiment(cfg, schedule_override=sched) for cfg in runs]
+        counts = tuple(iterations_to_epsilon(trace, eps) for trace in traces)
+        # Exponents compare algorithms on the network's own contraction
+        # parameter, so the momentum cells report their base (pre-momentum)
+        # gap rather than the accelerated schedule parameter.
+        summary = traces[0].summary
+        theta = summary.get("base_theta", summary["theta"])
+        rows.append(SweepRow(algo=runs[0].algo, m=runs[0].agents, theta=theta, counts=counts))
 
     exponents: dict[str, float] = {}
     for algo in algos:
@@ -937,7 +947,10 @@ def read_trace(path: str | os.PathLike) -> list[IterRecord]:
                         f"trace file '{path}' line {line_no}, column '{name}': "
                         f"cannot parse {cell!r}"
                     ) from None
-            records.append(IterRecord(**values))
+            try:
+                records.append(IterRecord(**values))
+            except ValueError as exc:  # a cell that parses but is not a valid value
+                raise ConfigError(f"trace file '{path}' line {line_no}: {exc}") from None
     return records
 
 

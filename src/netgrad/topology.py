@@ -365,18 +365,21 @@ def gossip_contraction(graph: Graph) -> tuple[float, float]:
     idempotent, so the expected squared-contraction matrix ``E[W^T W]``
     equals the plain edge average ``E[W]``. The family value is
     ``theta_eff = 1 - sqrt(lambda2(E[W^T W]))``.
+
+    ``E[W]`` is built from the edge arrays; the diagonal subtracts
+    ``1 / (2 |E|)`` once per incident edge, in sorted-edge order, as a loop
+    over the edges would.
     """
-    m = graph.m
-    edges = graph.edge_list()
-    if not edges:
+    edges = np.array(graph.edge_list(), dtype=np.int64).reshape(-1, 2)
+    if not len(edges):
         raise ValueError("random gossip needs at least one edge")
-    mean_w = np.eye(m)
+    mean_w = np.eye(graph.m)
     scale = 0.5 / len(edges)
-    for i, j in edges:
-        mean_w[i, i] -= scale
-        mean_w[j, j] -= scale
-        mean_w[i, j] += scale
-        mean_w[j, i] += scale
+    i, j = edges.T
+    mean_w[i, j] = scale
+    mean_w[j, i] = scale
+    ends = edges.ravel()
+    np.subtract.at(mean_w, (ends, ends), scale)
     evals = _symmetric_spectrum(mean_w)
     lambda2_mean, _ = _gap_from_spectrum(evals)
     lambda2_eff = math.sqrt(max(lambda2_mean, 0.0))

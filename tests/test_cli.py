@@ -241,3 +241,71 @@ def test_sweep_takes_dsgt_tuning_from_the_config_file(monkeypatch, tmp_path: Pat
 def test_sweep_with_an_empty_axis_exits_with_two(agents, algo, field, capsys):
     assert cli.main(["sweep", "--agents", agents, "--algo", algo, "--iters", "10"]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def _counting_runs(monkeypatch) -> list:
+    """Count the runs a sweep starts; ``sweep_topology`` calls the harness's name."""
+    calls: list = []
+    run = harness.run_experiment
+
+    def counting(cfg, schedule_override=None):
+        calls.append(cfg)
+        return run(cfg, schedule_override=schedule_override)
+
+    monkeypatch.setattr(harness, "run_experiment", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (
+            ["--agents", "16,0", "--algo", "ssdsgt,assdsgt", "--iters", "200000", "--eps", "1e-6"],
+            "agents",
+        ),
+        (
+            ["--agents", "4", "--algo", "dsgt", "--mixing", "random-gossip", "--dsgt-tuning", "tuned"],
+            "dsgt_tuning",
+        ),
+    ],
+)
+def test_sweep_exits_two_before_any_cell_runs(monkeypatch, capsys, argv, field):
+    calls = _counting_runs(monkeypatch)
+    assert cli.main(["sweep", *argv, "--seeds", "2"]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--iters", "5", "--out"],
+        ["sweep", "--agents", "4", "--algo", "ssdsgt", "--eps", "1e-3", "--seeds", "1", "--out"],
+        ["plot", "--out"],
+    ],
+)
+def test_an_unwritable_output_exits_two_naming_the_path(tmp_path: Path, capsys, argv):
+    if argv[0] == "plot":
+        trace = tmp_path / "t.csv"
+        assert cli.main(["run", "--iters", "5", "--out", str(trace)]) == 0
+        argv = ["plot", str(trace), "--out"]
+    target = tmp_path / "missing" / "x.out"
+    assert cli.main([*argv, str(target)]) == 2
+    assert str(target) in capsys.readouterr().err
+
+
+def test_an_unreadable_config_exits_two_naming_the_path(tmp_path: Path, capsys):
+    assert cli.main(["run", "--config", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_plot_of_an_invalid_trace_value_exits_two_naming_file_and_line(tmp_path: Path, capsys):
+    trace = tmp_path / "t.csv"
+    assert cli.main(["run", "--iters", "5", "--out", str(trace)]) == 0
+    lines = trace.read_text().splitlines()
+    lines[2] = lines[2].replace(lines[2].split(",")[3], "nan", 1)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["plot", str(trace), "--out", str(tmp_path / "f.svg")]) == 2
+    err = capsys.readouterr().err
+    assert f"trace file '{trace}' line 3: consensus_x" in err

@@ -80,6 +80,7 @@ def _small_cfg(**overrides) -> ExperimentConfig:
         (dict(problem_seed=-1), "problem_seed"),
         (dict(seed=1.5), "seed"),
         (dict(agents=1, mixing="random-gossip"), "agents"),
+        (dict(algo="dsgt", mixing="random-gossip", dsgt_tuning="tuned"), "dsgt_tuning"),
     ],
 )
 def test_validate_names_the_offending_field(overrides, field):
@@ -87,6 +88,19 @@ def test_validate_names_the_offending_field(overrides, field):
     with pytest.raises(ConfigError) as excinfo:
         cfg.validate()
     assert excinfo.value.field == field
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # The noisy decay grid reads no matrix, so tuned noisy gossip stays allowed.
+        dict(algo="dsgt", mixing="random-gossip", dsgt_tuning="tuned", sigma_bar=1.0),
+        dict(algo="dsgt", mixing="random-gossip", dsgt_tuning="matched"),
+        dict(algo="ssdsgt", mixing="random-gossip", dsgt_tuning="tuned"),
+    ],
+)
+def test_gossip_configs_the_tuners_can_serve_validate(overrides):
+    _small_cfg(**overrides).validate()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -263,6 +277,26 @@ def test_read_trace_reports_malformed_rows(tmp_path: Path):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("consensus_x", "nan", "consensus_x is a finite squared quantity but is nan"),
+        ("zeta", "2", "zeta must be 0 or 1, got 2"),
+    ],
+)
+def test_read_trace_names_file_and_line_of_an_invalid_value(tmp_path: Path, column, cell, message):
+    path = tmp_path / "bad.csv"
+    write_trace(run_experiment(_small_cfg(iters=2)), path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as excinfo:
+        read_trace(path)
+    assert str(excinfo.value) == f"trace file '{path}' line 4: {message}"
+
+
 def test_read_trace_rejects_wrong_header(tmp_path: Path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -417,6 +451,44 @@ def test_sweep_rejects_bad_arguments():
         sweep_topology(base, (), ("ssdsgt",), eps=1e-3)
     with pytest.raises(ConfigError, match="'algo'"):
         sweep_topology(base, (4,), (), eps=1e-3)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(eps=float("nan")), "eps"),
+        (dict(eps=float("inf")), "eps"),
+        (dict(eps=1e-3, multipliers={"ssdsgt": float("inf")}), "multipliers"),
+        (dict(eps=1e-3, multipliers={"ssdsgt": float("nan")}), "multipliers"),
+    ],
+)
+def test_sweep_names_a_non_finite_target_or_multiplier_by_its_own_name(kwargs, field):
+    with pytest.raises(ConfigError) as excinfo:
+        sweep_topology(_small_cfg(), (4,), ("ssdsgt",), **kwargs)
+    assert excinfo.value.field == field
+
+
+@pytest.mark.parametrize(
+    "base, sizes, algos, field",
+    [
+        (dict(iters=200000), (16, 0), ("ssdsgt", "assdsgt"), "agents"),
+        (dict(topology="grid"), (4, 9, 10), ("ssdsgt",), "agents"),
+        (dict(), (4, 8), ("ssdsgt", "sgd"), "algo"),
+        (dict(mixing="random-gossip", dsgt_tuning="tuned"), (4, 8), ("ssdsgt", "dsgt"), "dsgt_tuning"),
+    ],
+)
+def test_sweep_checks_every_cell_before_running_any(monkeypatch, base, sizes, algos, field):
+    calls: list[ExperimentConfig] = []
+
+    def counting(cfg, schedule_override=None):
+        calls.append(cfg)
+        raise AssertionError("a cell ran before every cell was checked")
+
+    monkeypatch.setattr(harness, "run_experiment", counting)
+    with pytest.raises(ConfigError) as excinfo:
+        sweep_topology(_small_cfg(**base), sizes, algos, eps=1e-6, seeds=2)
+    assert excinfo.value.field == field
+    assert calls == []
 
 
 def test_tuned_baseline_step_reaches_target():

@@ -1,0 +1,111 @@
+"""Metamorphic invariants between runs of one config.
+
+The frozen digests pin traces at a few configs; these relations must hold at
+every config, and a stale cache or a batching slip on the record path breaks
+them:
+
+* **stride**: runs at stride 7 and 50 record exactly the stride-1 records at
+  their iterations, bit for bit, and end with the same summary;
+* **horizon prefix**: a 250-iteration run records the first 251 records of a
+  600-iteration run, for constant and decaying schedules;
+* **early stop**: a run with ``eps_stop`` stops at the first stride-1 record
+  whose metric (the weighted average for noisy runs) is at or under the
+  target, whatever its stride, and its last record is that record.
+
+Examples are drawn with ``derandomize=True``, so a failure reproduces.
+"""
+
+from __future__ import annotations
+
+from dataclasses import astuple, replace
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from netgrad.harness import MIXINGS, ExperimentConfig, run_experiment
+
+#: The mixing variants each algorithm runs with. Every test takes each
+#: algorithm in turn, so none is left to the draw.
+ALGO_MIXINGS = {
+    "ssdsgt": MIXINGS,
+    "dsgt": MIXINGS,
+    "assdsgt": ("lazy-metropolis",),
+}
+ALGOS = pytest.mark.parametrize("algo", sorted(ALGO_MIXINGS))
+SIZES = {
+    "ring": range(1, 13),
+    "grid": (1, 4, 9),
+    "star": range(1, 13),
+    "complete": range(1, 13),
+}
+
+SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def configs(draw, algo: str) -> ExperimentConfig:
+    topology = draw(st.sampled_from(sorted(SIZES)))
+    mixing = draw(st.sampled_from(ALGO_MIXINGS[algo]))
+    # A gossip draw needs an edge.
+    sizes = [m for m in SIZES[topology] if mixing != "random-gossip" or m >= 2]
+    return ExperimentConfig(
+        topology=topology,
+        agents=draw(st.sampled_from(sizes)),
+        mixing=mixing,
+        algo=algo,
+        d=draw(st.integers(1, 5)),
+        sigma_bar=draw(st.sampled_from((0.0, 1.0))),
+        problem_seed=draw(st.integers(0, 2**16)),
+        seed=draw(st.integers(0, 2**16)),
+        x0_radius=draw(st.sampled_from((None, 3.0))),
+        iters=draw(st.integers(60, 240)),
+    )
+
+
+def _bits(records) -> list[str]:
+    """Every field of every record, floats by their exact repr."""
+    return [repr(astuple(record)) for record in records]
+
+
+@ALGOS
+@SETTINGS
+@given(data=st.data())
+def test_strided_runs_record_the_stride_one_records(algo, data):
+    cfg = data.draw(configs(algo))
+    full = run_experiment(cfg)
+    by_t = dict(zip((r.t for r in full.records), _bits(full.records)))
+    for stride in (7, 50):
+        trace = run_experiment(replace(cfg, stride=stride))
+        ts = [r.t for r in trace.records]
+        assert ts == sorted({*range(0, cfg.iters + 1, stride), cfg.iters})
+        assert _bits(trace.records) == [by_t[t] for t in ts]
+        assert repr(trace.summary) == repr(full.summary)
+
+
+@ALGOS
+@SETTINGS
+@given(data=st.data(), schedule=st.sampled_from(("constant", "decaying")))
+def test_a_shorter_horizon_records_a_prefix(algo, data, schedule):
+    cfg = replace(data.draw(configs(algo)), schedule=schedule)
+    short = run_experiment(replace(cfg, iters=250))
+    long = run_experiment(replace(cfg, iters=600))
+    assert len(short.records) == 251
+    assert _bits(short.records) == _bits(long.records[:251])
+
+
+@ALGOS
+@SETTINGS
+@given(data=st.data(), stride=st.sampled_from((1, 7, 50)), pick=st.floats(0.0, 1.0))
+def test_early_stop_lands_on_the_first_stride_one_record_under_eps(algo, data, stride, pick):
+    cfg = data.draw(configs(algo))
+    full = run_experiment(cfg)
+    noisy = cfg.sigma_bar > 0.0
+    metric = [r.wavg_subopt if noisy else r.subopt for r in full.records]
+    eps = metric[round(pick * (len(metric) - 1))]
+    assume(eps > 0.0)
+    first = next(r for r, value in zip(full.records, metric) if value <= eps)
+    stopped = run_experiment(replace(cfg, stride=stride, eps_stop=eps))
+    assert stopped.summary["stopped_early"]
+    assert stopped.summary["final_t"] == first.t
+    assert _bits(stopped.records[-1:]) == _bits([first])

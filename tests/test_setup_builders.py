@@ -1,7 +1,8 @@
 """The array-built set-up equals the loops it replaced, byte for byte.
 
-``Graph.degrees``, ``metropolis_mixing`` and ``lazify`` once ran Python loops
-over edges and rows, and the symmetry check formed ``W - W.T``. The loops
+``Graph.degrees``, ``metropolis_mixing``, ``lazify`` and the gossip family's
+``E[W]`` in ``gossip_contraction`` once ran Python loops over edges and rows,
+and the symmetry check formed ``W - W.T``. The loops
 are kept below as the reference; every topology and size here must give the
 same bytes, so no spectrum, step size or trace can move.
 """
@@ -164,3 +165,33 @@ def test_large_ring_set_up_allocates_little_beyond_its_matrices(algo, mixing, bo
     finally:
         tracemalloc.stop()
     assert peak <= bound * m * m * 8
+
+
+def _reference_gossip_mean(graph: Graph) -> np.ndarray:
+    mean_w = np.eye(graph.m)
+    edges = graph.edge_list()
+    scale = 0.5 / len(edges)
+    for i, j in edges:
+        mean_w[i, i] -= scale
+        mean_w[j, j] -= scale
+        mean_w[i, j] += scale
+        mean_w[j, i] += scale
+    return mean_w
+
+
+GOSSIP_CASES = [(kind, m) for kind, m in CASES if m >= 2 and (kind != "complete" or m <= 256)]
+
+
+@pytest.mark.parametrize("kind,m", GOSSIP_CASES)
+def test_gossip_mean_matrix_equals_the_reference_loop(monkeypatch, kind, m):
+    graph = _graph(kind, m)
+    seen: list[np.ndarray] = []
+
+    def recording(matrix):
+        seen.append(matrix.copy())
+        return np.array([0.0, 1.0])  # any contracting spectrum; only the matrix is checked
+
+    monkeypatch.setattr(topology, "_symmetric_spectrum", recording)
+    topology.gossip_contraction.__wrapped__(graph)  # past the per-graph cache
+    (mean_w,) = seen
+    assert _same_bytes(mean_w, _reference_gossip_mean(graph))
