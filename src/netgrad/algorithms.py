@@ -32,6 +32,7 @@ and are bit-identical to exact-gradient runs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -480,49 +481,67 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def state_means(state: SsState) -> np.ndarray:
-    """Column means of the stacked state, one reduction per block layout.
+def state_means(states: SsState | Sequence[SsState]) -> np.ndarray:
+    """Column means of a chunk of stacked states, one reduction per block layout.
 
-    Rows 0 and 1 are the full-stack means of ``x`` and ``s``. A stacked
-    state adds rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``,
-    ``s[:m]`` and ``s[m:]``, from a second reduction over the
-    ``(2, blocks, m, d)`` view. Every row equals :func:`column_mean` of its
-    slice bit for bit. Either way the last ``2 * blocks`` rows are the block
-    means, x blocks before s blocks, and row ``-2 * blocks`` is the mean of
-    the working iterate ``x[:m]``.
+    ``states`` is a chunk of ``K`` states of one run, so of one shape; the
+    result has shape ``(K, rows, d)``, row block ``k`` for ``states[k]``. A
+    single state is a chunk of one and gets its ``(rows, d)`` block. Rows 0
+    and 1 are the full-stack means of ``x`` and ``s``. A stacked state adds
+    rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``, ``s[:m]`` and
+    ``s[m:]``, from a second reduction over the ``(K, 2 * blocks, m, d)``
+    view. Every row equals :func:`column_mean` of its slice bit for bit.
+    Either way the last ``2 * blocks`` rows are the block means, x blocks
+    before s blocks, and row ``-2 * blocks`` is the mean of the working
+    iterate ``x[:m]``.
     """
-    xs = state.xs
-    blocks = state.blocks
+    if isinstance(states, SsState):
+        return state_means((states,))[0]
+    count = len(states)
+    blocks = states[0].blocks
+    m, d = states[0].g_snap.shape
+    # One concatenation stacks the chunk; np.stack costs about three times as much.
+    xs = np.concatenate([state.xs for state in states]).reshape(count, 2, blocks * m, d)
     if blocks == 1:
-        means = np.add.reduce(xs, axis=1)
-        means /= float(xs.shape[1])
+        means = np.add.reduce(xs, axis=2)
+        means /= float(m)
         return means
-    m, d = state.g_snap.shape
-    means = np.empty((2 + 2 * blocks, d))
-    full, block = means[:2], means[2:]
-    np.add.reduce(xs, axis=1, out=full)
-    np.add.reduce(xs.reshape(2 * blocks, m, d), axis=1, out=block)
+    means = np.empty((count, 2 + 2 * blocks, d))
+    full, block = means[:, :2], means[:, 2:]
+    np.add.reduce(xs, axis=2, out=full)
+    np.add.reduce(xs.reshape(count, 2 * blocks, m, d), axis=2, out=block)
     # Float divisors, as in column_mean.
-    full /= float(xs.shape[1])
+    full /= float(blocks * m)
     block /= float(m)
     return means
 
 
-def audit_identities(
-    state: SsState, means: np.ndarray | None = None, mean_before: np.ndarray | None = None
-) -> list[tuple[str, float, float]]:
-    """Raw self-check residuals for the tracking identities.
+#: One audited identity: its name, its error and the scale it is compared against.
+Check = tuple[str, float, float]
 
-    Returns ``(name, error, scale)`` triples where ``error`` is the Euclidean
-    size of the violated identity and ``scale`` the magnitude it should be
-    compared against. Callers normalize against a running maximum of the
-    scale so that late-run ratios stay meaningful after the quantities have
-    converged toward zero.
+
+def audit_identities(
+    states: SsState | Sequence[SsState],
+    means: np.ndarray | None = None,
+    mean_before: np.ndarray | None = None,
+) -> list[Check] | list[list[Check]]:
+    """Raw self-check residuals for the tracking identities of a chunk of states.
+
+    ``states`` is a chunk of consecutive states of one run. For each state
+    the result holds a list of ``(name, error, scale)`` triples, where
+    ``error`` is the Euclidean size of the violated identity and ``scale``
+    the magnitude it should be compared against. Callers normalize against a
+    running maximum of the scale so that late-run ratios stay meaningful
+    after the quantities have converged toward zero. A single state is a
+    chunk of one and gets its own list of triples.
 
     Checked identities, in this order:
-        * mean dynamics (only when ``mean_before``, the full-stack iterate
-          mean before the last step, is given): the full-stack iterate mean
-          moved by exactly ``-last_eta * last_grad_mean``;
+        * mean dynamics (for every state but a first one without
+          ``mean_before``): the full-stack iterate mean moved by exactly
+          ``-last_eta * last_grad_mean`` from the mean before the step. That
+          is ``mean_before`` for the chunk's first state, the full-stack
+          iterate mean before the chunk (``None`` at a run's start, which
+          has no step), and the previous state's mean for every later one;
         * stacked state (more than one block): the working block and the
           trailing block of the iterate and of the tracker keep equal column
           sums;
@@ -530,38 +549,49 @@ def audit_identities(
           the column mean of the stored snapshot gradients (for ``dsgt``, the
           last sampled ones).
 
-    ``means`` is :func:`state_means` of ``state`` when the caller already has
-    it. Every norm comes from one ``sqrt(vecdot)`` over the stacked vectors,
-    which equals :func:`vector_norm` of each bit for bit.
+    ``means`` is :func:`state_means` of the chunk when the caller already
+    has it. Every norm of the chunk comes from one ``sqrt(vecdot)`` over the
+    stacked vectors, which equals :func:`vector_norm` of each bit for bit.
     """
+    if isinstance(states, SsState):
+        return audit_identities((states,), None if means is None else means[None], mean_before)[0]
     if means is None:
-        means = state_means(state)
-    k = len(means)
+        means = state_means(states)
+    count, k, d = means.shape
     stacked = k > 2
-    # Rows: the means; the full-stack means x and s should have (x moved by
-    # the step from mean_before, s at the snapshot gradient mean); the
-    # residuals of the two; the step's gradient mean and mean_before; and,
-    # for a stacked state, the top-minus-bottom block residuals of x and s.
-    rows = np.zeros((k + (8 if stacked else 6), means.shape[1]))
-    rows[:k] = means
-    target = rows[k : k + 2]
-    if mean_before is not None:
-        moved = target[0]
-        np.multiply(state.last_grad_mean, state.last_eta, out=moved)
-        np.subtract(mean_before, moved, out=moved)
-        rows[k + 4] = state.last_grad_mean
-        rows[k + 5] = mean_before
-    target[1] = state.g_snap_mean
-    np.subtract(means[:2], target, out=rows[k + 2 : k + 4])
+    # Rows of each state: the means; the full-stack means x and s should
+    # have (x moved by the step from the mean before it, s at the snapshot
+    # gradient mean); the residuals of the two; the step's gradient mean and
+    # the mean before the step; and, for a stacked state, the
+    # top-minus-bottom block residuals of x and s.
+    rows = np.zeros((count, k + (8 if stacked else 6), d))
+    rows[:, :k] = means
+    first = 0 if mean_before is not None else 1
+    if count > first:
+        stepped = states[first:]
+        before = rows[first:, k + 5]
+        before[1 - first :] = means[:-1, 0]
+        if mean_before is not None:
+            before[0] = mean_before
+        grad_means = rows[first:, k + 4]
+        grad_means[...] = np.concatenate([state.last_grad_mean for state in stepped]).reshape(-1, d)
+        moved = rows[first:, k]
+        etas = np.array([state.last_eta for state in stepped])
+        np.multiply(grad_means, etas[:, None], out=moved)
+        np.subtract(before, moved, out=moved)
+    rows[:, k + 1] = np.concatenate([state.g_snap_mean for state in states]).reshape(count, d)
+    np.subtract(means[:, :2], rows[:, k : k + 2], out=rows[:, k + 2 : k + 4])
     if stacked:
-        np.subtract(means[2::2], means[3::2], out=rows[k + 6 :])
-    norms = np.sqrt(np.vecdot(rows, rows)).tolist()
-    checks = []
-    if mean_before is not None:
-        scale = max(norms[0], norms[k + 5], state.last_eta * norms[k + 4])
-        checks.append(("mean_dynamics", norms[k + 2], scale))
-    if stacked:
-        checks.append(("block_sum_x", norms[k + 6], max(norms[2], norms[3])))
-        checks.append(("block_sum_s", norms[k + 7], max(norms[4], norms[5])))
-    checks.append(("tracker_mean", norms[k + 3], max(norms[1], norms[k + 1])))
-    return checks
+        np.subtract(means[:, 2::2], means[:, 3::2], out=rows[:, k + 6 :])
+    chunk = []
+    for index, (state, norms) in enumerate(zip(states, np.sqrt(np.vecdot(rows, rows)).tolist())):
+        checks = []
+        if index >= first:
+            scale = max(norms[0], norms[k + 5], state.last_eta * norms[k + 4])
+            checks.append(("mean_dynamics", norms[k + 2], scale))
+        if stacked:
+            checks.append(("block_sum_x", norms[k + 6], max(norms[2], norms[3])))
+            checks.append(("block_sum_s", norms[k + 7], max(norms[4], norms[5])))
+        checks.append(("tracker_mean", norms[k + 3], max(norms[1], norms[k + 1])))
+        chunk.append(checks)
+    return chunk

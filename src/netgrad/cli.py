@@ -18,7 +18,9 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -83,6 +85,20 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _check_writable(path: str | None) -> None:
+    """Fail before any run when ``path`` cannot be created as a file.
+
+    A run's result is written only after its last iteration, so a missing
+    or unwritable directory (or a directory in the file's place) is caught
+    here, before the work that would be lost, and reported with the path.
+    """
+    if not path:
+        return
+    folder = Path(path).parent
+    if Path(path).is_dir() or not folder.is_dir() or not os.access(folder, os.W_OK):
+        raise OSError(errno.ENOENT, "cannot create a file at this path", str(path))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netgrad",
@@ -126,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    trace = run_experiment(cfg)
     out = args.out_path if args.out_path is not None else cfg.out
+    _check_writable(out)
+    trace = run_experiment(cfg)
     if out:
         write_trace(trace, out)
         save_config(cfg, str(out) + ".config.json")
@@ -144,6 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot parse sizes from '{args.sizes}'", "agents") from None
     algos = [part.strip() for part in args.algos.split(",") if part.strip()]
     multipliers = {"dsgt": args.dsgt_multiplier} if args.dsgt_multiplier != 1.0 else None
+    _check_writable(args.out_path)
     result = sweep_topology(
         _run_config(args),
         sizes,

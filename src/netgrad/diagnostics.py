@@ -247,19 +247,26 @@ def record_iteration(
     means: np.ndarray,
     subopt: float,
     wavg_subopt: float | None = None,
+    snap_grad_dist: float | None = None,
 ) -> IterRecord:
     """Assemble the diagnostic record for the current state.
 
     ``means`` is :func:`~netgrad.algorithms.state_means` of ``state`` and
     ``subopt`` the suboptimality of its working-block mean, as the driving
-    loop computed them. The gradient distance is taken at the snapshot
-    point ``state.q``. Consensus errors are taken blockwise, equal bit for bit
-    to :func:`consensus_error` of ``state.x`` and ``state.s``, and a stacked
-    state gets the momentum Lyapunov value ``psi_tilde``, with the envelope
-    constant :data:`~netgrad.topology.MOMENTUM_ENVELOPE`, in place of ``psi``.
+    loop computed them. ``snap_grad_dist`` is
+    :func:`snapshot_gradient_distance` at the snapshot point ``state.q``,
+    computed here when not given: the snapshot moves only when the coin
+    fires, so the loop computes it once per snapshot point and passes it to
+    every record taken there. Consensus errors are taken blockwise, equal
+    bit for bit to :func:`consensus_error` of ``state.x`` and ``state.s``,
+    and a stacked state gets the momentum Lyapunov value ``psi_tilde``, with
+    the envelope constant :data:`~netgrad.topology.MOMENTUM_ENVELOPE`, in
+    place of ``psi``.
     """
     blocks = state.blocks
-    dist = snapshot_gradient_distance(problem, state.q)
+    dist = snap_grad_dist
+    if dist is None:
+        dist = snapshot_gradient_distance(problem, state.q)
     # One centred reduction over the (2 * blocks, m, d) layout of the stacked
     # state gives every block's consensus error, as consensus_error would.
     parts = state.xs.reshape(2 * blocks, problem.m, problem.d)

@@ -27,7 +27,6 @@ import numpy as np
 from .algorithms import (
     ALGORITHMS,
     Schedule,
-    SsState,
     assdsgt_step,
     audit_identities,
     dsgt_step,
@@ -37,7 +36,13 @@ from .algorithms import (
     step_size,
     theory_schedule,
 )
-from .diagnostics import CSV_COLUMNS, IterRecord, WeightedAverager, record_iteration
+from .diagnostics import (
+    CSV_COLUMNS,
+    IterRecord,
+    WeightedAverager,
+    record_iteration,
+    snapshot_gradient_distance,
+)
 from .errors import ConfigError, InvariantViolation
 from .objectives import QuadraticProblem, global_suboptimality, make_quadratic_suite
 from .streams import StreamBundle
@@ -480,7 +485,27 @@ def _tuned_schedule(cfg: ExperimentConfig) -> Schedule | None:
     return tune_dsgt_beta(cfg)
 
 
+#: Most consecutive states a run observes in one batched pass.
+_OBSERVE_CHUNK = 64
+#: Bound on the doubles of one chunk's stacked states (256 KiB); a chunk
+#: holds at least one state however large ``m * d`` is.
+_CHUNK_DOUBLES = 2**15
+
+
 def _execute(setup: RunSetup) -> Trace:
+    """Step and observe a prepared run.
+
+    The steps are sequential, but their observation is not: the loop steps
+    up to :data:`_OBSERVE_CHUNK` states ahead (fewer when their stacked
+    arrays would pass :data:`_CHUNK_DOUBLES`), then takes the chunk's state
+    means, identity audits and suboptimalities in one batched pass each.
+    It then walks the chunk in iteration order; each state gets its mean
+    dynamics check, its finiteness check, its averager push, its other
+    identity checks, its checkpoint, its stop test and its record, in that
+    order. The first stop or violation ends the run, and the states stepped
+    past it are discarded, so a run's records, summary and failure do not
+    depend on the chunk length.
+    """
     cfg = setup.cfg
     problem = setup.problem
     sched = setup.sched
@@ -497,57 +522,72 @@ def _execute(setup: RunSetup) -> Trace:
     checkpoints = set(cfg.avg_checkpoints)
     noisy = cfg.sigma_bar > 0.0
     eps = cfg.eps_stop
-
-    def observe(
-        current: SsState, eta_t: float, means: np.ndarray, mean_before: np.ndarray | None
-    ) -> bool:
-        """Audit, push and record the current iteration; True to stop early.
-
-        ``eta_t`` is the step size at ``current.t``, ``means`` the
-        :func:`state_means` of ``current`` and ``mean_before`` the full-stack
-        iterate mean before the last step (``None`` at the start). The mean
-        dynamics are checked first, then the suboptimality, then the other
-        identities.
-        """
-        t = current.t
-        checks = audit_identities(current, means, mean_before)
-        first = 0 if mean_before is None else 1
-        audits.check(checks[:first], t)
-        subopt = global_suboptimality(problem, means[-2 * current.blocks])
-        if not math.isfinite(subopt):
-            raise InvariantViolation(f"suboptimality of the average iterate is {subopt}", iteration=t)
-        averager.push(eta_t, subopt)
-        audits.check(checks[first:], t)
-        if t in checkpoints:
-            wavg_at[str(t)] = averager.average
-        stop = eps is not None and (averager.average if noisy else subopt) <= eps
-        if stop or t % cfg.stride == 0 or t == cfg.iters:
-            try:
-                records.append(
-                    record_iteration(current, problem, eta_t, setup.theta, means, subopt, averager.average)
-                )
-            except ValueError as exc:  # a non-finite or negative diagnostic
-                raise InvariantViolation(str(exc), iteration=t) from None
-        return stop
+    stopped_early = False
+    # The snapshot point of the last record and its gradient distance: the
+    # point moves only when the coin fires, so records share the distance.
+    dist_at: np.ndarray | None = None
+    dist = 0.0
 
     # A diverging state, or an overflowing start, overflows before the
     # finiteness checks see it; the checks report it with its iteration, so
     # numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         state = init_state(problem, setup.x0, cfg.algo, streams)
-        # Each iteration's step size and state means are computed once:
-        # observe uses them, then the next step and its mean-dynamics audit
-        # reuse them.
+        size = max(1, min(_OBSERVE_CHUNK, _CHUNK_DOUBLES // state.xs.size))
+        # Each state's step size is computed once: the walk pushes and
+        # records it, and the step from that state takes it.
         eta = step_size(sched, state.t)
-        means = state_means(state)
-        stopped_early = observe(state, eta, means, None)
-
-        while not stopped_early and state.t < cfg.iters:
-            op = static_op or random_edge_gossip(setup.graph, streams.gossip)
-            state = step(state, problem, op, sched, streams, eta)
-            mean_before, means = means[0], state_means(state)
-            eta = step_size(sched, state.t)
-            stopped_early = observe(state, eta, means, mean_before)
+        chunk, etas = [state], [eta]
+        # The full-stack iterate mean before the chunk's first state: the
+        # run's start has none.
+        mean_before: np.ndarray | None = None
+        while True:
+            while len(chunk) < size and state.t < cfg.iters:
+                op = static_op or random_edge_gossip(setup.graph, streams.gossip)
+                state = step(state, problem, op, sched, streams, eta)
+                eta = step_size(sched, state.t)
+                chunk.append(state)
+                etas.append(eta)
+            means = state_means(chunk)
+            checks = audit_identities(chunk, means, mean_before)
+            subopts = global_suboptimality(problem, means[:, -2 * state.blocks])
+            for current, eta_t, current_means, current_checks, subopt in zip(
+                chunk, etas, means, checks, subopts
+            ):
+                t = current.t
+                # The mean dynamics come first, then the suboptimality, then
+                # the other identities; the start has no step to check.
+                first = 0 if t == 0 else 1
+                audits.check(current_checks[:first], t)
+                if not math.isfinite(subopt):
+                    raise InvariantViolation(
+                        f"suboptimality of the average iterate is {subopt}", iteration=t
+                    )
+                averager.push(eta_t, subopt)
+                audits.check(current_checks[first:], t)
+                if t in checkpoints:
+                    wavg_at[str(t)] = averager.average
+                stopped_early = eps is not None and (averager.average if noisy else subopt) <= eps
+                if stopped_early or t % cfg.stride == 0 or t == cfg.iters:
+                    if current.q is not dist_at:
+                        dist_at = current.q
+                        dist = snapshot_gradient_distance(problem, dist_at)
+                    try:
+                        records.append(
+                            record_iteration(
+                                current, problem, eta_t, setup.theta, current_means, subopt,
+                                averager.average, dist,
+                            )
+                        )
+                    except ValueError as exc:  # a non-finite or negative diagnostic
+                        raise InvariantViolation(str(exc), iteration=t) from None
+                if stopped_early:
+                    state = current
+                    break
+            if stopped_early or state.t == cfg.iters:
+                break
+            mean_before = means[-1, 0]
+            chunk, etas = [], []
 
     final = records[-1]
     summary = {
@@ -641,6 +681,11 @@ def tune_dsgt_step(cfg: ExperimentConfig, eps: float | None = None) -> Schedule:
         raise ConfigError(f"step tuning applies to 'dsgt', got '{cfg.algo}'", "algo")
     if cfg.sigma_bar != 0.0:
         raise ConfigError("the halving search needs a noiseless run", "sigma_bar")
+    if cfg.mixing == "random-gossip":
+        # The stability check reads the system radius of a static matrix.
+        raise ConfigError(
+            "the halving search needs a static mixing matrix, got 'random-gossip'", "mixing"
+        )
     target = eps if eps is not None else (cfg.eps_stop if cfg.eps_stop is not None else 1e-6)
     setup = prepare_run(cfg)
 

@@ -262,13 +262,16 @@ def global_value(problem: QuadraticProblem, v: np.ndarray) -> float:
     return float(np.mean(quad_terms + linear_terms))
 
 
-def global_suboptimality(problem: QuadraticProblem, v: np.ndarray) -> float:
+def global_suboptimality(problem: QuadraticProblem, v: np.ndarray) -> float | list[float]:
     """Gap ``f(v) - f(x*)`` computed through the cancellation-free route.
 
     Uses the identity ``f(v) - f(x*) = 0.5 * (v - x*)^T qbar (v - x*)``,
     which stays accurate near the minimizer where the two objective values
-    would cancel.
+    would cancel. ``v`` is one point ``(d,)``, which gives a float, or a
+    stack of points ``(K, d)``, which gives a list of ``K`` floats. Both go
+    through the same two batched products, each row's equal bit for bit to
+    ``delta @ qbar @ delta`` of that row alone.
     """
-    v = np.asarray(v, dtype=np.float64)
-    delta = v - problem.x_star
-    return 0.5 * float(delta @ problem.qbar @ delta)
+    delta = np.asarray(v, dtype=np.float64) - problem.x_star
+    quad = np.matmul(np.matmul(delta[..., None, :], problem.qbar), delta[..., :, None])
+    return (0.5 * quad[..., 0, 0]).tolist()

@@ -284,14 +284,19 @@ def test_sweep_exits_two_before_any_cell_runs(monkeypatch, capsys, argv, field):
         ["plot", "--out"],
     ],
 )
-def test_an_unwritable_output_exits_two_naming_the_path(tmp_path: Path, capsys, argv):
+def test_an_unwritable_output_exits_two_naming_the_path(tmp_path: Path, monkeypatch, capsys, argv):
     if argv[0] == "plot":
         trace = tmp_path / "t.csv"
         assert cli.main(["run", "--iters", "5", "--out", str(trace)]) == 0
         argv = ["plot", str(trace), "--out"]
     target = tmp_path / "missing" / "x.out"
+    calls = _counting_runs(monkeypatch)
+    # `run` calls the name it imported into the cli module.
+    monkeypatch.setattr(cli, "run_experiment", harness.run_experiment)
     assert cli.main([*argv, str(target)]) == 2
     assert str(target) in capsys.readouterr().err
+    # Checked before the first iteration, not after the runs.
+    assert calls == []
 
 
 def test_an_unreadable_config_exits_two_naming_the_path(tmp_path: Path, capsys):

@@ -1,10 +1,12 @@
 """The batched and fused routes of an iteration equal their references bit for bit.
 
-An iteration mixes its iterate and tracker in one batched ``apply``, takes
-every column mean from two stacked reductions, every audit norm from one
-``sqrt(vecdot)``, and every recorded consensus error from one centred
-reduction. Each route is checked here against the per-slice reference it
-replaces, over agent counts, dimensions and scales from 1e-8 to 1e8.
+An iteration mixes its iterate and tracker in one batched ``apply``, and
+every recorded consensus error comes from one centred reduction. A run
+observes its states in chunks: it takes every column mean of a chunk from
+two stacked reductions, every audit norm from one ``sqrt(vecdot)`` and every
+suboptimality from two batched products. Each route is checked here against
+the per-slice reference it replaces, over agent counts, dimensions, chunk
+lengths and scales from 1e-8 to 1e8.
 """
 
 from __future__ import annotations
@@ -185,3 +187,62 @@ def test_record_fields_equal_the_public_diagnostics(m, d):
             # block's mean lands in mean_dist bit for bit.
             delta = xbar - problem.x_star
             assert record.mean_dist == float(delta @ delta)
+
+
+CHUNKS = (1, 2, 64)
+
+
+def _chunk(m: int, d: int, blocks: int, scale: float, count: int, rng: np.random.Generator) -> list[SsState]:
+    return [_state(m, d, blocks, scale, rng) for _ in range(count)]
+
+
+def _chunk_cases():
+    for m in SIZES:
+        for d in DIMS:
+            for blocks in (1, 2):
+                for scale in SCALES:
+                    for count in CHUNKS:
+                        yield m, d, blocks, scale, count
+
+
+def test_chunk_means_equal_per_state_column_means():
+    rng = np.random.default_rng(4)
+    for m, d, blocks, scale, count in _chunk_cases():
+        states = _chunk(m, d, blocks, scale, count, rng)
+        means = state_means(states)
+        assert means.shape[0] == count
+        for state, row in zip(states, means):
+            expected = [column_mean(state.x), column_mean(state.s)]
+            if blocks == 2:
+                expected += [column_mean(state.x[:m]), column_mean(state.x[m:])]
+                expected += [column_mean(state.s[:m]), column_mean(state.s[m:])]
+            assert row.tobytes() == np.array(expected).tobytes(), (m, d, blocks, scale, count)
+
+
+def test_chunk_audit_equals_per_state_norms():
+    rng = np.random.default_rng(5)
+    for m, d, blocks, scale, count in _chunk_cases():
+        states = _chunk(m, d, blocks, scale, count, rng)
+        before = scale * rng.standard_normal(d)
+        # Every state but the first steps from the previous state's mean.
+        befores = [before] + [column_mean(state.x) for state in states[:-1]]
+        expected = [_reference_audit(state, b) for state, b in zip(states, befores)]
+        case = (m, d, blocks, scale, count)
+        assert audit_identities(states, state_means(states), before) == expected, case
+        # A run's start has no step to check.
+        assert audit_identities(states) == [_reference_audit(states[0], None)] + expected[1:], case
+
+
+def test_stacked_suboptimality_equals_the_per_point_form():
+    rng = np.random.default_rng(6)
+    for d in DIMS:
+        problem = make_quadratic_suite(4, d, 0.5, 4.0, 1.0, rng)
+        for scale in SCALES:
+            for count in CHUNKS:
+                points = problem.x_star + scale * rng.standard_normal((count, d))
+                expected = []
+                for v in points:
+                    delta = v - problem.x_star
+                    expected.append(0.5 * float(delta @ problem.qbar @ delta))
+                assert global_suboptimality(problem, points) == expected, (d, scale, count)
+                assert [global_suboptimality(problem, v) for v in points] == expected, (d, scale, count)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -505,6 +508,35 @@ def test_tuner_raises_when_budget_is_hopeless():
     cfg = _small_cfg(algo="dsgt", agents=8, iters=30, x0_radius=3.0, dsgt_tuning="tuned")
     with pytest.raises(InvariantViolation):
         tune_dsgt_step(cfg, eps=1e-12)
+
+
+def test_step_tuning_on_random_gossip_names_the_mixing_field():
+    # The halving search reads the radius of a static matrix; a gossip config
+    # that reaches it directly (matched tuning passes validation) is a config
+    # problem, not a failed assertion.
+    cfg = _small_cfg(algo="dsgt", mixing="random-gossip", iters=200)
+    with pytest.raises(ConfigError) as excinfo:
+        tune_dsgt_step(cfg)
+    assert excinfo.value.field == "mixing"
+
+
+def test_step_tuning_on_random_gossip_names_the_mixing_field_under_optimisation():
+    # `python -O` strips asserts, so the check must not be one.
+    script = (
+        "from netgrad.errors import ConfigError\n"
+        "from netgrad.harness import ExperimentConfig, tune_dsgt_step\n"
+        "try:\n"
+        "    tune_dsgt_step(ExperimentConfig(algo='dsgt', mixing='random-gossip', agents=4, iters=200))\n"
+        "except ConfigError as exc:\n"
+        "    print(exc.field)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "mixing"
 
 
 def test_decay_tuner_skips_divergent_candidates():

@@ -50,15 +50,14 @@ def test_traced_gossip_run_counts_one_draw_and_one_step_per_iteration():
 
 
 # Calls per layer on a traced 20-iteration ring-6 run: one step per
-# iteration, one audit and one suboptimality per observed iteration, and
-# (stride 1) one record. The record reuses the loop's suboptimality, where it
-# used to read it a second time (42 calls). The batched step mixes the
-# momentum state in one augmented apply per iteration, where the two-apply
-# step made two.
+# iteration and (stride 1) one record per state. The run observes its 21
+# states in one chunk, so one batched audit and one batched suboptimality
+# serve all of them. The batched step mixes the momentum state in one
+# augmented apply per iteration, where the two-apply step made two.
 _LAYER_CALLS = {
     "algorithms.step": 20,
-    "algorithms.audit_identities": 21,
-    "objectives.global_suboptimality": 21,
+    "algorithms.audit_identities": 1,
+    "objectives.global_suboptimality": 1,
     "diagnostics.record_iteration": 21,
 }
 
@@ -73,3 +72,14 @@ def test_traced_runs_keep_their_layer_call_counts():
         assert calls == _LAYER_CALLS, algo
         augmented = p.stats.get("topology.augmented_apply")
         assert (augmented.calls if augmented else 0) == (20 if algo == "assdsgt" else 0), algo
+
+
+def test_traced_runs_observe_once_per_chunk(monkeypatch):
+    # Chunks of 8 split the 21 states 8, 8, 5: three batched passes.
+    probe = _load_probe()
+    monkeypatch.setattr(netgrad.harness, "_OBSERVE_CHUNK", 8)
+    cfg = ExperimentConfig(topology="ring", agents=6, iters=20)
+    with probe.Probe(traced=True) as p:
+        netgrad.harness.run_experiment(cfg)
+    calls = {layer: p.stats[layer].calls for layer in _LAYER_CALLS}
+    assert calls == {**_LAYER_CALLS, "algorithms.audit_identities": 3, "objectives.global_suboptimality": 3}

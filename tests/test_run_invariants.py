@@ -10,7 +10,11 @@ them:
   600-iteration run, for constant and decaying schedules;
 * **early stop**: a run with ``eps_stop`` stops at the first stride-1 record
   whose metric (the weighted average for noisy runs) is at or under the
-  target, whatever its stride, and its last record is that record.
+  target, whatever its stride, and its last record is that record;
+* **chunk length**: a run observes its states in chunks of up to
+  ``harness._OBSERVE_CHUNK``; a horizon, an early stop or a NaN state on
+  either side of a chunk boundary gives the same trace bytes, summary or
+  violation (message and iteration) at every chunk length, one included.
 
 Examples are drawn with ``derandomize=True``, so a failure reproduces.
 """
@@ -19,11 +23,14 @@ from __future__ import annotations
 
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from netgrad.harness import MIXINGS, ExperimentConfig, run_experiment
+from netgrad import harness
+from netgrad.errors import InvariantViolation
+from netgrad.harness import MIXINGS, ExperimentConfig, run_experiment, write_trace
 
 #: The mixing variants each algorithm runs with. Every test takes each
 #: algorithm in turn, so none is left to the draw.
@@ -109,3 +116,84 @@ def test_early_stop_lands_on_the_first_stride_one_record_under_eps(algo, data, s
     assert stopped.summary["stopped_early"]
     assert stopped.summary["final_t"] == first.t
     assert _bits(stopped.records[-1:]) == _bits([first])
+
+
+#: Chunk lengths of the boundary tests: one state per pass (the reference),
+#: two short chunks and the default.
+CHUNKS = (1, 2, 7, harness._OBSERVE_CHUNK)
+#: The iterations just before, at and just after each chunk length K (the
+#: last state of the first chunk, the first and second of the next) and 2K.
+#: The start, 0, cannot be a horizon, and no step makes it.
+BOUNDARIES = sorted({t for k in CHUNKS for t in (k - 1, k, k + 1, 2 * k)} - {0})
+#: One run per algorithm, a noisy gossip run among them. Each metric falls
+#: strictly at every boundary, so an early stop can land on each.
+BOUNDARY_RUNS = (
+    ExperimentConfig(agents=6, algo="dsgt", mixing="metropolis", x0_radius=3.0, stride=3),
+    ExperimentConfig(
+        topology="star", agents=5, algo="ssdsgt", mixing="random-gossip", sigma_bar=1.0,
+        x0_radius=3.0, stride=3,
+    ),
+    ExperimentConfig(agents=6, algo="assdsgt", mixing="lazy-metropolis", x0_radius=3.0, stride=3),
+)
+BOUNDARY = pytest.mark.parametrize("cfg", BOUNDARY_RUNS, ids=lambda cfg: cfg.algo)
+
+
+def _outcome_at_every_chunk_length(monkeypatch, tmp_path, cfg: ExperimentConfig) -> tuple:
+    """Run ``cfg`` at every chunk length; assert one outcome and return it.
+
+    The outcome is the trace file's bytes, the records and the summary, or
+    the violation's message and iteration.
+    """
+    outcomes = []
+    for chunk in CHUNKS:
+        monkeypatch.setattr(harness, "_OBSERVE_CHUNK", chunk)
+        try:
+            trace = run_experiment(cfg)
+        except InvariantViolation as exc:
+            outcomes.append(("violation", str(exc), exc.iteration))
+            continue
+        path = tmp_path / "trace.csv"
+        write_trace(trace, path)
+        outcomes.append((path.read_bytes(), _bits(trace.records), repr(trace.summary)))
+    assert outcomes == outcomes[:1] * len(CHUNKS)
+    return outcomes[0]
+
+
+@BOUNDARY
+def test_a_horizon_on_a_chunk_boundary_runs_alike_at_every_chunk_length(monkeypatch, tmp_path, cfg):
+    for iters in BOUNDARIES:
+        _, records, _ = _outcome_at_every_chunk_length(monkeypatch, tmp_path, replace(cfg, iters=iters))
+        assert records[-1].startswith(f"({iters},")
+
+
+@BOUNDARY
+def test_an_early_stop_on_a_chunk_boundary_runs_alike_at_every_chunk_length(monkeypatch, tmp_path, cfg):
+    cfg = replace(cfg, iters=200)
+    full = run_experiment(replace(cfg, stride=1))
+    metric = [r.wavg_subopt if cfg.sigma_bar > 0.0 else r.subopt for r in full.records]
+    for stop in BOUNDARIES:
+        eps = metric[stop]
+        assert eps < min(metric[:stop])  # so the first stride-1 record at or under eps
+        _, records, summary = _outcome_at_every_chunk_length(
+            monkeypatch, tmp_path, replace(cfg, eps_stop=eps)
+        )
+        assert records[-1] == _bits(full.records[stop : stop + 1])[0]
+        assert "'stopped_early': True" in summary
+
+
+@BOUNDARY
+def test_a_nan_on_a_chunk_boundary_fails_alike_at_every_chunk_length(monkeypatch, tmp_path, cfg):
+    name = f"{cfg.algo}_step"
+    step = getattr(harness, name)
+    for at in BOUNDARIES:
+
+        def poisoned(state, *args, at=at, **kwargs):
+            new = step(state, *args, **kwargs)
+            if new.t == at:
+                new.x[1, 0] = np.nan
+            return new
+
+        monkeypatch.setattr(harness, name, poisoned)
+        outcome = _outcome_at_every_chunk_length(monkeypatch, tmp_path, replace(cfg, iters=200))
+        expected = f"iteration {at}: identity 'mean_dynamics' off by a relative nan (threshold 1e-07)"
+        assert outcome == ("violation", expected, at)
