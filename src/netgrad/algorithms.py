@@ -37,10 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The function ``np.einsum`` forwards to when ``optimize`` is off, called
+# without the wrapper's argument handling.
+from numpy._core.multiarray import c_einsum
+
 # ``stochastic_gradients`` is the per-call reference oracle; the iterations
 # use block-served noise instead, but perfbench's layer probe still looks the
 # oracle up under this module's name.
-from .objectives import QuadraticProblem, exact_gradients, stochastic_gradients  # noqa: F401
+from .objectives import QuadraticProblem, stochastic_gradients  # noqa: F401
 from .streams import StreamBundle
 from .topology import AugmentedMixing, EdgeGossip, MixingMatrix
 
@@ -214,12 +218,15 @@ class SsState:
     operator, two for the augmented operator (the working block on top of
     the trailing block). The working iterate is ``x[:m]``. ``q`` is the
     snapshot point and ``g_snap`` the stored gradient realization taken at
-    ``q`` when the coin last fired (iteration ``tau``), with column mean
-    ``g_snap_mean`` (computed from ``g_snap`` when not given). ``dsgt``
-    re-takes its snapshot at every iterate: it passes ``q=None``, which
-    makes ``q`` the view ``x`` itself, ``g_snap`` holds the gradients
-    sampled there and ``tau == t``. The ``last_*`` fields describe the most
-    recent transition for diagnostics.
+    ``q`` when the coin last fired (iteration ``tau``). ``dsgt`` re-takes
+    its snapshot at every iterate: it passes ``q=None``, which makes ``q``
+    the view ``x`` itself, ``g_snap`` holds the gradients sampled there and
+    ``tau == t``. The ``last_*`` fields describe the most recent transition
+    for diagnostics: ``last_grads`` holds the ``(m, d)`` gradient rows whose
+    column mean moved the iterate mean (the fresh rows of a snapshot step,
+    the previous snapshot rows of a ``dsgt`` step; ``None`` at the start).
+    A step computes no means: :func:`audit_identities` takes them for a
+    whole chunk of states at once.
 
     ``trailing_product`` is the unscaled base product ``W @ s[m:]`` of a
     stacked state, when the step that made it already holds those bits, and
@@ -238,8 +245,7 @@ class SsState:
     t: int
     last_eta: float = 0.0
     last_zeta: int = 0
-    last_grad_mean: np.ndarray | None = None
-    g_snap_mean: np.ndarray | None = None
+    last_grads: np.ndarray | None = None
     trailing_product: np.ndarray | None = None
     x: np.ndarray = field(init=False, repr=False)
     s: np.ndarray = field(init=False, repr=False)
@@ -251,8 +257,6 @@ class SsState:
         self.blocks = len(self.x) // len(self.g_snap)
         if self.q is None:
             self.q = self.x
-        if self.g_snap_mean is None:
-            self.g_snap_mean = column_mean(self.g_snap)
 
     @property
     def x_aug(self) -> np.ndarray:
@@ -283,15 +287,20 @@ def _sampled_gradients(
 
     Equals :func:`~netgrad.objectives.stochastic_gradients` on the bundle's
     agent streams bit for bit: the noise is scaled elementwise either way.
-    Noiseless problems leave the streams untouched.
+    The exact rows are :func:`~netgrad.objectives.exact_gradients` without
+    its argument checks (``x`` is always an ``(m, d)`` float array here),
+    through the ``c_einsum`` that ``np.einsum`` forwards to, so the bits
+    are the same. Noiseless problems leave the streams untouched.
     """
-    grads = exact_gradients(problem, x)
+    grads = c_einsum("ijk,ik->ij", problem.quads, x)
+    grads += problem.linears
     if problem.sigma_bar == 0.0:
         return grads
     assert streams is not None
     if len(streams.agents) != problem.m:
         raise ValueError(f"need {problem.m} agent streams, got {len(streams.agents)}")
-    return grads + problem.noise.scale(problem.d) * streams.noise_rows(problem.d)
+    grads += problem.noise.scale(problem.d) * streams.noise_rows(problem.d)
+    return grads
 
 
 def init_state(
@@ -329,16 +338,16 @@ def init_state(
 def _add_to_blocks(stack: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     """Write ``stack`` plus the ``(m, d)`` array ``rows``, added to every block, to ``out``.
 
-    One block is plain same-shape arithmetic, the cheapest call; more blocks
-    take one broadcast over ``(blocks, m, d)`` views, which costs no more than
-    a call per block. Either way every sum is rounded once, as block-by-block
-    additions round it.
+    Each block is one same-shape add, the cheapest call numpy has: for two
+    blocks, two of them cost about half of one ``(blocks, m, d)`` broadcast.
+    Every sum is rounded once, as block-by-block additions round it.
     """
-    if len(stack) == len(rows):
+    m = len(rows)
+    if len(stack) == m:
         np.add(stack, rows, out=out)
     else:
-        blocks = (-1, *rows.shape)
-        np.add(stack.reshape(blocks), rows, out=out.reshape(blocks))
+        np.add(stack[:m], rows, out=out[:m])
+        np.add(stack[m:], rows, out=out[m:])
 
 
 def ssdsgt_step(
@@ -372,7 +381,6 @@ def ssdsgt_step(
     zeta = 1 if streams.coin_uniform() < sched.p else 0
     x = state.x
     g_x = _sampled_gradients(problem, x[:m], streams)
-    grad_mean = column_mean(g_x)
     correction = g_x - state.g_snap
     # The descent argument replaces the iterate in a copy of the stacked
     # state, so one apply mixes it and the tracker.
@@ -394,14 +402,14 @@ def ssdsgt_step(
         s_new = xs_new[1]
         _add_to_blocks(s_new, correction, s_new)
         q_new = x[:m].copy()
-        g_snap_new, g_snap_mean_new = g_x, grad_mean
+        g_snap_new = g_x
         tau_new = state.t
         # The correction now sits in both tracker blocks, so the trailing
         # block no longer has the bits of the product just computed.
         kept = None
     else:
         q_new = state.q
-        g_snap_new, g_snap_mean_new = state.g_snap, state.g_snap_mean
+        g_snap_new = state.g_snap
         tau_new = state.tau
     return SsState(
         xs=xs_new,
@@ -411,8 +419,7 @@ def ssdsgt_step(
         t=state.t + 1,
         last_eta=eta,
         last_zeta=zeta,
-        last_grad_mean=grad_mean,
-        g_snap_mean=g_snap_mean_new,
+        last_grads=g_x,
         trailing_product=kept,
     )
 
@@ -456,8 +463,7 @@ def dsgt_step(
         t=state.t + 1,
         last_eta=eta,
         last_zeta=0,
-        last_grad_mean=state.g_snap_mean,
-        g_snap_mean=column_mean(g_new),
+        last_grads=state.g_snap,
     )
 
 
@@ -481,16 +487,35 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+def _rows_first(stack: np.ndarray) -> np.ndarray:
+    """The ``(rows, count, d)`` layout of a contiguous ``(count, rows, d)`` stack.
+
+    Reducing the result over axis 0 gives the column sums of every
+    ``(rows, d)`` slice as :func:`column_mean` takes them, bit for bit, and
+    fast. numpy sums contiguous rows pairwise and strided rows one after
+    another. With ``d = 1`` the rows are contiguous, so the result is a
+    transposed view, whose rows numpy still sums pairwise. With ``d > 1``
+    the rows are copied outermost, each row's ``d`` doubles moved as one
+    item, so the reduction makes one long add per row instead of one
+    ``d``-long add per row of every slice.
+    """
+    count, rows, d = stack.shape
+    if d == 1:
+        return stack.transpose(1, 0, 2)
+    items = stack.view(np.dtype((np.void, 8 * d))).reshape(count, rows)
+    return np.ascontiguousarray(items.T).view(np.float64).reshape(rows, count, d)
+
+
 def state_means(states: SsState | Sequence[SsState]) -> np.ndarray:
-    """Column means of a chunk of stacked states, one reduction per block layout.
+    """Column means of a chunk of stacked states, from one row layout.
 
     ``states`` is a chunk of ``K`` states of one run, so of one shape; the
     result has shape ``(K, rows, d)``, row block ``k`` for ``states[k]``. A
     single state is a chunk of one and gets its ``(rows, d)`` block. Rows 0
     and 1 are the full-stack means of ``x`` and ``s``. A stacked state adds
     rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``, ``s[:m]`` and
-    ``s[m:]``, from a second reduction over the ``(K, 2 * blocks, m, d)``
-    view. Every row equals :func:`column_mean` of its slice bit for bit.
+    ``s[m:]``, from a second reduction over the block halves of the same
+    layout. Every row equals :func:`column_mean` of its slice bit for bit.
     Either way the last ``2 * blocks`` rows are the block means, x blocks
     before s blocks, and row ``-2 * blocks`` is the mean of the working
     iterate ``x[:m]``.
@@ -501,47 +526,61 @@ def state_means(states: SsState | Sequence[SsState]) -> np.ndarray:
     blocks = states[0].blocks
     m, d = states[0].g_snap.shape
     # One concatenation stacks the chunk; np.stack costs about three times as much.
-    xs = np.concatenate([state.xs for state in states]).reshape(count, 2, blocks * m, d)
+    xs = np.concatenate([state.xs for state in states]).reshape(2 * count, blocks * m, d)
+    rows = _rows_first(xs).reshape(blocks * m, count, 2, d)
     if blocks == 1:
-        means = np.add.reduce(xs, axis=2)
+        means = np.add.reduce(rows, axis=0)
         means /= float(m)
         return means
     means = np.empty((count, 2 + 2 * blocks, d))
     full, block = means[:, :2], means[:, 2:]
-    np.add.reduce(xs, axis=2, out=full)
-    np.add.reduce(xs.reshape(count, 2 * blocks, m, d), axis=2, out=block)
+    np.add.reduce(rows, axis=0, out=full)
+    # Block b of stack j lands in row j * blocks + b of the block means.
+    np.add.reduce(
+        rows.reshape(blocks, m, count, 2, d),
+        axis=1,
+        out=block.reshape(count, 2, blocks, d).transpose(2, 0, 1, 3),
+    )
     # Float divisors, as in column_mean.
     full /= float(blocks * m)
     block /= float(m)
     return means
 
 
-#: One audited identity: its name, its error and the scale it is compared against.
-Check = tuple[str, float, float]
+def _python_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(a, b)`` as Python's ``max`` picks it.
+
+    ``b`` wins only where it compares greater, so a NaN in ``a`` is kept and
+    a NaN in ``b`` is passed over, unlike both ``np.maximum`` and ``np.fmax``.
+    """
+    return np.where(b > a, b, a)
 
 
 def audit_identities(
     states: SsState | Sequence[SsState],
     means: np.ndarray | None = None,
     mean_before: np.ndarray | None = None,
-) -> list[Check] | list[list[Check]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Raw self-check residuals for the tracking identities of a chunk of states.
 
-    ``states`` is a chunk of consecutive states of one run. For each state
-    the result holds a list of ``(name, error, scale)`` triples, where
-    ``error`` is the Euclidean size of the violated identity and ``scale``
-    the magnitude it should be compared against. Callers normalize against a
-    running maximum of the scale so that late-run ratios stay meaningful
-    after the quantities have converged toward zero. A single state is a
-    chunk of one and gets its own list of triples.
+    ``states`` is a chunk of ``K`` consecutive states of one run. The result
+    is a pair of ``(K, 4)`` arrays, ``errors`` and ``scales``, with one
+    column per identity in the order ``mean_dynamics``, ``block_sum_x``,
+    ``block_sum_s``, ``tracker_mean``: ``error`` is the Euclidean size of
+    the violated identity and ``scale`` the magnitude it should be compared
+    against, and both are zero where an identity does not apply. Callers
+    normalize against a running maximum of the scale so that late-run
+    ratios stay meaningful after the quantities have converged toward zero.
+    A single state is a chunk of one and gets two ``(4,)`` arrays.
 
-    Checked identities, in this order:
+    Checked identities:
         * mean dynamics (for every state but a first one without
           ``mean_before``): the full-stack iterate mean moved by exactly
-          ``-last_eta * last_grad_mean`` from the mean before the step. That
-          is ``mean_before`` for the chunk's first state, the full-stack
-          iterate mean before the chunk (``None`` at a run's start, which
-          has no step), and the previous state's mean for every later one;
+          ``-last_eta`` times the column mean of ``last_grads`` from the
+          mean before the step. That is ``mean_before`` for the chunk's
+          first state, the full-stack iterate mean before the chunk
+          (``None`` at a run's start, which has no step), and the previous
+          state's mean for every later one;
         * stacked state (more than one block): the working block and the
           trailing block of the iterate and of the tracker keep equal column
           sums;
@@ -550,15 +589,23 @@ def audit_identities(
           last sampled ones).
 
     ``means`` is :func:`state_means` of the chunk when the caller already
-    has it. Every norm of the chunk comes from one ``sqrt(vecdot)`` over the
-    stacked vectors, which equals :func:`vector_norm` of each bit for bit.
+    has it. The gradient means and the snapshot means of the whole chunk
+    come from one stacked reduction, and every norm from one
+    ``sqrt(vecdot)``; each equals :func:`column_mean` and
+    :func:`vector_norm` of its own slice bit for bit. Each scale is the
+    Python ``max`` of its norms, NaN handling included.
     """
     if isinstance(states, SsState):
-        return audit_identities((states,), None if means is None else means[None], mean_before)[0]
+        errors, scales = audit_identities((states,), None if means is None else means[None], mean_before)
+        return errors[0], scales[0]
     if means is None:
         means = state_means(states)
     count, k, d = means.shape
+    m = len(states[0].g_snap)
     stacked = k > 2
+    first = 0 if mean_before is not None else 1
+    stepped = states[first:]
+    steps = len(stepped)
     # Rows of each state: the means; the full-stack means x and s should
     # have (x moved by the step from the mean before it, s at the snapshot
     # gradient mean); the residuals of the two; the step's gradient mean and
@@ -566,32 +613,36 @@ def audit_identities(
     # top-minus-bottom block residuals of x and s.
     rows = np.zeros((count, k + (8 if stacked else 6), d))
     rows[:, :k] = means
-    first = 0 if mean_before is not None else 1
-    if count > first:
-        stepped = states[first:]
-        before = rows[first:, k + 5]
-        before[1 - first :] = means[:-1, 0]
-        if mean_before is not None:
-            before[0] = mean_before
-        grad_means = rows[first:, k + 4]
-        grad_means[...] = np.concatenate([state.last_grad_mean for state in stepped]).reshape(-1, d)
-        moved = rows[first:, k]
-        etas = np.array([state.last_eta for state in stepped])
-        np.multiply(grad_means, etas[:, None], out=moved)
-        np.subtract(before, moved, out=moved)
-    rows[:, k + 1] = np.concatenate([state.g_snap_mean for state in states]).reshape(count, d)
+    # The gradient rows of every step and the snapshot rows of every state,
+    # reduced together; the float divisor is column_mean's.
+    grads = np.concatenate([state.last_grads for state in stepped] + [state.g_snap for state in states])
+    grad_means = np.add.reduce(_rows_first(grads.reshape(steps + count, m, d)), axis=0)
+    grad_means /= float(m)
+    rows[:, k + 1] = grad_means[steps:]
+    etas = np.array([state.last_eta for state in stepped])
+    before = rows[first:, k + 5]
+    before[1 - first :] = means[:-1, 0]
+    if mean_before is not None:
+        before[0] = mean_before
+    rows[first:, k + 4] = grad_means[:steps]
+    moved = rows[first:, k]
+    np.multiply(grad_means[:steps], etas[:, None], out=moved)
+    np.subtract(before, moved, out=moved)
     np.subtract(means[:, :2], rows[:, k : k + 2], out=rows[:, k + 2 : k + 4])
     if stacked:
         np.subtract(means[:, 2::2], means[:, 3::2], out=rows[:, k + 6 :])
-    chunk = []
-    for index, (state, norms) in enumerate(zip(states, np.sqrt(np.vecdot(rows, rows)).tolist())):
-        checks = []
-        if index >= first:
-            scale = max(norms[0], norms[k + 5], state.last_eta * norms[k + 4])
-            checks.append(("mean_dynamics", norms[k + 2], scale))
-        if stacked:
-            checks.append(("block_sum_x", norms[k + 6], max(norms[2], norms[3])))
-            checks.append(("block_sum_s", norms[k + 7], max(norms[4], norms[5])))
-        checks.append(("tracker_mean", norms[k + 3], max(norms[1], norms[k + 1])))
-        chunk.append(checks)
-    return chunk
+    norms = np.sqrt(np.vecdot(rows, rows))
+    errors = np.zeros((count, 4))
+    scales = np.zeros((count, 4))
+    step_norms = norms[first:]
+    errors[first:, 0] = step_norms[:, k + 2]
+    scales[first:, 0] = _python_max(
+        _python_max(step_norms[:, 0], step_norms[:, k + 5]), etas * step_norms[:, k + 4]
+    )
+    if stacked:
+        errors[:, 1:3] = norms[:, k + 6 :]
+        scales[:, 1] = _python_max(norms[:, 2], norms[:, 3])
+        scales[:, 2] = _python_max(norms[:, 4], norms[:, 5])
+    errors[:, 3] = norms[:, k + 3]
+    scales[:, 3] = _python_max(norms[:, 1], norms[:, k + 1])
+    return errors, scales

@@ -44,7 +44,8 @@ __all__ = ["main", "build_parser"]
 
 #: Every config override flag, declared once: flag -> (the
 #: :class:`ExperimentConfig` field it sets, its type, its help). ``run``
-#: takes all but ``--dsgt-tuning``; ``sweep`` takes :data:`_SWEEP_OVERRIDES`.
+#: takes all but ``--dsgt-tuning``; ``sweep`` takes :data:`_SWEEP_OVERRIDES`;
+#: ``validate-mixing`` takes ``--topology``, ``--agents`` and ``--mixing``.
 _OVERRIDES: dict[str, tuple[str, type, str]] = {
     "--seed": ("seed", int, "run seed (a sweep's first seed)"),
     "--topology": ("topology", str, "graph family (ring, grid, star, complete)"),
@@ -67,13 +68,18 @@ _OVERRIDES: dict[str, tuple[str, type, str]] = {
 _SWEEP_OVERRIDES = ("--topology", "--mixing", "--sigma", "--iters", "--seed", "--dsgt-tuning")
 
 
+def _add_override(parser: argparse.ArgumentParser, flag: str, **options: object) -> None:
+    """Declare ``flag`` from its :data:`_OVERRIDES` entry, with extra argparse options."""
+    dest, kind, text = _OVERRIDES[flag]
+    parser.add_argument(flag, dest=dest, type=kind, help=text, **options)
+
+
 def _add_run_inputs(parser: argparse.ArgumentParser, overrides: tuple[str, ...], out: str) -> None:
     parser.add_argument("--config", help="JSON configuration file (a sweep's base run)")
     # Not a config override: its dest keeps it off the config's `out` field.
     parser.add_argument("--out", dest="out_path", help=out)
     for flag in overrides:
-        dest, kind, text = _OVERRIDES[flag]
-        parser.add_argument(flag, dest=dest, type=kind, help=text)
+        _add_override(parser, flag)
 
 
 def _run_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -133,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("--out", required=True, help="SVG output path")
 
     validate_p = sub.add_parser("validate-mixing", help="report mixing matrix diagnostics")
-    validate_p.add_argument("--topology", required=True, help="graph family")
-    validate_p.add_argument("--agents", type=int, required=True, help="number of agents")
-    validate_p.add_argument("--mixing", default="metropolis", help="mixing variant")
+    _add_override(validate_p, "--topology", required=True)
+    _add_override(validate_p, "--agents", required=True)
+    _add_override(validate_p, "--mixing", default="metropolis")
 
     return parser
 

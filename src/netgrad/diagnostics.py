@@ -11,6 +11,7 @@ to audit a run offline from its trace file.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,32 +197,51 @@ class WeightedAverager:
         self._vmax = -math.inf
         self._vsum = 0.0
 
-    @staticmethod
-    def _accumulate(maximum: float, total: float, term: float) -> tuple[float, float]:
-        if term <= maximum:
-            return maximum, total + math.exp(term - maximum)
-        if math.isinf(maximum):
-            return term, 1.0
-        return term, total * math.exp(maximum - term) + 1.0
+    def push(self, etas: Sequence[float], values: Sequence[float]) -> None:
+        """Fold in a segment of iterations' step sizes and suboptimality values.
 
-    def push(self, eta: float, value: float) -> None:
-        """Fold in one iteration's step size and suboptimality value.
-
-        Values at or below zero (tiny negative floating point residues
-        included) contribute zero mass to the weighted value total.
+        The pairs ``(etas[i], values[i])`` are folded in order, each with
+        the same ``math.log``/``math.exp`` arithmetic, so a segment gives
+        the bits of its pairs pushed one at a time; a lone iteration is a
+        segment of one. Values at or below zero (tiny negative floating
+        point residues included) contribute zero mass to the weighted value
+        total.
         """
-        if eta <= 0.0:
-            raise ValueError(f"step size must be positive, got {eta}")
-        if self._eta_prev is None:
-            self._log_w += 0.5 * self._mu * eta
-        else:
-            self._log_w += math.log(eta / self._eta_prev) + 0.5 * self._mu * eta
-        self._eta_prev = eta
-        self._count += 1
-        self._wmax, self._wsum = self._accumulate(self._wmax, self._wsum, self._log_w)
-        if value > 0.0:
-            term = self._log_w + math.log(value)
-            self._vmax, self._vsum = self._accumulate(self._vmax, self._vsum, term)
+        half_mu = 0.5 * self._mu
+        log, exp, isinf = math.log, math.exp, math.isinf
+        log_w, eta_prev, count = self._log_w, self._eta_prev, self._count
+        wmax, wsum, vmax, vsum = self._wmax, self._wsum, self._vmax, self._vsum
+        bad = None
+        for eta, value in zip(etas, values):
+            if eta <= 0.0:
+                bad = eta
+                break
+            if eta_prev is None:
+                log_w += half_mu * eta
+            else:
+                log_w += log(eta / eta_prev) + half_mu * eta
+            eta_prev = eta
+            count += 1
+            # Each total is kept relative to its running maximum term.
+            if log_w <= wmax:
+                wsum += exp(log_w - wmax)
+            elif isinf(wmax):
+                wmax, wsum = log_w, 1.0
+            else:
+                wmax, wsum = log_w, wsum * exp(wmax - log_w) + 1.0
+            if value > 0.0:
+                term = log_w + log(value)
+                if term <= vmax:
+                    vsum += exp(term - vmax)
+                elif isinf(vmax):
+                    vmax, vsum = term, 1.0
+                else:
+                    vmax, vsum = term, vsum * exp(vmax - term) + 1.0
+        # The pairs before a bad step size stay folded in.
+        self._log_w, self._eta_prev, self._count = log_w, eta_prev, count
+        self._wmax, self._wsum, self._vmax, self._vsum = wmax, wsum, vmax, vsum
+        if bad is not None:
+            raise ValueError(f"step size must be positive, got {bad}")
 
     @property
     def count(self) -> int:

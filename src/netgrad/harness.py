@@ -408,37 +408,58 @@ _AUDITED = ("mean_dynamics", "block_sum_x", "block_sum_s", "tracker_mean")
 
 
 class _AuditTracker:
-    """Normalizes identity residuals against running scale maxima.
+    """Normalizes identity residuals against running scale maxima, a chunk at a time.
 
-    Every audited identity has a fixed slot, so a check updates two known
-    keys. An identity whose ratio never leaves zero keeps a zero slot and
-    stays out of :meth:`summary`.
+    Every audited identity has a fixed column (:data:`_AUDITED` order). An
+    identity whose ratio never leaves zero keeps a zero maximum and stays
+    out of :meth:`summary`.
     """
 
     def __init__(self) -> None:
-        self.scales = dict.fromkeys(_AUDITED, 0.0)
-        self.max_ratio = dict.fromkeys(_AUDITED, 0.0)
+        self.scales = np.zeros(len(_AUDITED))
+        self.max_ratio = np.zeros(len(_AUDITED))
 
-    def check(self, checks: list[tuple[str, float, float]], t: int) -> None:
-        """Fold in ``(name, error, scale)`` triples; raise on the first bad ratio."""
-        scales, max_ratio = self.scales, self.max_ratio
-        for name, err, scale in checks:
-            running = max(scales[name], scale)
-            scales[name] = running
-            ratio = 0.0 if err == 0.0 else err / max(running, 1e-300)
-            if ratio > max_ratio[name]:
-                max_ratio[name] = ratio
-            # Written so that a NaN ratio (a non-finite state) also aborts.
-            if not ratio <= AUDIT_ABORT_TOL:
-                raise InvariantViolation(
-                    f"identity '{name}' off by a relative {ratio:.3e} "
-                    f"(threshold {AUDIT_ABORT_TOL:g})",
-                    iteration=t,
-                )
+    def fold(self, errors: np.ndarray, scales: np.ndarray, subopts: list[float]) -> tuple[int, str | None]:
+        """Take a chunk's ``(K, 4)`` residuals; return its first failure.
+
+        Each state's running scale is the largest scale seen so far, a NaN
+        passed over as Python's ``max`` passes it (the carried scale is
+        never NaN), and its ratio is the error over it. A state fails when
+        a ratio is above :data:`AUDIT_ABORT_TOL` or NaN, or when its
+        suboptimality is not finite, and its checks go in this order: mean
+        dynamics, suboptimality, then the block sums and the tracker mean.
+        The result is the index of the first failing state and its
+        message, or ``(K, None)``. Nothing is folded into the maxima until
+        :meth:`settle`.
+        """
+        running = np.fmax.accumulate(np.concatenate([self.scales[None], scales]), axis=0)[1:]
+        # A zero error gives a zero ratio, as the running scale is never NaN.
+        ratios = errors / np.maximum(running, 1e-300)
+        self._ratios, self._running = ratios, running
+        bad = np.empty((len(errors), 5), dtype=bool)
+        # Written so that a NaN ratio (a non-finite state) also fails.
+        np.logical_not(ratios[:, :1] <= AUDIT_ABORT_TOL, out=bad[:, :1])
+        np.logical_not(np.isfinite(subopts), out=bad[:, 1])
+        np.logical_not(ratios[:, 1:] <= AUDIT_ABORT_TOL, out=bad[:, 2:])
+        index, check = divmod(int(bad.argmax()), 5)
+        if not bad[index, check]:
+            return len(errors), None
+        if check == 1:
+            return index, f"suboptimality of the average iterate is {subopts[index]}"
+        column = check - (check > 1)
+        return index, (
+            f"identity '{_AUDITED[column]}' off by a relative {float(ratios[index, column]):.3e} "
+            f"(threshold {AUDIT_ABORT_TOL:g})"
+        )
+
+    def settle(self, walked: int) -> None:
+        """Fold in the ratios of the last chunk's first ``walked`` states and carry their scales."""
+        self.max_ratio = np.maximum(self.max_ratio, self._ratios[:walked].max(axis=0))
+        self.scales = self._running[walked - 1]
 
     def summary(self) -> dict[str, float]:
         """The largest ratio of every identity that was ever off, by name."""
-        return {name: r for name, r in sorted(self.max_ratio.items()) if r > 0.0}
+        return {name: r for name, r in sorted(zip(_AUDITED, self.max_ratio.tolist())) if r > 0.0}
 
 
 def run_experiment(
@@ -492,19 +513,49 @@ _OBSERVE_CHUNK = 64
 _CHUNK_DOUBLES = 2**15
 
 
+def _event_indices(start: int, count: int, cfg: ExperimentConfig, subopts: list[float]) -> list[int]:
+    """The indices below ``count`` of the chunk states a run's walk visits, in order.
+
+    The chunk's states are iterations ``start``, ``start + 1`` and on, with
+    suboptimalities ``subopts``. Its events are the records (every
+    ``stride``-th iteration and the horizon), the checkpoints and the early
+    stop. A noiseless run stops at its first suboptimality at or under
+    ``eps_stop``, found here, and the walk ends there. A noisy run with
+    a target tests the running average, which only the walk knows, so every
+    state is an event.
+    """
+    if cfg.eps_stop is not None and cfg.sigma_bar > 0.0:
+        return list(range(count))
+    end = start + count
+    stride = cfg.stride
+    ts = set(range(start + (-start) % stride, end, stride))
+    ts.update(t for t in cfg.avg_checkpoints if start <= t < end)
+    if start <= cfg.iters < end:
+        ts.add(cfg.iters)
+    if cfg.eps_stop is not None:
+        # The walk ends at the first hit, so the later ones are never reached.
+        hits = np.flatnonzero(np.less_equal(subopts[:count], cfg.eps_stop))
+        if len(hits):
+            ts.add(start + int(hits[0]))
+    return [t - start for t in sorted(ts)]
+
+
 def _execute(setup: RunSetup) -> Trace:
     """Step and observe a prepared run.
 
-    The steps are sequential, but their observation is not: the loop steps
-    up to :data:`_OBSERVE_CHUNK` states ahead (fewer when their stacked
-    arrays would pass :data:`_CHUNK_DOUBLES`), then takes the chunk's state
-    means, identity audits and suboptimalities in one batched pass each.
-    It then walks the chunk in iteration order; each state gets its mean
-    dynamics check, its finiteness check, its averager push, its other
-    identity checks, its checkpoint, its stop test and its record, in that
-    order. The first stop or violation ends the run, and the states stepped
-    past it are discarded, so a run's records, summary and failure do not
-    depend on the chunk length.
+    A step only advances the dynamics; everything a run observes is taken a
+    chunk of states at a time. The loop steps up to :data:`_OBSERVE_CHUNK`
+    states ahead (fewer when their stacked arrays would pass
+    :data:`_CHUNK_DOUBLES`), then takes the chunk's state means, identity
+    audits and suboptimalities in one batched pass each, and folds every
+    audit ratio at once to find the first failing state. It then walks only
+    the chunk's event states before that failure, in iteration order:
+    records, checkpoints and the early stop (every state, for a noisy run
+    with a target, whose stop test reads the running average). Before each
+    event it pushes the states since the last one to the averager in one
+    segment. The first stop or violation ends the run, and the states
+    stepped past it are discarded, so a run's records, summary and failure
+    do not depend on the chunk length.
     """
     cfg = setup.cfg
     problem = setup.problem
@@ -522,6 +573,7 @@ def _execute(setup: RunSetup) -> Trace:
     checkpoints = set(cfg.avg_checkpoints)
     noisy = cfg.sigma_bar > 0.0
     eps = cfg.eps_stop
+    stride = cfg.stride
     stopped_early = False
     # The snapshot point of the last record and its gradient distance: the
     # point moves only when the coin fires, so records share the distance.
@@ -549,34 +601,28 @@ def _execute(setup: RunSetup) -> Trace:
                 chunk.append(state)
                 etas.append(eta)
             means = state_means(chunk)
-            checks = audit_identities(chunk, means, mean_before)
+            errors, scales = audit_identities(chunk, means, mean_before)
             subopts = global_suboptimality(problem, means[:, -2 * state.blocks])
-            for current, eta_t, current_means, current_checks, subopt in zip(
-                chunk, etas, means, checks, subopts
-            ):
+            failed, failure = audits.fold(errors, scales, subopts)
+            # The states up to each event go to the averager in one segment.
+            pushed = 0
+            for index in _event_indices(chunk[0].t, failed, cfg, subopts):
+                averager.push(etas[pushed : index + 1], subopts[pushed : index + 1])
+                pushed = index + 1
+                current = chunk[index]
                 t = current.t
-                # The mean dynamics come first, then the suboptimality, then
-                # the other identities; the start has no step to check.
-                first = 0 if t == 0 else 1
-                audits.check(current_checks[:first], t)
-                if not math.isfinite(subopt):
-                    raise InvariantViolation(
-                        f"suboptimality of the average iterate is {subopt}", iteration=t
-                    )
-                averager.push(eta_t, subopt)
-                audits.check(current_checks[first:], t)
                 if t in checkpoints:
                     wavg_at[str(t)] = averager.average
-                stopped_early = eps is not None and (averager.average if noisy else subopt) <= eps
-                if stopped_early or t % cfg.stride == 0 or t == cfg.iters:
+                stopped_early = eps is not None and (averager.average if noisy else subopts[index]) <= eps
+                if stopped_early or t % stride == 0 or t == cfg.iters:
                     if current.q is not dist_at:
                         dist_at = current.q
                         dist = snapshot_gradient_distance(problem, dist_at)
                     try:
                         records.append(
                             record_iteration(
-                                current, problem, eta_t, setup.theta, current_means, subopt,
-                                averager.average, dist,
+                                current, problem, etas[index], setup.theta, means[index],
+                                subopts[index], averager.average, dist,
                             )
                         )
                     except ValueError as exc:  # a non-finite or negative diagnostic
@@ -584,7 +630,14 @@ def _execute(setup: RunSetup) -> Trace:
                 if stopped_early:
                     state = current
                     break
-            if stopped_early or state.t == cfg.iters:
+            if stopped_early:
+                audits.settle(pushed)
+                break
+            if failure is not None:
+                raise InvariantViolation(failure, iteration=chunk[failed].t)
+            averager.push(etas[pushed:], subopts[pushed:])
+            audits.settle(len(chunk))
+            if state.t == cfg.iters:
                 break
             mean_before = means[-1, 0]
             chunk, etas = [], []

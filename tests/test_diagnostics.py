@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import sys
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -99,7 +101,7 @@ def test_lyapunov_psi_hand_assembly():
         t=0,
         last_eta=0.0,
         last_zeta=0,
-        last_grad_mean=state.last_grad_mean,
+        last_grads=state.last_grads,
     )
     eta, theta = 0.1, 0.5
     expected = 2.0 + (4.0 * eta**2 / theta**2) * 2.0 + (2.0 * eta / (1.0 * theta)) * 5.0
@@ -117,7 +119,7 @@ def test_lyapunov_psi_tilde_hand_assembly():
         t=0,
         last_eta=0.0,
         last_zeta=0,
-        last_grad_mean=state.last_grad_mean,
+        last_grads=state.last_grads,
     )
     eta, tt, alpha = 0.1, 0.5, 14.0
     expected = 2.0 + (12.0 * alpha * eta**2 / tt**2) * 2.0 + (16.0 * (1.0 + 8.0 * alpha) * eta**2 / tt**2) * 5.0
@@ -191,7 +193,7 @@ def test_record_iteration_recomputes_from_state():
 def test_averager_constant_values_average_to_the_constant():
     avg = WeightedAverager(mu=0.5)
     for t in range(50):
-        avg.push(0.1 / (1.0 + t), 3.25)
+        avg.push([0.1 / (1.0 + t)], [3.25])
     assert avg.average == pytest.approx(3.25, rel=1e-12)
     assert avg.count == 50
 
@@ -199,13 +201,13 @@ def test_averager_constant_values_average_to_the_constant():
 def test_averager_zero_values_have_zero_average():
     avg = WeightedAverager(mu=1.0)
     for _ in range(10):
-        avg.push(0.05, 0.0)
+        avg.push([0.05], [0.0])
     assert avg.average == 0.0
 
 
 def test_averager_single_push_returns_the_value():
     avg = WeightedAverager(mu=2.0)
-    avg.push(0.2, 7.5)
+    avg.push([0.2], [7.5])
     assert avg.average == pytest.approx(7.5, rel=1e-15)
 
 
@@ -231,7 +233,7 @@ def test_averager_matches_extended_precision_reference():
 
     avg = WeightedAverager(mu=0.5)
     for eta, value in zip(etas, values):
-        avg.push(eta, value)
+        avg.push([eta], [value])
     assert avg.average == pytest.approx(reference, rel=1e-10)
 
 
@@ -240,15 +242,54 @@ def test_averager_rejects_bad_inputs():
         WeightedAverager(mu=-1.0)
     avg = WeightedAverager(mu=1.0)
     with pytest.raises(ValueError):
-        avg.push(0.0, 1.0)
+        avg.push([0.0], [1.0])
 
 
 def test_averager_survives_weight_overflow():
     # raw weights overflow float range long before 4000 pushes at this mu
     avg = WeightedAverager(mu=10.0)
     for _ in range(4000):
-        avg.push(0.5, 1.5)
+        avg.push([0.5], [1.5])
     assert avg.average == pytest.approx(1.5, rel=1e-9)
+
+
+def test_a_segment_push_equals_one_pair_at_a_time():
+    # Constant and decaying steps, values at or below zero, and (mu = 10)
+    # log weights far past the float range: one segment, random segments
+    # and one-pair segments leave the same bits.
+    rng = np.random.default_rng(12)
+    count = 600
+    steps = {
+        "constant": [0.05] * count,
+        "decaying": [2.0 / (1.0 + 0.01 * t) for t in range(count)],
+    }
+    for mu in (0.5, 10.0):
+        for etas in steps.values():
+            values = (10.0 ** rng.uniform(-12.0, 3.0, count)).tolist()
+            for i in rng.choice(count, 60, replace=False).tolist():
+                values[i] = [0.0, -0.0, -1e-13][i % 3]
+            single = WeightedAverager(mu=mu)
+            for eta, value in zip(etas, values):
+                single.push([eta], [value])
+            whole = WeightedAverager(mu=mu)
+            whole.push(etas, values)
+            pieces = WeightedAverager(mu=mu)
+            cuts = [0, *sorted(rng.choice(np.arange(1, count), 20, replace=False).tolist()), count]
+            for lo, hi in zip(cuts, cuts[1:]):
+                pieces.push(etas[lo:hi], values[lo:hi])
+            assert repr(vars(whole)) == repr(vars(single)) == repr(vars(pieces))
+            assert repr(whole.average) == repr(single.average) == repr(pieces.average)
+        if mu == 10.0:
+            assert single._log_w > math.log(sys.float_info.max)
+
+
+def test_a_segment_keeps_the_pairs_before_a_bad_step():
+    folded = WeightedAverager(mu=1.0)
+    with pytest.raises(ValueError):
+        folded.push([0.1, 0.2, 0.0, 0.3], [1.0, 2.0, 3.0, 4.0])
+    expected = WeightedAverager(mu=1.0)
+    expected.push([0.1, 0.2], [1.0, 2.0])
+    assert repr(vars(folded)) == repr(vars(expected))
 
 
 def test_record_iteration_psi_equals_the_public_lyapunov_values_exactly():

@@ -14,7 +14,12 @@ them:
 * **chunk length**: a run observes its states in chunks of up to
   ``harness._OBSERVE_CHUNK``; a horizon, an early stop or a NaN state on
   either side of a chunk boundary gives the same trace bytes, summary or
-  violation (message and iteration) at every chunk length, one included.
+  violation (message and iteration) at every chunk length, one included;
+* **walk events**: the walk visits only records, checkpoints and the stop,
+  so a record, a checkpoint and an early stop on one state, a noisy stop
+  off the record grid, and a violation on a record state (from the audit,
+  or from the record itself before a later audit failure) come out alike at
+  every chunk length.
 
 Examples are drawn with ``derandomize=True``, so a failure reproduces.
 """
@@ -138,14 +143,14 @@ BOUNDARY_RUNS = (
 BOUNDARY = pytest.mark.parametrize("cfg", BOUNDARY_RUNS, ids=lambda cfg: cfg.algo)
 
 
-def _outcome_at_every_chunk_length(monkeypatch, tmp_path, cfg: ExperimentConfig) -> tuple:
+def _outcome_at_every_chunk_length(monkeypatch, tmp_path, cfg: ExperimentConfig, chunks=CHUNKS) -> tuple:
     """Run ``cfg`` at every chunk length; assert one outcome and return it.
 
     The outcome is the trace file's bytes, the records and the summary, or
     the violation's message and iteration.
     """
     outcomes = []
-    for chunk in CHUNKS:
+    for chunk in chunks:
         monkeypatch.setattr(harness, "_OBSERVE_CHUNK", chunk)
         try:
             trace = run_experiment(cfg)
@@ -155,7 +160,7 @@ def _outcome_at_every_chunk_length(monkeypatch, tmp_path, cfg: ExperimentConfig)
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
         outcomes.append((path.read_bytes(), _bits(trace.records), repr(trace.summary)))
-    assert outcomes == outcomes[:1] * len(CHUNKS)
+    assert outcomes == outcomes[:1] * len(chunks)
     return outcomes[0]
 
 
@@ -197,3 +202,79 @@ def test_a_nan_on_a_chunk_boundary_fails_alike_at_every_chunk_length(monkeypatch
         outcome = _outcome_at_every_chunk_length(monkeypatch, tmp_path, replace(cfg, iters=200))
         expected = f"iteration {at}: identity 'mean_dynamics' off by a relative nan (threshold 1e-07)"
         assert outcome == ("violation", expected, at)
+
+
+#: Chunk lengths of the walk tests: one state per pass, a short chunk and the default.
+WALK_CHUNKS = (1, 7, harness._OBSERVE_CHUNK)
+
+
+@BOUNDARY
+@pytest.mark.parametrize("stop", (42, 44))
+def test_a_record_a_checkpoint_and_a_stop_on_one_state_walk_alike(monkeypatch, tmp_path, cfg, stop):
+    # Stride 3 puts a record on 42 (the first state of a 7-chunk), not on 44.
+    cfg = replace(cfg, iters=200, avg_checkpoints=(10, stop, 100))
+    full = run_experiment(replace(cfg, stride=1))
+    metric = [r.wavg_subopt if cfg.sigma_bar > 0.0 else r.subopt for r in full.records]
+    eps = metric[stop]
+    assert eps < min(metric[:stop])
+    _, records, summary = _outcome_at_every_chunk_length(
+        monkeypatch, tmp_path, replace(cfg, eps_stop=eps), WALK_CHUNKS
+    )
+    assert records[-1] == _bits(full.records[stop : stop + 1])[0]
+    # The record before the stop is the last one on the stride-3 grid.
+    assert records[-2].startswith(f"({39 if stop == 42 else 42},")
+    wavg_at = {"10": full.records[10].wavg_subopt, str(stop): full.records[stop].wavg_subopt}
+    assert f"'wavg_at': {wavg_at!r}" in summary
+    assert f"'final_t': {stop}," in summary and "'stopped_early': True" in summary
+
+
+def _poisoned_run(monkeypatch, tmp_path, cfg: ExperimentConfig, poison) -> tuple:
+    name = f"{cfg.algo}_step"
+    step = getattr(harness, name)
+
+    def poisoned(state, *args, **kwargs):
+        new = step(state, *args, **kwargs)
+        poison(new)
+        return new
+
+    monkeypatch.setattr(harness, name, poisoned)
+    return _outcome_at_every_chunk_length(monkeypatch, tmp_path, replace(cfg, iters=200), WALK_CHUNKS)
+
+
+@BOUNDARY
+def test_an_audit_failure_on_a_record_state_comes_before_its_record(monkeypatch, tmp_path, cfg):
+    def poison(state):
+        if state.t == 42:
+            state.x[1, 0] = np.nan
+
+    expected = "iteration 42: identity 'mean_dynamics' off by a relative nan (threshold 1e-07)"
+    assert _poisoned_run(monkeypatch, tmp_path, cfg, poison) == ("violation", expected, 42)
+
+
+@BOUNDARY
+def test_a_record_failure_comes_before_a_later_audit_failure(monkeypatch, tmp_path, cfg):
+    # A NaN snapshot point fails only the record of state 39; the NaN
+    # iterate of state 41 fails its audit, later in the same chunk of 64.
+    def poison(state):
+        if state.t == 39:
+            state.q = np.full_like(state.q, np.nan)
+        if state.t == 41:
+            state.x[1, 0] = np.nan
+
+    outcome = _poisoned_run(monkeypatch, tmp_path, cfg, poison)
+    assert outcome == ("violation", "iteration 39: snap_grad_dist is a finite squared quantity but is nan", 39)
+
+
+@BOUNDARY
+def test_a_failure_after_the_stop_is_never_reached(monkeypatch, tmp_path, cfg):
+    # The stop at 42 and the NaN iterate at 44 share a chunk of 7 and of 64.
+    full = run_experiment(replace(cfg, iters=200, stride=1))
+    metric = [r.wavg_subopt if cfg.sigma_bar > 0.0 else r.subopt for r in full.records]
+
+    def poison(state):
+        if state.t == 44:
+            state.x[1, 0] = np.nan
+
+    _, records, summary = _poisoned_run(monkeypatch, tmp_path, replace(cfg, eps_stop=metric[42]), poison)
+    assert records[-1] == _bits(full.records[42:43])[0]
+    assert "'stopped_early': True" in summary
