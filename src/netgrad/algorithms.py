@@ -506,22 +506,19 @@ def _rows_first(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(items.T).view(np.float64).reshape(rows, count, d)
 
 
-def state_means(states: SsState | Sequence[SsState]) -> np.ndarray:
+def state_means(states: Sequence[SsState]) -> np.ndarray:
     """Column means of a chunk of stacked states, from one row layout.
 
     ``states`` is a chunk of ``K`` states of one run, so of one shape; the
-    result has shape ``(K, rows, d)``, row block ``k`` for ``states[k]``. A
-    single state is a chunk of one and gets its ``(rows, d)`` block. Rows 0
-    and 1 are the full-stack means of ``x`` and ``s``. A stacked state adds
-    rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``, ``s[:m]`` and
-    ``s[m:]``, from a second reduction over the block halves of the same
-    layout. Every row equals :func:`column_mean` of its slice bit for bit.
+    result has shape ``(K, rows, d)``, row block ``k`` for ``states[k]``.
+    Rows 0 and 1 are the full-stack means of ``x`` and ``s``. A stacked
+    state adds rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``,
+    ``s[:m]`` and ``s[m:]``, from a second reduction over the block halves
+    of the same layout. Every row equals :func:`column_mean` of its slice bit for bit.
     Either way the last ``2 * blocks`` rows are the block means, x blocks
     before s blocks, and row ``-2 * blocks`` is the mean of the working
     iterate ``x[:m]``.
     """
-    if isinstance(states, SsState):
-        return state_means((states,))[0]
     count = len(states)
     blocks = states[0].blocks
     m, d = states[0].g_snap.shape
@@ -557,8 +554,8 @@ def _python_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def audit_identities(
-    states: SsState | Sequence[SsState],
-    means: np.ndarray | None = None,
+    states: Sequence[SsState],
+    means: np.ndarray,
     mean_before: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw self-check residuals for the tracking identities of a chunk of states.
@@ -571,7 +568,6 @@ def audit_identities(
     against, and both are zero where an identity does not apply. Callers
     normalize against a running maximum of the scale so that late-run
     ratios stay meaningful after the quantities have converged toward zero.
-    A single state is a chunk of one and gets two ``(4,)`` arrays.
 
     Checked identities:
         * mean dynamics (for every state but a first one without
@@ -588,18 +584,12 @@ def audit_identities(
           the column mean of the stored snapshot gradients (for ``dsgt``, the
           last sampled ones).
 
-    ``means`` is :func:`state_means` of the chunk when the caller already
-    has it. The gradient means and the snapshot means of the whole chunk
-    come from one stacked reduction, and every norm from one
-    ``sqrt(vecdot)``; each equals :func:`column_mean` and
+    ``means`` is :func:`state_means` of the chunk. The gradient means and
+    the snapshot means of the whole chunk come from one stacked reduction,
+    and every norm from one ``sqrt(vecdot)``; each equals :func:`column_mean` and
     :func:`vector_norm` of its own slice bit for bit. Each scale is the
     Python ``max`` of its norms, NaN handling included.
     """
-    if isinstance(states, SsState):
-        errors, scales = audit_identities((states,), None if means is None else means[None], mean_before)
-        return errors[0], scales[0]
-    if means is None:
-        means = state_means(states)
     count, k, d = means.shape
     m = len(states[0].g_snap)
     stacked = k > 2

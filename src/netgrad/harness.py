@@ -41,7 +41,6 @@ from .diagnostics import (
     IterRecord,
     WeightedAverager,
     record_iteration,
-    snapshot_gradient_distance,
 )
 from .errors import ConfigError, InvariantViolation
 from .objectives import QuadraticProblem, global_suboptimality, make_quadratic_suite
@@ -151,10 +150,19 @@ class ExperimentConfig:
     out: str | None = None
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` naming the first offending field."""
+        """Raise :class:`ConfigError` naming the first offending field.
+
+        Every field is checked against its type hint first (see
+        :func:`_check_type`), then against the rules of its value.
+        """
+        for name, (kind, nullable) in _FIELD_TYPES.items():
+            try:
+                _check_type(kind, nullable, getattr(self, name))
+            except TypeError as exc:
+                raise ConfigError(str(exc), name) from None
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"must be one of {TOPOLOGIES}, got '{self.topology}'", "topology")
-        if not isinstance(self.agents, int) or self.agents < 1:
+        if self.agents < 1:
             raise ConfigError(f"needs a positive integer, got {self.agents!r}", "agents")
         if self.topology == "grid":
             side = math.isqrt(self.agents)
@@ -177,7 +185,7 @@ class ExperimentConfig:
                 f"'lazy-metropolis' mixing, got '{self.mixing}'",
                 "mixing",
             )
-        if not isinstance(self.d, int) or self.d < 1:
+        if self.d < 1:
             raise ConfigError(f"needs a positive integer, got {self.d!r}", "d")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
@@ -209,18 +217,18 @@ class ExperimentConfig:
             )
         for name in ("problem_seed", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if value < 0:
                 raise ConfigError(f"needs a nonnegative integer, got {value!r}", name)
-        if not isinstance(self.iters, int) or self.iters < 1:
+        if self.iters < 1:
             raise ConfigError(f"needs a positive integer, got {self.iters!r}", "iters")
-        if not isinstance(self.stride, int) or self.stride < 1:
+        if self.stride < 1:
             raise ConfigError(f"needs a positive integer, got {self.stride!r}", "stride")
         if self.x0_radius is not None and not (self.x0_radius >= 0.0):
             raise ConfigError(f"must be nonnegative, got {self.x0_radius}", "x0_radius")
         if self.eps_stop is not None and not (self.eps_stop > 0.0):
             raise ConfigError(f"must be positive, got {self.eps_stop}", "eps_stop")
         for value in self.avg_checkpoints:
-            if not isinstance(value, int) or value < 0:
+            if value < 0:
                 raise ConfigError(
                     f"entries need to be nonnegative integers, got {value!r}",
                     "avg_checkpoints",
@@ -242,73 +250,74 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Build and validate a config from its JSON object.
+
+        A JSON list becomes a tuple and an integer in a float field a float;
+        every other value is passed on as it is, for :meth:`validate`.
+        """
         if not isinstance(data, dict):
             raise ConfigError(f"configuration must be a JSON object, got {type(data).__name__}")
-        known = {f.name: f for f in fields(cls)}
         kwargs: dict = {}
         for key, value in data.items():
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ConfigError("unknown configuration field", key)
+            if isinstance(value, list) and typing.get_origin(_FIELD_TYPES[key][0]) is tuple:
+                value = tuple(value)
+            elif _is_int(value) and key in _FLOAT_FIELDS:
+                value = float(value)
             kwargs[key] = value
-        cfg = _coerce_config(cls, kwargs)
+        cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
 
-#: Float fields of :class:`ExperimentConfig`; each must be finite when set.
-_FLOAT_FIELDS = tuple(
-    name
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
-    if float in (hint, *typing.get_args(hint))
-)
-
-
-def _coerce_config(cls: type, kwargs: dict) -> "ExperimentConfig":
-    """Check and convert JSON values against the dataclass field types."""
-    hints = typing.get_type_hints(cls)
-    coerced: dict = {}
-    for key, value in kwargs.items():
-        try:
-            coerced[key] = _coerce_value(hints[key], value)
-        except TypeError as exc:
-            raise ConfigError(str(exc), key) from None
-    return cls(**coerced)
-
-
-def _coerce_value(hint: object, value: object) -> object:
-    """Coerce one JSON value to its field type.
-
-    Field types are ``int``, ``float``, ``str``, one of these ``| None``, or
-    ``tuple[int, ...]``. Bools are rejected as numbers and ints are widened
-    in float fields.
-    """
+def _field_type(hint: object) -> tuple[object, bool]:
+    """A field's type hint as its type without ``None`` and whether it allows ``None``."""
     args = typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = (arg for arg in args if arg is not type(None))
-        null = " or null"
-    else:
-        null = ""
-    if hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+    if type(None) not in args:
+        return hint, False
+    (kind,) = (arg for arg in args if arg is not type(None))
+    return kind, True
+
+
+#: Every :class:`ExperimentConfig` field, in declaration order, with its
+#: :func:`_field_type`.
+_FIELD_TYPES = {name: _field_type(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+#: Float fields of :class:`ExperimentConfig`; each must be finite when set.
+_FLOAT_FIELDS = tuple(name for name, (kind, _) in _FIELD_TYPES.items() if kind is float)
+
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_type(kind: object, nullable: bool, value: object) -> None:
+    """Raise ``TypeError`` unless ``value`` fits a field of type ``kind``.
+
+    Field types are ``int``, ``float``, ``str``, one of these ``| None``
+    (``nullable``), or ``tuple[int, ...]``. A bool is not a number, an int
+    is fine in a float field, and a list is fine in place of the tuple.
+    """
+    if nullable and value is None:
+        return
+    null = " or null" if nullable else ""
+    if kind is int:
+        if not _is_int(value):
             raise TypeError(f"expected an integer{null}, got {value!r}")
-        return value
-    if hint is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    elif kind is float:
+        if not (_is_int(value) or isinstance(value, float)):
             raise TypeError(f"expected a number{null}, got {value!r}")
-        return float(value)
-    if hint is str:
+    elif kind is str:
         if not isinstance(value, str):
             raise TypeError(f"expected a string{null}, got {value!r}")
-        return value
     # tuple[int, ...], the one remaining field type
-    if not isinstance(value, (list, tuple)):
+    elif not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list of integers, got {value!r}")
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise TypeError(f"expected integers, got {item!r}")
-    return tuple(value)
+    else:
+        for item in value:
+            if not _is_int(item):
+                raise TypeError(f"expected integers, got {item!r}")
 
 
 @dataclass
@@ -575,10 +584,6 @@ def _execute(setup: RunSetup) -> Trace:
     eps = cfg.eps_stop
     stride = cfg.stride
     stopped_early = False
-    # The snapshot point of the last record and its gradient distance: the
-    # point moves only when the coin fires, so records share the distance.
-    dist_at: np.ndarray | None = None
-    dist = 0.0
 
     # A diverging state, or an overflowing start, overflows before the
     # finiteness checks see it; the checks report it with its iteration, so
@@ -615,14 +620,11 @@ def _execute(setup: RunSetup) -> Trace:
                     wavg_at[str(t)] = averager.average
                 stopped_early = eps is not None and (averager.average if noisy else subopts[index]) <= eps
                 if stopped_early or t % stride == 0 or t == cfg.iters:
-                    if current.q is not dist_at:
-                        dist_at = current.q
-                        dist = snapshot_gradient_distance(problem, dist_at)
                     try:
                         records.append(
                             record_iteration(
                                 current, problem, etas[index], setup.theta, means[index],
-                                subopts[index], averager.average, dist,
+                                subopts[index], averager.average,
                             )
                         )
                     except ValueError as exc:  # a non-finite or negative diagnostic
@@ -670,7 +672,7 @@ def iterations_to_epsilon(trace: Trace, eps: float) -> int | None:
     noisy runs use the running weighted-average suboptimality. Returns
     ``None`` when the trace never reaches the target.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails the comparison too
         raise ValueError(f"eps must be positive, got {eps}")
     noisy = float(trace.config.get("sigma_bar", 0.0)) > 0.0
     for record in trace.records:
@@ -714,7 +716,7 @@ def _dsgt_system_radius(setup: RunSetup, eta: float) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(restricted))))
 
 
-def tune_dsgt_step(cfg: ExperimentConfig, eps: float | None = None) -> Schedule:
+def tune_dsgt_step(cfg: ExperimentConfig) -> Schedule:
     """Halving search for a good constant step for the noiseless baseline.
 
     Starting from ``1 / L`` the candidate step is halved repeatedly; each
@@ -724,8 +726,8 @@ def tune_dsgt_step(cfg: ExperimentConfig, eps: float | None = None) -> Schedule:
     twice in a row.
 
     Args:
-        cfg: Baseline configuration (``algo='dsgt'``, ``sigma_bar == 0``).
-        eps: Suboptimality target; defaults to ``cfg.eps_stop`` or ``1e-6``.
+        cfg: Baseline configuration (``algo='dsgt'``, ``sigma_bar == 0``);
+            its ``eps_stop`` is the suboptimality target, ``1e-6`` if unset.
 
     Returns:
         A constant :class:`Schedule` with the winning step size.
@@ -739,7 +741,7 @@ def tune_dsgt_step(cfg: ExperimentConfig, eps: float | None = None) -> Schedule:
         raise ConfigError(
             "the halving search needs a static mixing matrix, got 'random-gossip'", "mixing"
         )
-    target = eps if eps is not None else (cfg.eps_stop if cfg.eps_stop is not None else 1e-6)
+    target = cfg.eps_stop if cfg.eps_stop is not None else 1e-6
     setup = prepare_run(cfg)
 
     best_eta: float | None = None
@@ -789,13 +791,18 @@ def _constant_dsgt_schedule(cfg: ExperimentConfig, eta: float) -> Schedule:
     )
 
 
-def tune_dsgt_beta(cfg: ExperimentConfig, multipliers: tuple[float, ...] | None = None) -> Schedule:
+#: Multipliers on the matched template ``beta`` that :func:`tune_dsgt_beta` tries.
+_DSGT_BETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+
+def tune_dsgt_beta(cfg: ExperimentConfig) -> Schedule:
     """Grid search over decay scales for the noisy baseline.
 
-    Each candidate multiplies the matched template ``beta`` and runs the full
-    horizon; the candidate with the smallest final weighted-average
-    suboptimality wins. Candidates whose run diverges (it raises
-    :class:`InvariantViolation` or ends with a non-finite score) are skipped.
+    Each candidate of :data:`_DSGT_BETA_GRID` multiplies the matched
+    template ``beta`` and runs the full horizon; the candidate with the
+    smallest final weighted-average suboptimality wins. Candidates whose run
+    diverges (it raises :class:`InvariantViolation` or ends with a
+    non-finite score) are skipped.
 
     Raises:
         InvariantViolation: When every candidate diverges.
@@ -804,11 +811,10 @@ def tune_dsgt_beta(cfg: ExperimentConfig, multipliers: tuple[float, ...] | None 
         raise ConfigError(f"decay tuning applies to 'dsgt', got '{cfg.algo}'", "algo")
     if cfg.sigma_bar <= 0.0:
         raise ConfigError("the decay grid needs a noisy run", "sigma_bar")
-    grid = multipliers if multipliers is not None else (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
     theta = prepare_run(cfg).theta
 
     best: tuple[float, Schedule] | None = None
-    for multiplier in grid:
+    for multiplier in _DSGT_BETA_GRID:
         candidate = theory_schedule("dsgt", "decaying", theta, cfg.L, cfg.mu, multiplier=multiplier)
         probe_cfg = replace(cfg, stride=max(1, cfg.iters // 50), avg_checkpoints=())
         try:
@@ -820,7 +826,7 @@ def tune_dsgt_beta(cfg: ExperimentConfig, multipliers: tuple[float, ...] | None 
             best = (score, candidate)
     if best is None:
         raise InvariantViolation(
-            f"baseline decay tuning: every multiplier in {tuple(grid)} diverged"
+            f"baseline decay tuning: every multiplier in {_DSGT_BETA_GRID} diverged"
         )
     return best[1]
 

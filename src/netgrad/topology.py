@@ -79,6 +79,8 @@ _SYMMETRY_TILE = 128
 _FIT_WINDOW = 1e-9
 #: Largest mode count the fit steps as Python floats rather than as arrays.
 _FLOAT_PATH_MODES = 32
+#: Steps of the augmented chain over which the fit of ``theta_tilde`` bounds every mode.
+_FIT_HORIZON = 200
 
 
 @dataclass(frozen=True)
@@ -479,7 +481,7 @@ def _mode_paths(lams: np.ndarray, gamma: float, horizon: int) -> np.ndarray:
     return modes
 
 
-def _fitted_theta_tilde(base_evals: np.ndarray, gamma: float, horizon: int = 200) -> float:
+def _fitted_theta_tilde(base_evals: np.ndarray, gamma: float) -> float:
     """Fitted decay exponent of the augmented chain on duplicated inputs.
 
     Every eigenvector ``v`` of the base matrix with non-unit eigenvalue
@@ -489,8 +491,8 @@ def _fitted_theta_tilde(base_evals: np.ndarray, gamma: float, horizon: int = 200
     duplicated block vector ``[x; x]``. The fitted exponent is the smallest
     decay rate such that the envelope
     ``sqrt(MOMENTUM_ENVELOPE) * (1 - theta_tilde)**t`` dominates the worst
-    mode at every step ``t`` in ``1..horizon``: one minus the largest
-    ``exp((log |mode_t| - log sqrt(MOMENTUM_ENVELOPE)) / t)``.
+    mode at every step ``t`` from 1 to :data:`_FIT_HORIZON`: one minus the
+    largest ``exp((log |mode_t| - log sqrt(MOMENTUM_ENVELOPE)) / t)``.
 
     The modes come from :func:`_mode_paths`, with the same floating point
     operations a per-mode scalar recursion makes, so every value is exact.
@@ -501,6 +503,7 @@ def _fitted_theta_tilde(base_evals: np.ndarray, gamma: float, horizon: int = 200
     equals the all-``math`` scalar loop bit for bit.
     """
     half_log_envelope = 0.5 * math.log(MOMENTUM_ENVELOPE)
+    horizon = _FIT_HORIZON
     modes = _mode_paths(np.asarray(base_evals[:-1], dtype=np.float64), gamma, horizon)
     radii = np.hypot(modes[2:], modes[1:-1])
     peaks = radii.max(axis=1, initial=0.0)

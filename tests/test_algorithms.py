@@ -131,7 +131,7 @@ def test_consensus_start_on_complete_graph_is_centralized_descent():
 
 def _max_audit_ratio(state) -> float:
     # Identities that do not apply have a zero error, so a zero ratio.
-    errors, scales = audit_identities(state)
+    errors, scales = audit_identities([state], state_means([state]))
     return float(np.max(errors / np.maximum(scales, 1e-300)))
 
 
@@ -162,9 +162,9 @@ def test_momentum_block_identities_hold_over_noisy_run():
     assert worst <= 1e-9
     # A lone state audits the block sums and the tracker mean (columns 1 to
     # 3, each against a nonzero scale) but has no step for the mean dynamics.
-    errors, scales = audit_identities(state)
-    assert errors[0] == scales[0] == 0.0
-    assert (scales[1:] > 0.0).all()
+    errors, scales = audit_identities([state], state_means([state]))
+    assert errors[0, 0] == scales[0, 0] == 0.0
+    assert (scales[0, 1:] > 0.0).all()
 
 
 def test_audit_reuses_a_given_working_block_mean():
@@ -176,13 +176,11 @@ def test_audit_reuses_a_given_working_block_mean():
     state = init_state(problem, np.zeros(2), "assdsgt", streams)
     for _ in range(20):
         state = assdsgt_step(state, problem, aug, sched, streams)
-    means = state_means(state)
-    assert means[2].tobytes() == state.x[:6].mean(axis=0).tobytes()
-    given, computed = audit_identities(state, means), audit_identities(state)
-    assert [a.tobytes() for a in given] == [a.tobytes() for a in computed]
-    means[2] += 1.0  # the working-block mean
-    errors, _ = audit_identities(state, means)
-    assert errors[1] > 1.0  # block_sum_x
+    means = state_means([state])
+    assert means[0, 2].tobytes() == state.x[:6].mean(axis=0).tobytes()
+    means[0, 2] += 1.0  # the working-block mean
+    errors, _ = audit_identities([state], means)
+    assert errors[0, 1] > 1.0  # block_sum_x
 
 
 def test_column_mean_equals_ndarray_mean_bit_for_bit():

@@ -180,7 +180,7 @@ def test_record_iteration_recomputes_from_state():
         state = ssdsgt_step(state, problem, w, sched, streams)
     xbar = state.x.mean(axis=0)
     subopt = global_suboptimality(problem, xbar)
-    record = record_iteration(state, problem, state.last_eta, sched.theta, state_means(state), subopt)
+    record = record_iteration(state, problem, state.last_eta, sched.theta, state_means([state])[0], subopt)
     assert record.t == state.t
     assert record.zeta == state.last_zeta
     assert record.consensus_x == pytest.approx(consensus_error(state.x), rel=1e-14)
@@ -308,7 +308,7 @@ def test_record_iteration_psi_equals_the_public_lyapunov_values_exactly():
             state = step(state, problem, op, sched, streams)
         eta = state.last_eta
         subopt = global_suboptimality(problem, state.x[: problem.m].mean(axis=0))
-        record = record_iteration(state, problem, eta, theta, state_means(state), subopt)
+        record = record_iteration(state, problem, eta, theta, state_means([state])[0], subopt)
         if algo == "ssdsgt":
             expected = lyapunov_psi(state, eta, theta, problem.L, problem)
         else:

@@ -136,7 +136,7 @@ def test_stacked_means_equal_column_means():
         if blocks == 2:
             expected += [column_mean(state.x[:m]), column_mean(state.x[m:])]
             expected += [column_mean(state.s[:m]), column_mean(state.s[m:])]
-        assert state_means(state).tobytes() == np.array(expected).tobytes(), (m, d, blocks, scale)
+        assert state_means([state])[0].tobytes() == np.array(expected).tobytes(), (m, d, blocks, scale)
 
 
 def test_vecdot_norms_equal_vector_norm():
@@ -186,9 +186,11 @@ def test_fused_audit_equals_per_identity_norms():
         state = _state(m, d, blocks, scale, rng)
         before = scale * rng.standard_normal(d)
         case = (m, d, blocks, scale)
-        assert _bytes(audit_identities(state)) == _bytes(_reference_audit(state, None)), case
-        expected = _reference_audit(state, before)
-        assert _bytes(audit_identities(state, state_means(state), before)) == _bytes(expected), case
+        means = state_means([state])
+        got = audit_identities([state], means)
+        assert _bytes(a[0] for a in got) == _bytes(_reference_audit(state, None)), case
+        got = audit_identities([state], means, before)
+        assert _bytes(a[0] for a in got) == _bytes(_reference_audit(state, before)), case
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 8, 16, 64))
@@ -202,7 +204,7 @@ def test_record_fields_equal_the_public_diagnostics(m, d):
             state = _state(m, d, blocks, scale, rng)
             xbar = column_mean(state.x[:m])
             subopt = global_suboptimality(problem, xbar)
-            record = record_iteration(state, problem, eta, theta, state_means(state), subopt)
+            record = record_iteration(state, problem, eta, theta, state_means([state])[0], subopt)
             assert record.consensus_x == consensus_error(state.x, blocks)
             assert record.consensus_s == consensus_error(state.s, blocks)
             assert record.snap_grad_dist == snapshot_gradient_distance(problem, state.q)
@@ -264,7 +266,8 @@ def test_chunk_audit_equals_per_state_norms():
             states, befores
         ), case
         # A run's start has no step to check.
-        assert _bytes(audit_identities(states)) == _stacked_reference(states, [None] + befores[1:]), case
+        got = audit_identities(states, state_means(states))
+        assert _bytes(got) == _stacked_reference(states, [None] + befores[1:]), case
 
 
 def test_chunk_audit_of_non_finite_states_keeps_python_max():

@@ -50,6 +50,20 @@ def _small_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+#: A value of the wrong type for each field kind (a bool is not a number),
+#: with a value of the right type in its place.
+MISTYPED = [
+    ("agents", True, 1),
+    ("iters", True, 1),
+    ("seed", True, 1),
+    ("d", True, 1),
+    ("stride", True, 1),
+    ("mu", True, 1),
+    ("avg_checkpoints", (True,), (1,)),
+    ("label", 5, "5"),
+]
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [
@@ -84,6 +98,7 @@ def _small_cfg(**overrides) -> ExperimentConfig:
         (dict(seed=1.5), "seed"),
         (dict(agents=1, mixing="random-gossip"), "agents"),
         (dict(algo="dsgt", mixing="random-gossip", dsgt_tuning="tuned"), "dsgt_tuning"),
+        *((dict([(name, wrong)]), name) for name, wrong, _ in MISTYPED),
     ],
 )
 def test_validate_names_the_offending_field(overrides, field):
@@ -131,6 +146,23 @@ def test_config_dict_round_trip():
         label="demo",
     )
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("name, wrong, right", MISTYPED)
+def test_validate_and_the_config_sidecar_agree_on_field_types(tmp_path, name, wrong, right):
+    # What validate accepts, save_config writes and load_config reads back
+    # equal; what it rejects, load_config and run_experiment reject too,
+    # naming the same field.
+    path = tmp_path / "config.json"
+    cfg = _small_cfg(**{name: right})
+    cfg.validate()
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+    save_config(_small_cfg(**{name: wrong}), path)
+    for load in (lambda: load_config(path), lambda: run_experiment(_small_cfg(**{name: wrong}))):
+        with pytest.raises(ConfigError) as excinfo:
+            load()
+        assert excinfo.value.field == name
 
 
 def test_from_dict_rejects_wrong_types_and_unknown_keys():
@@ -347,6 +379,13 @@ def test_iterations_to_epsilon_none_when_unreached():
     assert iterations_to_epsilon(trace, 1e-30) is None
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan")])
+def test_iterations_to_epsilon_rejects_a_target_that_is_not_positive(eps):
+    trace = run_experiment(_small_cfg(iters=5, x0_radius=3.0))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        iterations_to_epsilon(trace, eps)
+
+
 def test_noisy_stop_metric_uses_weighted_average():
     cfg = _small_cfg(sigma_bar=1.0, iters=300, stride=50, eps_stop=0.5, x0_radius=1.0)
     trace = run_experiment(cfg)
@@ -496,7 +535,7 @@ def test_sweep_checks_every_cell_before_running_any(monkeypatch, base, sizes, al
 
 def test_tuned_baseline_step_reaches_target():
     cfg = _small_cfg(algo="dsgt", agents=8, iters=30000, x0_radius=3.0, dsgt_tuning="tuned")
-    sched = tune_dsgt_step(cfg, eps=1e-5)
+    sched = tune_dsgt_step(replace(cfg, eps_stop=1e-5))
     assert sched.eta0 > 0.0
     trace = run_experiment(
         replace(cfg, eps_stop=1e-5, stride=500), schedule_override=sched
@@ -507,7 +546,7 @@ def test_tuned_baseline_step_reaches_target():
 def test_tuner_raises_when_budget_is_hopeless():
     cfg = _small_cfg(algo="dsgt", agents=8, iters=30, x0_radius=3.0, dsgt_tuning="tuned")
     with pytest.raises(InvariantViolation):
-        tune_dsgt_step(cfg, eps=1e-12)
+        tune_dsgt_step(replace(cfg, eps_stop=1e-12))
 
 
 def test_step_tuning_on_random_gossip_names_the_mixing_field():
@@ -539,10 +578,13 @@ def test_step_tuning_on_random_gossip_names_the_mixing_field_under_optimisation(
     assert done.stdout.strip() == "mixing"
 
 
-def test_decay_tuner_skips_divergent_candidates():
+def test_decay_tuner_skips_divergent_candidates(monkeypatch):
     cfg = _small_cfg(algo="dsgt", sigma_bar=1.0, iters=200)
     # A multiplier of 1e200 overflows within the first steps; the grid moves past it.
-    sched = tune_dsgt_beta(cfg, multipliers=(1e200, 1.0))
-    assert sched == tune_dsgt_beta(cfg, multipliers=(1.0,))
+    monkeypatch.setattr(harness, "_DSGT_BETA_GRID", (1e200, 1.0))
+    sched = tune_dsgt_beta(cfg)
+    monkeypatch.setattr(harness, "_DSGT_BETA_GRID", (1.0,))
+    assert sched == tune_dsgt_beta(cfg)
+    monkeypatch.setattr(harness, "_DSGT_BETA_GRID", (1e200,))
     with pytest.raises(InvariantViolation):
-        tune_dsgt_beta(cfg, multipliers=(1e200,))
+        tune_dsgt_beta(cfg)

@@ -19,7 +19,10 @@ them:
   so a record, a checkpoint and an early stop on one state, a noisy stop
   off the record grid, and a violation on a record state (from the audit,
   or from the record itself before a later audit failure) come out alike at
-  every chunk length.
+  every chunk length;
+* **seed independence**: noiseless ``dsgt`` on a static matrix draws no
+  coin, no edge and no noise, so every run seed gives the same trace bytes
+  and summary.
 
 Examples are drawn with ``derandomize=True``, so a failure reproduces.
 """
@@ -75,6 +78,12 @@ def configs(draw, algo: str) -> ExperimentConfig:
     )
 
 
+def _csv_bytes(trace, folder) -> bytes:
+    path = folder / "trace.csv"
+    write_trace(trace, path)
+    return path.read_bytes()
+
+
 def _bits(records) -> list[str]:
     """Every field of every record, floats by their exact repr."""
     return [repr(astuple(record)) for record in records]
@@ -123,6 +132,18 @@ def test_early_stop_lands_on_the_first_stride_one_record_under_eps(algo, data, s
     assert _bits(stopped.records[-1:]) == _bits([first])
 
 
+@pytest.mark.parametrize("mixing", ("metropolis", "lazy-metropolis"))
+@SETTINGS
+@given(data=st.data(), other=st.integers(0, 2**16))
+def test_noiseless_dsgt_on_a_static_matrix_is_the_same_for_every_seed(tmp_path_factory, mixing, data, other):
+    cfg = replace(data.draw(configs("dsgt")), mixing=mixing, sigma_bar=0.0)
+    assume(other != cfg.seed)
+    folder = tmp_path_factory.mktemp("seeds")
+    first, second = run_experiment(cfg), run_experiment(replace(cfg, seed=other))
+    assert _csv_bytes(first, folder) == _csv_bytes(second, folder)
+    assert repr(first.summary) == repr(second.summary)
+
+
 #: Chunk lengths of the boundary tests: one state per pass (the reference),
 #: two short chunks and the default.
 CHUNKS = (1, 2, 7, harness._OBSERVE_CHUNK)
@@ -157,9 +178,7 @@ def _outcome_at_every_chunk_length(monkeypatch, tmp_path, cfg: ExperimentConfig,
         except InvariantViolation as exc:
             outcomes.append(("violation", str(exc), exc.iteration))
             continue
-        path = tmp_path / "trace.csv"
-        write_trace(trace, path)
-        outcomes.append((path.read_bytes(), _bits(trace.records), repr(trace.summary)))
+        outcomes.append((_csv_bytes(trace, tmp_path), _bits(trace.records), repr(trace.summary)))
     assert outcomes == outcomes[:1] * len(chunks)
     return outcomes[0]
 
