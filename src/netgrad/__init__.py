@@ -28,8 +28,6 @@ from .diagnostics import (
     IterRecord,
     WeightedAverager,
     consensus_error,
-    lyapunov_psi,
-    lyapunov_psi_tilde,
     record_iteration,
     snapshot_gradient_distance,
 )
@@ -53,7 +51,6 @@ from .objectives import (
     exact_gradient,
     exact_gradients,
     global_suboptimality,
-    global_value,
     make_quadratic_suite,
     stochastic_gradient,
     stochastic_gradients,
@@ -109,14 +106,11 @@ __all__ = [
     "exact_gradient",
     "exact_gradients",
     "global_suboptimality",
-    "global_value",
     "gossip_contraction",
     "init_state",
     "iterations_to_epsilon",
     "lazify",
     "load_config",
-    "lyapunov_psi",
-    "lyapunov_psi_tilde",
     "make_quadratic_suite",
     "metropolis_mixing",
     "prepare_run",

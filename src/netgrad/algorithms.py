@@ -17,12 +17,26 @@ Three iteration families share this module, one state type
   mixing operator on duplicated state blocks, which accelerates consensus on
   poorly connected graphs. :func:`assdsgt_step` is :func:`ssdsgt_step`.
 
-Both steps mix only through the operator's ``apply(x)``: a dense mixing
-matrix, one random-gossip edge, or the augmented operator (see
+Both steps mix only through the operator's ``apply(x, out)``: a dense
+mixing matrix, one random-gossip edge, or the augmented operator (see
 :mod:`netgrad.topology`). States are row-stacked: ``blocks`` stacked
 ``(m, d)`` blocks, one for a plain operator and two for the augmented one,
 and the iterate and the tracker are stored as one ``(2, blocks * m, d)``
 array, so each step mixes both with one batched ``apply``.
+
+A run keeps its states in one :class:`StateBuffer`: ``K + 1`` slots of
+stacked states and gradient rows, each slot an :class:`SsState` built once
+with views into the buffer. A step writes the new state into its state's
+successor slot, with ``out=`` on every product and sum, and sets only
+references and scalars on the slot's object; it allocates nothing but the
+snapshot copies of a coin that fired. The step's temporaries (the mixing
+input, the correction and the momentum products, whose trailing-block
+product a step may carry to the next) are allocated once per run. A state
+that is not in a buffer gets a freshly allocated successor from the same
+kernel. Observation reduces the buffer's slices as they are:
+:func:`state_means` the stacked states and :func:`audit_identities` the
+gradient rows.
+
 Randomness comes exclusively from a
 :class:`~netgrad.streams.StreamBundle`, which serves the coin uniforms and the
 noise rows from blocks; noiseless runs draw nothing from the gradient streams
@@ -58,6 +72,7 @@ __all__ = [
     "theory_schedule",
     "step_size",
     "SsState",
+    "StateBuffer",
     "init_state",
     "ssdsgt_step",
     "assdsgt_step",
@@ -209,7 +224,7 @@ def step_size(sched: Schedule, t: int) -> float:
 
 @dataclass(slots=True)
 class SsState:
-    """Tracking state of all three iterations.
+    """Tracking state of all three iterations, one slot of a run's buffer.
 
     ``xs`` stores the iterate and the tracker as one ``(2, blocks * m, d)``
     array, so one batched ``apply`` mixes both; ``x`` (``xs[0]``) and ``s``
@@ -221,21 +236,22 @@ class SsState:
     ``q`` when the coin last fired (iteration ``tau``). ``dsgt`` re-takes
     its snapshot at every iterate: it passes ``q=None``, which makes ``q``
     the view ``x`` itself, ``g_snap`` holds the gradients sampled there and
-    ``tau == t``. The ``last_*`` fields describe the most recent transition
-    for diagnostics: ``last_grads`` holds the ``(m, d)`` gradient rows whose
-    column mean moved the iterate mean (the fresh rows of a snapshot step,
-    the previous snapshot rows of a ``dsgt`` step; ``None`` at the start).
-    A step computes no means: :func:`audit_identities` takes them for a
-    whole chunk of states at once.
+    ``tau == t``. ``grads`` holds the ``(m, d)`` gradient rows the step that
+    made the state sampled: the fresh rows of a snapshot step, the new
+    snapshot rows of a ``dsgt`` step, and the snapshot rows at a run's
+    start. ``last_eta`` and ``last_zeta`` describe that step.
 
-    ``trailing_product`` is the unscaled base product ``W @ s[m:]`` of a
-    stacked state, when the step that made it already holds those bits, and
-    ``None`` otherwise: at ``t = 0``, for one-block states, and after a step
-    whose coin fired. When the coin does not fire, the step adds no
-    correction to the tracker, so the augmented operator leaves the new
-    trailing block ``s[m:]`` equal, bit for bit, to the previous working
-    block ``s[:m]``, whose product the step has just computed; the next
-    ``apply`` reuses it instead of multiplying that block again.
+    A state is a slot of a buffer (see :class:`StateBuffer`): its ``xs`` and
+    ``grads`` are views fixed when the slot is built, and ``successor`` is
+    the next slot, which a step from this state writes into. A step sets
+    only references and scalars on the successor; ``q`` and ``g_snap`` of a
+    snapshot step are copied out of the buffer when the coin fires, since a
+    slot is overwritten one chunk later. A state without a successor (from
+    :func:`init_state`, or one a step returned for it) gets a freshly
+    allocated one: a chunk of one, stepped by the same kernel. A step never
+    writes to an array of the state it starts from. ``scratch`` holds the
+    step's temporaries, shared by a buffer's slots and by a chain of
+    freshly allocated successors.
     """
 
     xs: np.ndarray
@@ -245,8 +261,9 @@ class SsState:
     t: int
     last_eta: float = 0.0
     last_zeta: int = 0
-    last_grads: np.ndarray | None = None
-    trailing_product: np.ndarray | None = None
+    grads: np.ndarray | None = field(default=None, repr=False)
+    successor: SsState | None = field(default=None, repr=False)
+    scratch: _Scratch | None = field(default=None, repr=False)
     x: np.ndarray = field(init=False, repr=False)
     s: np.ndarray = field(init=False, repr=False)
     blocks: int = field(init=False, repr=False)
@@ -257,6 +274,8 @@ class SsState:
         self.blocks = len(self.x) // len(self.g_snap)
         if self.q is None:
             self.q = self.x
+        if self.grads is None:
+            self.grads = self.g_snap
 
     @property
     def x_aug(self) -> np.ndarray:
@@ -269,7 +288,109 @@ class SsState:
         return self.s
 
 
-#: A mixing operator: anything whose ``apply(x)`` mixes row-stacked states.
+class _Scratch:
+    """A step's temporaries: the mixing input, the correction and the products.
+
+    ``mixing`` is the ``(2, blocks * m, d)`` input of the step's ``apply``
+    (the descent argument over the tracker), ``correction`` the ``(m, d)``
+    gradient correction, and ``products`` (two-block states only) the
+    unscaled base products of the augmented ``apply``. ``carried`` is the
+    ``xs`` array of the state whose next step may reuse ``W @ s[:m]`` of
+    the step that made it: when that step's coin did not fire, the new
+    trailing tracker block ``s[m:]`` equals, bit for bit, the old working
+    block whose product sits in ``products[1, :m]`` (``working``); the next
+    step moves it to ``products[1, m:]`` (``trailing``), the slot ``apply``
+    reuses. Every state has its own ``xs`` array, and holding the array
+    rather than the state keeps the scratch out of a reference cycle with
+    the states that hold it, so a run's buffer is freed when the run ends.
+    """
+
+    __slots__ = ("mixing", "descent", "tracker", "correction", "products", "working", "trailing", "carried")
+
+    def __init__(self, shape: tuple[int, ...], m: int, blocks: int) -> None:
+        self.mixing = np.empty(shape)
+        self.descent, self.tracker = self.mixing
+        self.correction = np.empty((m, shape[-1]))
+        self.products = self.working = self.trailing = None
+        if blocks > 1:
+            self.products = np.empty(shape)
+            self.working, self.trailing = self.products[1, :m], self.products[1, m:]
+        self.carried: np.ndarray | None = None
+
+
+def _slot(xs: np.ndarray, grads: np.ndarray, scratch: _Scratch) -> SsState:
+    """A blank state whose ``xs`` and ``grads`` are the given arrays."""
+    return SsState(xs=xs, q=None, g_snap=grads, tau=0, t=0, grads=grads, scratch=scratch)
+
+
+def _successor(state: SsState) -> SsState:
+    """A freshly allocated slot for a step from ``state``, which has no successor."""
+    scratch = state.scratch
+    if scratch is None:
+        scratch = _Scratch(state.xs.shape, len(state.g_snap), state.blocks)
+    return _slot(np.empty(state.xs.shape), np.empty(state.g_snap.shape), scratch)
+
+
+class StateBuffer:
+    """One run's chunk buffer: ``steps + 1`` state slots that the steps write into.
+
+    ``xs`` is ``(steps + 1, 2, blocks * m, d)`` and ``grads`` is
+    ``(steps + 1, m, d)``; ``states[k]`` is the :class:`SsState` of slot
+    ``k``, with views of ``xs[k]`` and ``grads[k]`` and slot ``k + 1`` as
+    its successor. Slot 0 holds the state a chunk starts from, with its
+    snapshot rows in ``grads[0]``: ``start`` at first, and then, moved
+    there by :meth:`restart`, the last state of the chunk before. The steps
+    of a chunk fill slots 1 and on. So the states of a chunk and the one
+    before it are consecutive slices of the two arrays, which observation
+    reduces as they are.
+    """
+
+    def __init__(self, start: SsState, algo: str, steps: int) -> None:
+        m = len(start.g_snap)
+        self.xs = np.zeros((steps + 1, *start.xs.shape))
+        self.grads = np.zeros((steps + 1, *start.g_snap.shape))
+        self.dsgt = algo == "dsgt"
+        scratch = _Scratch(start.xs.shape, m, start.blocks)
+        self.states = [_slot(xs, grads, scratch) for xs, grads in zip(self.xs, self.grads)]
+        for state, successor in zip(self.states, self.states[1:]):
+            state.successor = successor
+        self.restart(start)
+
+    def restart(self, state: SsState) -> SsState:
+        """Copy ``state`` into slot 0 and return slot 0."""
+        first = self.states[0]
+        if state is first:
+            return first
+        self.xs[0] = state.xs
+        self.grads[0] = state.g_snap
+        first.q = first.x if self.dsgt else state.q
+        first.g_snap = first.grads if self.dsgt else state.g_snap
+        first.tau, first.t = state.tau, state.t
+        first.last_eta, first.last_zeta = state.last_eta, state.last_zeta
+        scratch = first.scratch
+        if scratch.carried is state.xs:
+            scratch.carried = first.xs
+        return first
+
+    def gradient_slots(self, count: int) -> tuple[slice, np.ndarray]:
+        """Where the gradient rows of slots ``0..count`` are, as indices into ``grads``.
+
+        The first item selects, for each step into slots ``1..count``, the
+        rows whose mean moved the iterate mean: the rows of the state before
+        it for ``dsgt`` (its snapshot), the step's own fresh rows otherwise.
+        The second gives, for each slot, the slot whose rows are its
+        snapshot rows: its own for ``dsgt``; for a snapshot step the last
+        slot whose coin fired, or slot 0, whose rows are the snapshot it
+        started from.
+        """
+        if self.dsgt:
+            return slice(0, count), np.arange(count + 1)
+        fired = [k if state.last_zeta else 0 for k, state in enumerate(self.states[: count + 1])]
+        fired[0] = 0
+        return slice(1, count + 1), np.maximum.accumulate(fired)
+
+
+#: A mixing operator: anything whose ``apply(x, out)`` mixes row-stacked states.
 Operator = MixingMatrix | EdgeGossip | AugmentedMixing
 
 
@@ -281,7 +402,7 @@ def _start_rows(problem: QuadraticProblem, x0: np.ndarray) -> np.ndarray:
 
 
 def _sampled_gradients(
-    problem: QuadraticProblem, x: np.ndarray, streams: StreamBundle | None
+    problem: QuadraticProblem, x: np.ndarray, streams: StreamBundle | None, out: np.ndarray
 ) -> np.ndarray:
     """Row-stacked noisy gradients with noise rows served by the bundle.
 
@@ -290,9 +411,10 @@ def _sampled_gradients(
     The exact rows are :func:`~netgrad.objectives.exact_gradients` without
     its argument checks (``x`` is always an ``(m, d)`` float array here),
     through the ``c_einsum`` that ``np.einsum`` forwards to, so the bits
-    are the same. Noiseless problems leave the streams untouched.
+    are the same. The rows are written to ``out``, an ``(m, d)`` array, and
+    returned. Noiseless problems leave the streams untouched.
     """
-    grads = c_einsum("ijk,ik->ij", problem.quads, x)
+    grads = c_einsum("ijk,ik->ij", problem.quads, x, out=out)
     grads += problem.linears
     if problem.sigma_bar == 0.0:
         return grads
@@ -323,14 +445,14 @@ def init_state(
         streams: Random streams; required when the problem has gradient noise.
 
     Returns:
-        The :class:`SsState` with ``t = 0``.
+        The :class:`SsState` with ``t = 0``, without a successor.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm tag '{algo}'")
     if problem.sigma_bar > 0.0 and streams is None:
         raise ValueError("noisy problems need a stream bundle")
     x = _start_rows(problem, x0)
-    g0 = _sampled_gradients(problem, x, streams)
+    g0 = _sampled_gradients(problem, x, streams, np.empty(x.shape))
     blocks = 2 if algo == "assdsgt" else 1
     return SsState(xs=np.tile(np.stack([x, g0]), (1, blocks, 1)), q=x, g_snap=g0, tau=0, t=0)
 
@@ -344,10 +466,10 @@ def _add_to_blocks(stack: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None
     """
     m = len(rows)
     if len(stack) == m:
-        np.add(stack, rows, out=out)
+        np.add(stack, rows, out)
     else:
-        np.add(stack[:m], rows, out=out[:m])
-        np.add(stack[m:], rows, out=out[m:])
+        np.add(stack[:m], rows, out[:m])
+        np.add(stack[m:], rows, out[m:])
 
 
 def ssdsgt_step(
@@ -369,59 +491,57 @@ def ssdsgt_step(
     matrix or gossip edge this is the snapshot iteration; with two blocks
     and the augmented operator it is the momentum iteration, and a zero
     momentum weight reproduces the one-block iteration bit for bit on the
-    working block. The momentum step passes the state's
-    ``trailing_product`` to ``apply`` and carries the new one (see
-    :class:`SsState`), so a step whose predecessor's coin did not fire
-    makes three base-matrix products instead of four.
+    working block. A momentum step whose state was made by a step of the
+    same scratch whose coin did not fire reuses that step's product of the
+    working tracker block (see :class:`_Scratch`), so it makes three
+    base-matrix products instead of four. The new state is written into
+    ``state``'s successor slot (see :class:`SsState`) and returned.
     ``eta`` is ``step_size(sched, state.t)``, computed here when not given.
     """
     if eta is None:
         eta = step_size(sched, state.t)
+    new = state.successor
+    if new is None:
+        new = _successor(state)
+    scratch = new.scratch
     m = problem.m
     zeta = 1 if streams.coin_uniform() < sched.p else 0
-    x = state.x
-    g_x = _sampled_gradients(problem, x[:m], streams)
-    correction = g_x - state.g_snap
-    # The descent argument replaces the iterate in a copy of the stacked
-    # state, so one apply mixes it and the tracker.
-    mixing = state.xs.copy()
-    descent = mixing[0]
-    _add_to_blocks(mixing[1], correction, descent)
+    x, s = state.x, state.s
+    top = x if state.blocks == 1 else x[:m]
+    g_x = _sampled_gradients(problem, top, streams, new.grads)
+    correction = np.subtract(g_x, state.g_snap, scratch.correction)
+    # The descent argument over a copy of the tracker, so one apply mixes
+    # both into the new state.
+    descent = scratch.descent
+    _add_to_blocks(s, correction, descent)
     descent *= eta
-    np.subtract(x, descent, out=descent)
+    np.subtract(x, descent, descent)
+    scratch.tracker[...] = s
     if state.blocks == 1:
-        xs_new, kept = op.apply(mixing), None
+        op.apply(scratch.mixing, new.xs)
     else:
-        # The augmented apply reuses the carried product of the trailing
-        # tracker block and leaves every unscaled product in ``products``;
-        # the tracker's working-block product is the next one to carry.
-        products = np.empty(mixing.shape)
-        xs_new = op.apply(mixing, state.trailing_product, products)
-        kept = products[1, :m]
+        # The tracker's working-block product of the step that made
+        # ``state`` is its trailing-block product now, unless a correction
+        # went into the tracker.
+        reuse = scratch.carried is state.xs
+        if reuse:
+            scratch.trailing[...] = scratch.working
+        op.apply(scratch.mixing, new.xs, scratch.products, reuse)
+        scratch.carried = new.xs
     if zeta:
-        s_new = xs_new[1]
-        _add_to_blocks(s_new, correction, s_new)
-        q_new = x[:m].copy()
-        g_snap_new = g_x
-        tau_new = state.t
-        # The correction now sits in both tracker blocks, so the trailing
-        # block no longer has the bits of the product just computed.
-        kept = None
+        _add_to_blocks(new.s, correction, new.s)
+        new.q = top.copy()
+        new.g_snap = g_x.copy()
+        new.tau = state.t
+        scratch.carried = None
     else:
-        q_new = state.q
-        g_snap_new = state.g_snap
-        tau_new = state.tau
-    return SsState(
-        xs=xs_new,
-        q=q_new,
-        g_snap=g_snap_new,
-        tau=tau_new,
-        t=state.t + 1,
-        last_eta=eta,
-        last_zeta=zeta,
-        last_grads=g_x,
-        trailing_product=kept,
-    )
+        new.q = state.q
+        new.g_snap = state.g_snap
+        new.tau = state.tau
+    new.t = state.t + 1
+    new.last_eta = eta
+    new.last_zeta = zeta
+    return new
 
 
 #: The momentum-augmented iteration is the snapshot step driven through an
@@ -444,27 +564,28 @@ def dsgt_step(
     iterate, and the tracker absorbs the increment over the stored
     gradients. The snapshot then moves to the new iterate with the gradients
     just sampled. With one agent and the identity matrix this is plain
-    stochastic gradient descent.
+    stochastic gradient descent. The new state is written into ``state``'s
+    successor slot (see :class:`SsState`) and returned.
     """
     if eta is None:
         eta = step_size(sched, state.t)
-    mixing = state.xs.copy()
-    descent = mixing[0]
-    descent -= eta * state.s
-    xs_new = op.apply(mixing)
-    x_new, s_new = xs_new[0], xs_new[1]
-    g_new = _sampled_gradients(problem, x_new, streams)
-    s_new += g_new - state.g_snap
-    return SsState(
-        xs=xs_new,
-        q=None,
-        g_snap=g_new,
-        tau=state.t + 1,
-        t=state.t + 1,
-        last_eta=eta,
-        last_zeta=0,
-        last_grads=state.g_snap,
-    )
+    new = state.successor
+    if new is None:
+        new = _successor(state)
+    scratch = new.scratch
+    descent = scratch.descent
+    np.multiply(state.s, eta, descent)
+    np.subtract(state.x, descent, descent)
+    scratch.tracker[...] = state.s
+    op.apply(scratch.mixing, new.xs)
+    g_new = _sampled_gradients(problem, new.x, streams, new.grads)
+    new.s += np.subtract(g_new, state.g_snap, scratch.correction)
+    new.q = new.x
+    new.g_snap = g_new
+    new.tau = new.t = state.t + 1
+    new.last_eta = eta
+    new.last_zeta = 0
+    return new
 
 
 def column_mean(a: np.ndarray) -> np.ndarray:
@@ -506,11 +627,12 @@ def _rows_first(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(items.T).view(np.float64).reshape(rows, count, d)
 
 
-def state_means(states: Sequence[SsState]) -> np.ndarray:
-    """Column means of a chunk of stacked states, from one row layout.
+def state_means(xs: np.ndarray, m: int) -> np.ndarray:
+    """Column means of a stack of states, from one row layout.
 
-    ``states`` is a chunk of ``K`` states of one run, so of one shape; the
-    result has shape ``(K, rows, d)``, row block ``k`` for ``states[k]``.
+    ``xs`` is a C-contiguous ``(K, 2, blocks * m, d)`` stack of ``K``
+    states' ``xs`` arrays, such as a slice of a :class:`StateBuffer`; the
+    result has shape ``(K, rows, d)``, row block ``k`` for state ``k``.
     Rows 0 and 1 are the full-stack means of ``x`` and ``s``. A stacked
     state adds rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``,
     ``s[:m]`` and ``s[m:]``, from a second reduction over the block halves
@@ -519,12 +641,9 @@ def state_means(states: Sequence[SsState]) -> np.ndarray:
     before s blocks, and row ``-2 * blocks`` is the mean of the working
     iterate ``x[:m]``.
     """
-    count = len(states)
-    blocks = states[0].blocks
-    m, d = states[0].g_snap.shape
-    # One concatenation stacks the chunk; np.stack costs about three times as much.
-    xs = np.concatenate([state.xs for state in states]).reshape(2 * count, blocks * m, d)
-    rows = _rows_first(xs).reshape(blocks * m, count, 2, d)
+    count, _, stacked, d = xs.shape
+    blocks = stacked // m
+    rows = _rows_first(xs.reshape(2 * count, stacked, d)).reshape(stacked, count, 2, d)
     if blocks == 1:
         means = np.add.reduce(rows, axis=0)
         means /= float(m)
@@ -554,29 +673,39 @@ def _python_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def audit_identities(
-    states: Sequence[SsState],
     means: np.ndarray,
-    mean_before: np.ndarray | None = None,
+    grads: np.ndarray,
+    etas: Sequence[float],
+    moved: slice | np.ndarray,
+    snaps: np.ndarray,
+    start: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw self-check residuals for the tracking identities of a chunk of states.
 
-    ``states`` is a chunk of ``K`` consecutive states of one run. The result
-    is a pair of ``(K, 4)`` arrays, ``errors`` and ``scales``, with one
-    column per identity in the order ``mean_dynamics``, ``block_sum_x``,
-    ``block_sum_s``, ``tracker_mean``: ``error`` is the Euclidean size of
-    the violated identity and ``scale`` the magnitude it should be compared
-    against, and both are zero where an identity does not apply. Callers
-    normalize against a running maximum of the scale so that late-run
-    ratios stay meaningful after the quantities have converged toward zero.
+    The chunk is slots ``0..n`` of a :class:`StateBuffer`: ``means`` is
+    :func:`state_means` of them, ``(n + 1, rows, d)``; ``grads`` is the
+    buffer's gradient rows that the indices below point into; ``etas`` are
+    the step sizes of the steps into slots ``1..n``; ``moved[j]`` is the
+    index of the rows whose mean moved the iterate mean in the step into
+    slot ``j + 1``, and ``snaps[k]`` the index of the snapshot rows of slot
+    ``k`` (see :meth:`StateBuffer.gradient_slots`). Slot 0 is the state
+    before the chunk's first step, whose mean is the mean before it; it is
+    audited itself only at a run's ``start``, which has no step.
+
+    The result is a pair of ``(K, 4)`` arrays, ``errors`` and ``scales``,
+    for the audited slots (``K = n + 1`` at a start, ``n`` otherwise), with
+    one column per identity in the order ``mean_dynamics``,
+    ``block_sum_x``, ``block_sum_s``, ``tracker_mean``: ``error`` is the
+    Euclidean size of the violated identity and ``scale`` the magnitude it
+    should be compared against, and both are zero where an identity does
+    not apply. Callers normalize against a running maximum of the scale so
+    that late-run ratios stay meaningful after the quantities have
+    converged toward zero.
 
     Checked identities:
-        * mean dynamics (for every state but a first one without
-          ``mean_before``): the full-stack iterate mean moved by exactly
-          ``-last_eta`` times the column mean of ``last_grads`` from the
-          mean before the step. That is ``mean_before`` for the chunk's
-          first state, the full-stack iterate mean before the chunk
-          (``None`` at a run's start, which has no step), and the previous
-          state's mean for every later one;
+        * mean dynamics (for every stepped state): the full-stack iterate
+          mean moved by exactly ``-eta`` times the column mean of the step's
+          gradient rows from the mean of the slot before;
         * stacked state (more than one block): the working block and the
           trailing block of the iterate and of the tracker keep equal column
           sums;
@@ -584,49 +713,43 @@ def audit_identities(
           the column mean of the stored snapshot gradients (for ``dsgt``, the
           last sampled ones).
 
-    ``means`` is :func:`state_means` of the chunk. The gradient means and
-    the snapshot means of the whole chunk come from one stacked reduction,
-    and every norm from one ``sqrt(vecdot)``; each equals :func:`column_mean` and
-    :func:`vector_norm` of its own slice bit for bit. Each scale is the
-    Python ``max`` of its norms, NaN handling included.
+    Every gradient mean comes from one reduction over ``grads``, each
+    snapshot's once, and every norm from one ``sqrt(vecdot)``; each equals
+    :func:`column_mean` and :func:`vector_norm` of its own slice bit for
+    bit. Each scale is the Python ``max`` of its norms, NaN handling
+    included.
     """
-    count, k, d = means.shape
-    m = len(states[0].g_snap)
+    lo = 0 if start else 1
+    count, k, d = len(means) - lo, means.shape[1], means.shape[2]
     stacked = k > 2
-    first = 0 if mean_before is not None else 1
-    stepped = states[first:]
-    steps = len(stepped)
     # Rows of each state: the means; the full-stack means x and s should
     # have (x moved by the step from the mean before it, s at the snapshot
     # gradient mean); the residuals of the two; the step's gradient mean and
     # the mean before the step; and, for a stacked state, the
     # top-minus-bottom block residuals of x and s.
     rows = np.zeros((count, k + (8 if stacked else 6), d))
-    rows[:, :k] = means
-    # The gradient rows of every step and the snapshot rows of every state,
-    # reduced together; the float divisor is column_mean's.
-    grads = np.concatenate([state.last_grads for state in stepped] + [state.g_snap for state in states])
-    grad_means = np.add.reduce(_rows_first(grads.reshape(steps + count, m, d)), axis=0)
-    grad_means /= float(m)
-    rows[:, k + 1] = grad_means[steps:]
-    etas = np.array([state.last_eta for state in stepped])
-    before = rows[first:, k + 5]
-    before[1 - first :] = means[:-1, 0]
-    if mean_before is not None:
-        before[0] = mean_before
-    rows[first:, k + 4] = grad_means[:steps]
-    moved = rows[first:, k]
-    np.multiply(grad_means[:steps], etas[:, None], out=moved)
-    np.subtract(before, moved, out=moved)
-    np.subtract(means[:, :2], rows[:, k : k + 2], out=rows[:, k + 2 : k + 4])
+    rows[:, :k] = means[lo:]
+    # The float divisor is column_mean's.
+    grad_means = np.add.reduce(_rows_first(grads), axis=0)
+    grad_means /= float(grads.shape[1])
+    rows[:, k + 1] = grad_means[snaps[lo:]]
+    etas = np.array(etas)
+    stepped = rows[1 - lo :]
+    stepped[:, k + 5] = means[:-1, 0]
+    step_means = stepped[:, k + 4]
+    step_means[:] = grad_means[moved]
+    moved_to = stepped[:, k]
+    np.multiply(step_means, etas[:, None], out=moved_to)
+    np.subtract(stepped[:, k + 5], moved_to, out=moved_to)
+    np.subtract(rows[:, :2], rows[:, k : k + 2], out=rows[:, k + 2 : k + 4])
     if stacked:
-        np.subtract(means[:, 2::2], means[:, 3::2], out=rows[:, k + 6 :])
+        np.subtract(rows[:, 2:k:2], rows[:, 3:k:2], out=rows[:, k + 6 :])
     norms = np.sqrt(np.vecdot(rows, rows))
     errors = np.zeros((count, 4))
     scales = np.zeros((count, 4))
-    step_norms = norms[first:]
-    errors[first:, 0] = step_norms[:, k + 2]
-    scales[first:, 0] = _python_max(
+    step_norms = norms[1 - lo :]
+    errors[1 - lo :, 0] = step_norms[:, k + 2]
+    scales[1 - lo :, 0] = _python_max(
         _python_max(step_norms[:, 0], step_norms[:, k + 5]), etas * step_norms[:, k + 4]
     )
     if stacked:

@@ -27,8 +27,6 @@ __all__ = [
     "WeightedAverager",
     "consensus_error",
     "snapshot_gradient_distance",
-    "lyapunov_psi",
-    "lyapunov_psi_tilde",
     "record_iteration",
 ]
 
@@ -115,55 +113,27 @@ def snapshot_gradient_distance(problem: QuadraticProblem, q: np.ndarray) -> floa
     return float(np.sum(rows * rows))
 
 
-def lyapunov_psi(
-    state: SsState,
-    eta: float,
-    theta: float,
-    L: float,
-    problem: QuadraticProblem,
-) -> float:
-    """Lyapunov combination for the snapshot iteration.
+def _psi(cx: float, cs: float, dist: float, eta: float, theta: float, L: float) -> float:
+    """Lyapunov combination for the snapshot iteration, from its three squared terms.
 
     ``|Px|^2 + (4 eta^2 / theta^2) |Ps|^2 +
     (2 eta / (L theta)) |grad at snapshot - grad at minimizer|^2``
-    with exact gradients in the last term.
+    with exact gradients in the last term: ``cx``, ``cs`` and ``dist``.
     """
-    cx = consensus_error(state.x)
-    cs = consensus_error(state.s)
-    dist = snapshot_gradient_distance(problem, state.q)
-    return _psi(cx, cs, dist, eta, theta, L)
-
-
-def _psi(cx: float, cs: float, dist: float, eta: float, theta: float, L: float) -> float:
-    """The :func:`lyapunov_psi` combination of its three squared terms."""
     return cx + (4.0 * eta * eta / (theta * theta)) * cs + (2.0 * eta / (L * theta)) * dist
-
-
-def lyapunov_psi_tilde(
-    state: SsState,
-    eta: float,
-    theta_tilde: float,
-    L: float,
-    alpha: float,
-    problem: QuadraticProblem,
-) -> float:
-    """Lyapunov combination for the momentum-augmented (two-block) iteration.
-
-    ``|P x|^2 + (12 alpha eta^2 / theta_tilde^2) |P s|^2 +
-    (16 (1 + 8 alpha) eta^2 / theta_tilde^2) |grad at snapshot - grad at
-    minimizer|^2`` where the projections act blockwise on the stacked state
-    and ``alpha`` is the envelope constant of the augmented mixing chain.
-    """
-    cx = consensus_error(state.x, blocks=2)
-    cs = consensus_error(state.s, blocks=2)
-    dist = snapshot_gradient_distance(problem, state.q)
-    return _psi_tilde(cx, cs, dist, eta, theta_tilde, alpha)
 
 
 def _psi_tilde(
     cx: float, cs: float, dist: float, eta: float, theta_tilde: float, alpha: float
 ) -> float:
-    """The :func:`lyapunov_psi_tilde` combination of its three squared terms."""
+    """Lyapunov combination for the momentum-augmented (two-block) iteration.
+
+    ``|P x|^2 + (12 alpha eta^2 / theta_tilde^2) |P s|^2 +
+    (16 (1 + 8 alpha) eta^2 / theta_tilde^2) |grad at snapshot - grad at
+    minimizer|^2``, from the three squared terms ``cx``, ``cs`` and
+    ``dist``, where the projections act blockwise on the stacked state and
+    ``alpha`` is the envelope constant of the augmented mixing chain.
+    """
     tt2 = theta_tilde * theta_tilde
     return (
         cx
@@ -216,7 +186,9 @@ class WeightedAverager:
             if eta <= 0.0:
                 bad = eta
                 break
-            if eta_prev is None:
+            # An unchanged finite step adds log(eta / eta_prev), exactly 0.0,
+            # to a nonnegative term, which leaves it as it is.
+            if eta_prev is None or eta == eta_prev < math.inf:
                 log_w += half_mu * eta
             else:
                 log_w += log(eta / eta_prev) + half_mu * eta

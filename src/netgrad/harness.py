@@ -27,6 +27,7 @@ import numpy as np
 from .algorithms import (
     ALGORITHMS,
     Schedule,
+    StateBuffer,
     assdsgt_step,
     audit_identities,
     dsgt_step,
@@ -296,8 +297,10 @@ def _check_type(kind: object, nullable: bool, value: object) -> None:
     """Raise ``TypeError`` unless ``value`` fits a field of type ``kind``.
 
     Field types are ``int``, ``float``, ``str``, one of these ``| None``
-    (``nullable``), or ``tuple[int, ...]``. A bool is not a number, an int
-    is fine in a float field, and a list is fine in place of the tuple.
+    (``nullable``), or ``tuple[int, ...]``. A bool is not a number, and an
+    int is fine in a float field. A tuple field needs a tuple: a list would
+    leave the config unhashable and unequal to its saved copy, whose JSON
+    list :meth:`ExperimentConfig.from_dict` turns into a tuple.
     """
     if nullable and value is None:
         return
@@ -312,8 +315,8 @@ def _check_type(kind: object, nullable: bool, value: object) -> None:
         if not isinstance(value, str):
             raise TypeError(f"expected a string{null}, got {value!r}")
     # tuple[int, ...], the one remaining field type
-    elif not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list of integers, got {value!r}")
+    elif not isinstance(value, tuple):
+        raise TypeError(f"expected a tuple of integers, got {value!r}")
     else:
         for item in value:
             if not _is_int(item):
@@ -517,8 +520,9 @@ def _tuned_schedule(cfg: ExperimentConfig) -> Schedule | None:
 
 #: Most consecutive states a run observes in one batched pass.
 _OBSERVE_CHUNK = 64
-#: Bound on the doubles of one chunk's stacked states (256 KiB); a chunk
-#: holds at least one state however large ``m * d`` is.
+#: Bound on the doubles of a run's chunk buffer, its states and their
+#: gradient rows (256 KiB); a chunk holds at least one step however large
+#: ``m * d`` is.
 _CHUNK_DOUBLES = 2**15
 
 
@@ -553,18 +557,20 @@ def _execute(setup: RunSetup) -> Trace:
     """Step and observe a prepared run.
 
     A step only advances the dynamics; everything a run observes is taken a
-    chunk of states at a time. The loop steps up to :data:`_OBSERVE_CHUNK`
-    states ahead (fewer when their stacked arrays would pass
-    :data:`_CHUNK_DOUBLES`), then takes the chunk's state means, identity
-    audits and suboptimalities in one batched pass each, and folds every
-    audit ratio at once to find the first failing state. It then walks only
-    the chunk's event states before that failure, in iteration order:
-    records, checkpoints and the early stop (every state, for a noisy run
-    with a target, whose stop test reads the running average). Before each
-    event it pushes the states since the last one to the averager in one
-    segment. The first stop or violation ends the run, and the states
-    stepped past it are discarded, so a run's records, summary and failure
-    do not depend on the chunk length.
+    chunk of states at a time. The run owns one :class:`StateBuffer`, and
+    its steps write their states straight into the buffer's slots. The loop
+    steps until the chunk holds :data:`_OBSERVE_CHUNK` states (fewer when
+    the buffer would pass :data:`_CHUNK_DOUBLES`), then takes the chunk's
+    state means, identity audits and suboptimalities in one batched pass
+    each over the buffer's slices, and folds every audit ratio at once to
+    find the first failing state. It then walks only the chunk's event
+    states before that failure, in iteration order: records, checkpoints
+    and the early stop (every state, for a noisy run with a target, whose
+    stop test reads the running average). Before each event it pushes the
+    states since the last one to the averager in one segment. The first
+    stop or violation ends the run, and the states stepped past it are
+    discarded, so a run's records, summary and failure do not depend on the
+    chunk length.
     """
     cfg = setup.cfg
     problem = setup.problem
@@ -590,31 +596,40 @@ def _execute(setup: RunSetup) -> Trace:
     # numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         state = init_state(problem, setup.x0, cfg.algo, streams)
-        size = max(1, min(_OBSERVE_CHUNK, _CHUNK_DOUBLES // state.xs.size))
+        slot_doubles = state.xs.size + state.g_snap.size
+        size = max(1, min(_OBSERVE_CHUNK, _CHUNK_DOUBLES // slot_doubles - 1))
+        buffer = StateBuffer(state, cfg.algo, size)
+        state = buffer.states[0]
+        blocks = state.blocks
         # Each state's step size is computed once: the walk pushes and
-        # records it, and the step from that state takes it.
+        # records it, and the step from that state takes it. ``etas[k]`` is
+        # slot k's.
         eta = step_size(sched, state.t)
-        chunk, etas = [state], [eta]
-        # The full-stack iterate mean before the chunk's first state: the
-        # run's start has none.
-        mean_before: np.ndarray | None = None
+        etas = [eta]
+        # The slot of the chunk's first observed state: the first chunk
+        # observes the run's start in slot 0 and steps one state less; a
+        # later chunk's slot 0 holds the last state of the chunk before.
+        lo = 0
         while True:
-            while len(chunk) < size and state.t < cfg.iters:
+            count = min(size - 1 + lo, cfg.iters - state.t)
+            for _ in range(count):
                 op = static_op or random_edge_gossip(setup.graph, streams.gossip)
                 state = step(state, problem, op, sched, streams, eta)
                 eta = step_size(sched, state.t)
-                chunk.append(state)
                 etas.append(eta)
-            means = state_means(chunk)
-            errors, scales = audit_identities(chunk, means, mean_before)
-            subopts = global_suboptimality(problem, means[:, -2 * state.blocks])
+            means = state_means(buffer.xs[: count + 1], problem.m)
+            errors, scales = audit_identities(
+                means, buffer.grads[: count + 1], etas[:count], *buffer.gradient_slots(count), lo == 0
+            )
+            subopts = global_suboptimality(problem, means[lo:, -2 * blocks])
+            observed = etas[lo:]
             failed, failure = audits.fold(errors, scales, subopts)
             # The states up to each event go to the averager in one segment.
             pushed = 0
-            for index in _event_indices(chunk[0].t, failed, cfg, subopts):
-                averager.push(etas[pushed : index + 1], subopts[pushed : index + 1])
+            for index in _event_indices(buffer.states[lo].t, failed, cfg, subopts):
+                averager.push(observed[pushed : index + 1], subopts[pushed : index + 1])
                 pushed = index + 1
-                current = chunk[index]
+                current = buffer.states[lo + index]
                 t = current.t
                 if t in checkpoints:
                     wavg_at[str(t)] = averager.average
@@ -623,7 +638,7 @@ def _execute(setup: RunSetup) -> Trace:
                     try:
                         records.append(
                             record_iteration(
-                                current, problem, etas[index], setup.theta, means[index],
+                                current, problem, observed[index], setup.theta, means[lo + index],
                                 subopts[index], averager.average,
                             )
                         )
@@ -636,13 +651,14 @@ def _execute(setup: RunSetup) -> Trace:
                 audits.settle(pushed)
                 break
             if failure is not None:
-                raise InvariantViolation(failure, iteration=chunk[failed].t)
-            averager.push(etas[pushed:], subopts[pushed:])
-            audits.settle(len(chunk))
+                raise InvariantViolation(failure, iteration=buffer.states[lo + failed].t)
+            averager.push(observed[pushed:], subopts[pushed:])
+            audits.settle(len(subopts))
             if state.t == cfg.iters:
                 break
-            mean_before = means[-1, 0]
-            chunk, etas = [], []
+            state = buffer.restart(state)
+            etas = [eta]
+            lo = 1
 
     final = records[-1]
     summary = {

@@ -27,7 +27,6 @@ __all__ = [
     "exact_gradients",
     "stochastic_gradient",
     "stochastic_gradients",
-    "global_value",
     "global_suboptimality",
 ]
 
@@ -252,14 +251,6 @@ def stochastic_gradients(
     for i in range(problem.m):
         noise[i] = problem.noise.sample(agent_rngs[i], problem.d)
     return grads + noise
-
-
-def global_value(problem: QuadraticProblem, v: np.ndarray) -> float:
-    """Network objective at the shared point ``v``: the agent average."""
-    v = np.asarray(v, dtype=np.float64)
-    quad_terms = 0.5 * np.einsum("j,ijk,k->i", v, problem.quads, v)
-    linear_terms = problem.linears @ v
-    return float(np.mean(quad_terms + linear_terms))
 
 
 def global_suboptimality(problem: QuadraticProblem, v: np.ndarray) -> float | list[float]:

@@ -17,19 +17,23 @@ with their mirrors rather than forming ``W - W.T``, and :func:`lazify` writes
 
 Conventions:
     * Every mixing operator acts on row-stacked agent states through one
-      method, ``apply(x)``: a :class:`MixingMatrix` returns ``W @ x`` for
-      ``x`` of shape ``(m, d)``; an :class:`EdgeGossip` draw averages the two
-      rows of its edge, bit for bit what the dense single-edge matrix gives,
-      without forming it; an :class:`AugmentedMixing` acts on ``(2m, d)``
-      duplicated block vectors. ``apply`` also takes leading batch axes,
-      ``(..., rows, d)``, and mixes every slice as a separate call would, bit
-      for bit, so an iteration mixes its iterate and tracker in one call.
+      method, ``apply(x, out=None)``: a :class:`MixingMatrix` returns
+      ``W @ x`` for ``x`` of shape ``(m, d)``; an :class:`EdgeGossip` draw
+      averages the two rows of its edge, bit for bit what the dense
+      single-edge matrix gives, without forming it; an
+      :class:`AugmentedMixing` acts on ``(2m, d)`` duplicated block vectors.
+      ``apply`` also takes leading batch axes, ``(..., rows, d)``, and mixes
+      every slice as a separate call would, bit for bit, so an iteration
+      mixes its iterate and tracker in one call. ``out``, when given, is a
+      C-contiguous array shaped like ``x`` that receives the result (and is
+      returned); it must not overlap ``x``.
     * The augmented ``apply`` can reuse one base product. Its new bottom
       block is a copy of the old top block, so when nothing is added to the
       momentum tracker in between (the snapshot coin did not fire), the next
       iteration's ``W @ bottom`` is the ``W @ top`` already computed from the
-      same bits. The iteration carries that product in its state and passes
-      it back as ``trailing``; three of the four ``(m, d)`` products remain.
+      same bits. The iteration keeps the products in a buffer of its run and
+      asks ``apply`` to reuse the one in the trailing slot; three of the four
+      ``(m, d)`` products remain.
     * The contraction parameter ``theta`` is ``1 - lambda2`` where ``lambda2``
       is the largest magnitude among the non-unit eigenvalues. For the random
       gossip family, ``lambda2`` and ``theta`` describe the expected one-step
@@ -197,14 +201,14 @@ class MixingMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Mix row-stacked agent states: returns ``W @ x``.
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Mix row-stacked agent states: returns ``W @ x``, written to ``out`` when given.
 
         ``x`` has shape ``(..., m, d)``; each slice is mixed as ``W @ x[k]``
         alone would be. Preserves the column means of ``x`` up to floating
         point roundoff because the weights are column stochastic.
         """
-        return self.entries @ x
+        return np.matmul(self.entries, x, out=out)
 
 
 def _validate_mixing_entries(w: np.ndarray) -> float:
@@ -404,16 +408,19 @@ class EdgeGossip:
     i: int
     j: int
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return a copy of ``x`` with rows ``i`` and ``j`` replaced by their average.
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Return ``x`` with rows ``i`` and ``j`` replaced by their average, in ``out`` when given.
 
         Rows are the second-to-last axis of ``x``, so leading batch axes are
         mixed slice by slice. Written as ``0.5 * x[i] + 0.5 * x[j]`` so that
         it equals the dense product ``W @ x`` bit for bit on finite inputs
         above the subnormal range: halving them is exact, so both round the
-        sum once.
+        sum once. The other rows are copied.
         """
-        out = x.copy()
+        if out is None:
+            out = x.copy()
+        else:
+            np.copyto(out, x)
         avg = 0.5 * x[..., self.i, :] + 0.5 * x[..., self.j, :]
         out[..., self.i, :] = avg
         out[..., self.j, :] = avg
@@ -560,29 +567,27 @@ class AugmentedMixing:
     def apply(
         self,
         x_aug: np.ndarray,
-        trailing: np.ndarray | None = None,
+        out: np.ndarray | None = None,
         products: np.ndarray | None = None,
+        reuse: bool = False,
     ) -> np.ndarray:
         """Apply the operator to ``(..., 2m, d)`` stacked block vectors.
 
         The blocks of every slice are mixed by one batched product with the
         base matrix; each slice comes out as a separate call would give it.
         The new top block is the sum of the two scaled mixed blocks, written
-        to a fresh output, which rounds exactly as
-        ``(1 + gamma) * (W @ top) - gamma * (W @ bottom)`` does: negating a
-        product is exact, and subtracting is adding the negation.
+        to ``out`` (a fresh array when it is not given), which rounds exactly
+        as ``(1 + gamma) * (W @ top) - gamma * (W @ bottom)`` does: negating
+        a product is exact, and subtracting is adding the negation.
 
-        ``trailing``, when given, is ``W @ bottom`` of the last slice, already
-        computed by an earlier product of a block with the same bits; it is
-        used in place of that product, so only the other blocks are
+        ``products``, when given, is a C-contiguous array shaped like
+        ``x_aug`` that receives the unscaled products ``W @ top`` and
+        ``W @ bottom`` of every slice. With ``reuse``, its last block already
+        holds ``W @ bottom`` of the last slice, computed by an earlier product
+        of a block with the same bits, and only the other blocks are
         multiplied. A batched product gives each slice the bits a lone
         product would, so the reused bits are the ones the multiplication
-        would give. ``products``, when given, is a C-contiguous array shaped
-        like ``x_aug`` that receives the unscaled products ``W @ top`` and
-        ``W @ bottom`` of every slice (``trailing`` copied into its slot); the
-        output is a separate array, so a caller can hold a view of one
-        product for a later call. Plain ``apply(x_aug)`` multiplies every
-        block.
+        would give. Plain ``apply(x_aug)`` multiplies every block.
         """
         w = self.base.entries
         m = len(w)
@@ -592,28 +597,21 @@ class AugmentedMixing:
             raise ValueError(f"augmented state needs {2 * m} rows, got {shape[-2]}")
         if products is None:
             products = np.empty(shape)
+        if out is None:
+            out = np.empty(shape)
+        elif not out.flags.c_contiguous:
+            raise ValueError("the output of an augmented apply must be C-contiguous")
         blocks, mixed = x_aug.reshape(-1, m, shape[-1]), products.reshape(-1, m, shape[-1])
-        if trailing is None:
-            np.matmul(w, blocks, out=mixed)
-        else:
+        if reuse:
             np.matmul(w, blocks[:-1], out=mixed[:-1])
-            mixed[-1] = trailing
+        else:
+            np.matmul(w, blocks, out=mixed)
         # Elementwise work on (batch, 2, m * d) views: fewer axes, less overhead.
         halves = (-1, 2, m * shape[-1])
-        flat = mixed.reshape(halves) * self._block_weights
+        flat = np.multiply(mixed.reshape(halves), self._block_weights, out=out.reshape(halves))
         top = flat[:, 0]
         top += flat[:, 1]
         flat[:, 1] = x_aug.reshape(halves)[:, 0]
-        return flat.reshape(shape)
-
-    def as_matrix(self) -> np.ndarray:
-        """Materialize the dense ``(2m, 2m)`` operator (diagnostics only)."""
-        m = self.base.m
-        w = self.base.entries
-        out = np.zeros((2 * m, 2 * m))
-        out[:m, :m] = (1.0 + self.gamma) * w
-        out[:m, m:] = -self.gamma * w
-        out[m:, :m] = np.eye(m)
         return out
 
 

@@ -1,0 +1,190 @@
+"""Reference routes that only the tests use.
+
+* The per-state step route the run's chunk buffer replaced: every step
+  copies the stacked state, allocates its gradient rows, correction and
+  products, mixes through the plain four-product augmented operator, and
+  builds a new :class:`ReferenceState`. The buffer kernel must give every
+  state of a run bit for bit as this route does.
+* The dense augmented matrix, the objective value, and the two Lyapunov
+  combinations by their definitions, which the fused routes of the package
+  are checked against.
+
+Nothing here is imported by ``netgrad``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from netgrad.algorithms import ALGORITHMS, Schedule
+from netgrad.diagnostics import consensus_error, snapshot_gradient_distance
+from netgrad.objectives import QuadraticProblem
+from netgrad.streams import StreamBundle
+from netgrad.topology import AugmentedMixing, EdgeGossip, MixingMatrix
+
+
+@dataclass
+class ReferenceState:
+    """One state of the per-state route, as its own arrays.
+
+    ``xs`` is the ``(2, blocks * m, d)`` stack of the iterate and the
+    tracker; ``q`` and ``g_snap`` the snapshot point and rows; ``last_eta``
+    and ``last_zeta`` describe the step that made it.
+    """
+
+    xs: np.ndarray
+    q: np.ndarray
+    g_snap: np.ndarray
+    tau: int
+    t: int
+    last_eta: float = 0.0
+    last_zeta: int = 0
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.xs[0]
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.xs[1]
+
+    @property
+    def blocks(self) -> int:
+        return len(self.x) // len(self.g_snap)
+
+
+def reference_apply(op, x: np.ndarray) -> np.ndarray:
+    """``op`` applied to ``x`` as a fresh array, every base product made."""
+    if isinstance(op, MixingMatrix):
+        return op.entries @ x
+    if isinstance(op, EdgeGossip):
+        out = x.copy()
+        avg = 0.5 * x[..., op.i, :] + 0.5 * x[..., op.j, :]
+        out[..., op.i, :] = avg
+        out[..., op.j, :] = avg
+        return out
+    assert isinstance(op, AugmentedMixing)
+    w = op.base.entries
+    m, d = len(w), x.shape[-1]
+    mixed = np.matmul(w, x.reshape(-1, m, d))
+    halves = (-1, 2, m * d)
+    flat = mixed.reshape(halves) * np.array([[1.0 + op.gamma], [-op.gamma]])
+    top = flat[:, 0]
+    top += flat[:, 1]
+    flat[:, 1] = x.reshape(halves)[:, 0]
+    return flat.reshape(x.shape)
+
+
+def _gradients(problem: QuadraticProblem, x: np.ndarray, streams: StreamBundle | None) -> np.ndarray:
+    grads = np.einsum("ijk,ik->ij", problem.quads, x) + problem.linears
+    if problem.sigma_bar == 0.0:
+        return grads
+    grads += problem.noise.scale(problem.d) * streams.noise_rows(problem.d)
+    return grads
+
+
+def reference_init(problem: QuadraticProblem, x0: np.ndarray, algo: str, streams: StreamBundle | None) -> ReferenceState:
+    """The start state: every agent at ``x0``, trackers at one gradient draw."""
+    assert algo in ALGORITHMS
+    x = np.tile(np.asarray(x0, dtype=np.float64), (problem.m, 1))
+    g0 = _gradients(problem, x, streams)
+    blocks = 2 if algo == "assdsgt" else 1
+    return ReferenceState(xs=np.tile(np.stack([x, g0]), (1, blocks, 1)), q=x, g_snap=g0, tau=0, t=0)
+
+
+def reference_ssdsgt_step(
+    state: ReferenceState, problem: QuadraticProblem, op, sched: Schedule, streams: StreamBundle, eta: float
+) -> ReferenceState:
+    """One snapshot step (any block count) on copies of the state's arrays."""
+    m = problem.m
+    zeta = 1 if streams.coin_uniform() < sched.p else 0
+    x = state.x
+    g_x = _gradients(problem, x[:m], streams)
+    correction = g_x - state.g_snap
+    mixing = state.xs.copy()
+    descent = mixing[0]
+    for b in range(state.blocks):
+        rows = slice(b * m, (b + 1) * m)
+        np.add(mixing[1, rows], correction, out=descent[rows])
+    descent *= eta
+    np.subtract(x, descent, out=descent)
+    xs_new = reference_apply(op, mixing)
+    if not zeta:
+        return ReferenceState(xs_new, state.q, state.g_snap, state.tau, state.t + 1, eta, 0)
+    s_new = xs_new[1]
+    for b in range(state.blocks):
+        s_new[b * m : (b + 1) * m] += correction
+    return ReferenceState(xs_new, x[:m].copy(), g_x, state.t, state.t + 1, eta, 1)
+
+
+def reference_dsgt_step(
+    state: ReferenceState, problem: QuadraticProblem, op, sched: Schedule, streams: StreamBundle, eta: float
+) -> ReferenceState:
+    """One plain tracking step on copies of the state's arrays."""
+    mixing = state.xs.copy()
+    mixing[0] -= eta * state.s
+    xs_new = reference_apply(op, mixing)
+    g_new = _gradients(problem, xs_new[0], streams)
+    xs_new[1] += g_new - state.g_snap
+    return ReferenceState(xs_new, xs_new[0], g_new, state.t + 1, state.t + 1, eta, 0)
+
+
+REFERENCE_STEPS = {"dsgt": reference_dsgt_step, "ssdsgt": reference_ssdsgt_step, "assdsgt": reference_ssdsgt_step}
+
+
+def state_mismatches(got, want: ReferenceState) -> list[str]:
+    """The fields of a package state that differ from a reference state, bits included."""
+    bad = [name for name in ("xs", "q", "g_snap") if getattr(got, name).tobytes() != getattr(want, name).tobytes()]
+    bad += [name for name in ("tau", "t", "last_eta", "last_zeta") if getattr(got, name) != getattr(want, name)]
+    return bad
+
+
+def augmented_matrix(aug: AugmentedMixing) -> np.ndarray:
+    """The dense ``(2m, 2m)`` matrix of the augmented operator."""
+    m = aug.base.m
+    w = aug.base.entries
+    out = np.zeros((2 * m, 2 * m))
+    out[:m, :m] = (1.0 + aug.gamma) * w
+    out[:m, m:] = -aug.gamma * w
+    out[m:, :m] = np.eye(m)
+    return out
+
+
+def global_value(problem: QuadraticProblem, v: np.ndarray) -> float:
+    """Network objective at the shared point ``v``: the agent average."""
+    v = np.asarray(v, dtype=np.float64)
+    quad_terms = 0.5 * np.einsum("j,ijk,k->i", v, problem.quads, v)
+    linear_terms = problem.linears @ v
+    return float(np.mean(quad_terms + linear_terms))
+
+
+def lyapunov_psi(state, eta: float, theta: float, L: float, problem: QuadraticProblem) -> float:
+    """Lyapunov combination for the snapshot iteration.
+
+    ``|Px|^2 + (4 eta^2 / theta^2) |Ps|^2 +
+    (2 eta / (L theta)) |grad at snapshot - grad at minimizer|^2``
+    with exact gradients in the last term.
+    """
+    cx = consensus_error(state.x)
+    cs = consensus_error(state.s)
+    dist = snapshot_gradient_distance(problem, state.q)
+    return cx + (4.0 * eta * eta / (theta * theta)) * cs + (2.0 * eta / (L * theta)) * dist
+
+
+def lyapunov_psi_tilde(
+    state, eta: float, theta_tilde: float, L: float, alpha: float, problem: QuadraticProblem
+) -> float:
+    """Lyapunov combination for the momentum-augmented (two-block) iteration.
+
+    ``|P x|^2 + (12 alpha eta^2 / theta_tilde^2) |P s|^2 +
+    (16 (1 + 8 alpha) eta^2 / theta_tilde^2) |grad at snapshot - grad at
+    minimizer|^2`` where the projections act blockwise on the stacked state
+    and ``alpha`` is the envelope constant of the augmented mixing chain.
+    """
+    cx = consensus_error(state.x, blocks=2)
+    cs = consensus_error(state.s, blocks=2)
+    dist = snapshot_gradient_distance(problem, state.q)
+    tt2 = theta_tilde * theta_tilde
+    return cx + (12.0 * alpha * eta * eta / tt2) * cs + (16.0 * (1.0 + 8.0 * alpha) * eta * eta / tt2) * dist

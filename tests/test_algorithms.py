@@ -129,9 +129,16 @@ def test_consensus_start_on_complete_graph_is_centralized_descent():
         assert np.abs(state.x - center).max() <= 1e-12 * max(1.0, np.linalg.norm(center))
 
 
+def _lone_audit(state, means=None):
+    """The audit of one state as a run's start: no step, its own snapshot rows."""
+    if means is None:
+        means = state_means(state.xs[None], len(state.g_snap))
+    return audit_identities(means, state.g_snap[None], [], slice(0, 0), np.zeros(1, dtype=int), True)
+
+
 def _max_audit_ratio(state) -> float:
     # Identities that do not apply have a zero error, so a zero ratio.
-    errors, scales = audit_identities([state], state_means([state]))
+    errors, scales = _lone_audit(state)
     return float(np.max(errors / np.maximum(scales, 1e-300)))
 
 
@@ -162,7 +169,7 @@ def test_momentum_block_identities_hold_over_noisy_run():
     assert worst <= 1e-9
     # A lone state audits the block sums and the tracker mean (columns 1 to
     # 3, each against a nonzero scale) but has no step for the mean dynamics.
-    errors, scales = audit_identities([state], state_means([state]))
+    errors, scales = _lone_audit(state)
     assert errors[0, 0] == scales[0, 0] == 0.0
     assert (scales[0, 1:] > 0.0).all()
 
@@ -176,10 +183,10 @@ def test_audit_reuses_a_given_working_block_mean():
     state = init_state(problem, np.zeros(2), "assdsgt", streams)
     for _ in range(20):
         state = assdsgt_step(state, problem, aug, sched, streams)
-    means = state_means([state])
+    means = state_means(state.xs[None], 6)
     assert means[0, 2].tobytes() == state.x[:6].mean(axis=0).tobytes()
     means[0, 2] += 1.0  # the working-block mean
-    errors, _ = audit_identities([state], means)
+    errors, _ = _lone_audit(state, means)
     assert errors[0, 1] > 1.0  # block_sum_x
 
 

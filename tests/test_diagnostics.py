@@ -6,6 +6,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from _reference import lyapunov_psi, lyapunov_psi_tilde
 
 from netgrad.algorithms import assdsgt_step, init_state, ssdsgt_step, state_means, theory_schedule
 from netgrad.diagnostics import (
@@ -13,8 +14,6 @@ from netgrad.diagnostics import (
     IterRecord,
     WeightedAverager,
     consensus_error,
-    lyapunov_psi,
-    lyapunov_psi_tilde,
     record_iteration,
     snapshot_gradient_distance,
 )
@@ -101,7 +100,6 @@ def test_lyapunov_psi_hand_assembly():
         t=0,
         last_eta=0.0,
         last_zeta=0,
-        last_grads=state.last_grads,
     )
     eta, theta = 0.1, 0.5
     expected = 2.0 + (4.0 * eta**2 / theta**2) * 2.0 + (2.0 * eta / (1.0 * theta)) * 5.0
@@ -119,7 +117,6 @@ def test_lyapunov_psi_tilde_hand_assembly():
         t=0,
         last_eta=0.0,
         last_zeta=0,
-        last_grads=state.last_grads,
     )
     eta, tt, alpha = 0.1, 0.5, 14.0
     expected = 2.0 + (12.0 * alpha * eta**2 / tt**2) * 2.0 + (16.0 * (1.0 + 8.0 * alpha) * eta**2 / tt**2) * 5.0
@@ -180,7 +177,7 @@ def test_record_iteration_recomputes_from_state():
         state = ssdsgt_step(state, problem, w, sched, streams)
     xbar = state.x.mean(axis=0)
     subopt = global_suboptimality(problem, xbar)
-    record = record_iteration(state, problem, state.last_eta, sched.theta, state_means([state])[0], subopt)
+    record = record_iteration(state, problem, state.last_eta, sched.theta, state_means(state.xs[None], problem.m)[0], subopt)
     assert record.t == state.t
     assert record.zeta == state.last_zeta
     assert record.consensus_x == pytest.approx(consensus_error(state.x), rel=1e-14)
@@ -283,6 +280,36 @@ def test_a_segment_push_equals_one_pair_at_a_time():
             assert single._log_w > math.log(sys.float_info.max)
 
 
+def _log_weights(mu: float, etas: list[float]) -> list[float]:
+    """The running log-weights as the averager defines them, with log(eta / eta_prev) at every step."""
+    log_w, eta_prev, out = 0.0, None, []
+    for eta in etas:
+        log_w += 0.5 * mu * eta if eta_prev is None else math.log(eta / eta_prev) + 0.5 * mu * eta
+        eta_prev = eta
+        out.append(log_w)
+    return out
+
+
+def test_an_unchanged_step_adds_the_same_log_weight_as_the_ratio_form():
+    # The averager skips log(eta / eta_prev) when the step repeats; the
+    # log-weight after every pair must keep the bits of the ratio form.
+    rng = np.random.default_rng(12)
+    runs = [
+        [0.013] * 50,
+        (6.0 * 0.01 / (2.0 + 0.01 * 0.5 * np.arange(50))).tolist(),
+        [0.1, 0.1, 0.2, 0.2, 0.2, 0.05] * 5,
+        [math.inf, math.inf],
+        [0.1, math.nan, math.nan],
+    ]
+    for mu in (0.0, 0.5, 3.0):
+        for etas in runs + [rng.choice([0.01, 0.02, 0.3], 40).tolist()]:
+            averager, seen = WeightedAverager(mu=mu), []
+            for eta in etas:
+                averager.push([eta], [1.0])
+                seen.append(averager._log_w)
+            assert repr(seen) == repr(_log_weights(mu, etas)), (mu, etas[:3])
+
+
 def test_a_segment_keeps_the_pairs_before_a_bad_step():
     folded = WeightedAverager(mu=1.0)
     with pytest.raises(ValueError):
@@ -308,7 +335,7 @@ def test_record_iteration_psi_equals_the_public_lyapunov_values_exactly():
             state = step(state, problem, op, sched, streams)
         eta = state.last_eta
         subopt = global_suboptimality(problem, state.x[: problem.m].mean(axis=0))
-        record = record_iteration(state, problem, eta, theta, state_means([state])[0], subopt)
+        record = record_iteration(state, problem, eta, theta, state_means(state.xs[None], problem.m)[0], subopt)
         if algo == "ssdsgt":
             expected = lyapunov_psi(state, eta, theta, problem.L, problem)
         else:

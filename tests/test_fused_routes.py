@@ -18,6 +18,7 @@ import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
 from _one_thread import run_one_thread
+from _reference import lyapunov_psi, lyapunov_psi_tilde
 
 from netgrad.algorithms import (
     SsState,
@@ -31,8 +32,6 @@ from netgrad.algorithms import (
 )
 from netgrad.diagnostics import (
     consensus_error,
-    lyapunov_psi,
-    lyapunov_psi_tilde,
     record_iteration,
     snapshot_gradient_distance,
 )
@@ -81,6 +80,16 @@ def batched_apply_mismatches(m: int, seed: int = 0) -> list[tuple]:
             for scale in SCALES:
                 batch = scale * rng.standard_normal((2, 2, rows, d))
                 mixed = op.apply(batch)
+                out = np.empty_like(batch)
+                if op.apply(batch, out) is not out or out.tobytes() != mixed.tobytes():
+                    bad.append((type(op).__name__, m, d, scale, "out"))
+                if isinstance(op, AugmentedMixing):
+                    # A second call reuses the last block's product of the first.
+                    products = np.empty_like(batch)
+                    op.apply(batch, out, products)
+                    op.apply(batch, out, products, reuse=True)
+                    if out.tobytes() != mixed.tobytes():
+                        bad.append((type(op).__name__, m, d, scale, "reuse"))
                 for k in np.ndindex(2, 2):
                     alone = op.apply(batch[k])
                     if mixed[k].tobytes() != alone.tobytes():
@@ -116,7 +125,6 @@ def _state(m: int, d: int, blocks: int, scale: float, rng: np.random.Generator) 
         tau=0,
         t=1,
         last_eta=0.013,
-        last_grads=scale * rng.standard_normal((m, d)),
     )
 
 
@@ -128,15 +136,21 @@ def _cases():
                     yield m, d, blocks, scale
 
 
+def _block_means(m: int, xs: np.ndarray) -> np.ndarray:
+    """The column means a state's row of :func:`state_means` holds, one at a time."""
+    x, s = xs
+    expected = [column_mean(x), column_mean(s)]
+    if len(x) > m:
+        expected += [column_mean(x[:m]), column_mean(x[m:]), column_mean(s[:m]), column_mean(s[m:])]
+    return np.array(expected)
+
+
 def test_stacked_means_equal_column_means():
     rng = np.random.default_rng(1)
     for m, d, blocks, scale in _cases():
         state = _state(m, d, blocks, scale, rng)
-        expected = [column_mean(state.x), column_mean(state.s)]
-        if blocks == 2:
-            expected += [column_mean(state.x[:m]), column_mean(state.x[m:])]
-            expected += [column_mean(state.s[:m]), column_mean(state.s[m:])]
-        assert state_means([state])[0].tobytes() == np.array(expected).tobytes(), (m, d, blocks, scale)
+        expected = _block_means(m, state.xs)
+        assert state_means(state.xs[None], m)[0].tobytes() == expected.tobytes(), (m, d, blocks, scale)
 
 
 def test_vecdot_norms_equal_vector_norm():
@@ -148,27 +162,32 @@ def test_vecdot_norms_equal_vector_norm():
             assert fused == [vector_norm(v) for v in rows], (d, scale)
 
 
-def _reference_audit(state: SsState, mean_before: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The audit as separate column means and norms would compute it.
+def _reference_audit(xs: np.ndarray, g_snap: np.ndarray, step: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+    """The audit of one state as separate column means and norms would compute it.
 
-    The ``(name, error, scale)`` triples go into the ``(4,)`` error and
-    scale columns in ``_AUDITED`` order, zero where an identity does not apply.
+    ``xs`` and ``g_snap`` are the state's stacked arrays and snapshot rows;
+    ``step`` is ``(mean_before, eta, grads)`` of the step that made it, or
+    ``None`` at a run's start. The ``(name, error, scale)`` triples go into
+    the ``(4,)`` error and scale columns in ``_AUDITED`` order, zero where
+    an identity does not apply.
     """
 
     def pair(name, a, b):
         return name, vector_norm(a - b), max(vector_norm(a), vector_norm(b))
 
-    m = state.g_snap.shape[0]
+    m = g_snap.shape[0]
+    x, s = xs
     checks = []
-    if mean_before is not None:
-        mean, eta, grad_mean = column_mean(state.x), state.last_eta, column_mean(state.last_grads)
+    if step is not None:
+        mean_before, eta, grads = step
+        mean, grad_mean = column_mean(x), column_mean(grads)
         err = vector_norm(mean - (mean_before - eta * grad_mean))
         scale = max(vector_norm(mean), vector_norm(mean_before), eta * vector_norm(grad_mean))
         checks.append(("mean_dynamics", err, scale))
-    if state.blocks > 1:
-        checks.append(pair("block_sum_x", column_mean(state.x[:m]), column_mean(state.x[m:])))
-        checks.append(pair("block_sum_s", column_mean(state.s[:m]), column_mean(state.s[m:])))
-    checks.append(pair("tracker_mean", column_mean(state.s), column_mean(state.g_snap)))
+    if len(x) > m:
+        checks.append(pair("block_sum_x", column_mean(x[:m]), column_mean(x[m:])))
+        checks.append(pair("block_sum_s", column_mean(s[:m]), column_mean(s[m:])))
+    checks.append(pair("tracker_mean", column_mean(s), column_mean(g_snap)))
     errors, scales = np.zeros(4), np.zeros(4)
     for name, err, scale in checks:
         errors[_AUDITED.index(name)] = err
@@ -181,16 +200,14 @@ def _bytes(arrays) -> list[bytes]:
 
 
 def test_fused_audit_equals_per_identity_norms():
+    # One step: slot 0 is audited only at a run's start, slot 1 always.
     rng = np.random.default_rng(3)
     for m, d, blocks, scale in _cases():
-        state = _state(m, d, blocks, scale, rng)
-        before = scale * rng.standard_normal(d)
-        case = (m, d, blocks, scale)
-        means = state_means([state])
-        got = audit_identities([state], means)
-        assert _bytes(a[0] for a in got) == _bytes(_reference_audit(state, None)), case
-        got = audit_identities([state], means, before)
-        assert _bytes(a[0] for a in got) == _bytes(_reference_audit(state, before)), case
+        xs, grads, etas, moved, snaps = slots = _slots(m, d, blocks, scale, 1, rng)
+        means = state_means(xs, m)
+        for start in (True, False):
+            got = audit_identities(means, grads, etas, moved, snaps, start)
+            assert _bytes(got) == _bytes(_slot_reference(*slots, start)), (m, d, blocks, scale, start)
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 8, 16, 64))
@@ -204,7 +221,7 @@ def test_record_fields_equal_the_public_diagnostics(m, d):
             state = _state(m, d, blocks, scale, rng)
             xbar = column_mean(state.x[:m])
             subopt = global_suboptimality(problem, xbar)
-            record = record_iteration(state, problem, eta, theta, state_means([state])[0], subopt)
+            record = record_iteration(state, problem, eta, theta, state_means(state.xs[None], m)[0], subopt)
             assert record.consensus_x == consensus_error(state.x, blocks)
             assert record.consensus_s == consensus_error(state.s, blocks)
             assert record.snap_grad_dist == snapshot_gradient_distance(problem, state.q)
@@ -219,11 +236,32 @@ def test_record_fields_equal_the_public_diagnostics(m, d):
             assert record.mean_dist == float(delta @ delta)
 
 
+#: Steps per chunk: slots 0 to ``count`` of a buffer.
 CHUNKS = (1, 2, 64)
 
 
-def _chunk(m: int, d: int, blocks: int, scale: float, count: int, rng: np.random.Generator) -> list[SsState]:
-    return [_state(m, d, blocks, scale, rng) for _ in range(count)]
+def _slots(m: int, d: int, blocks: int, scale: float, count: int, rng: np.random.Generator) -> tuple:
+    """Random slots 0..count of a chunk buffer and the audit inputs that index them.
+
+    The gradient rows hold one slice more than the slots, and each step's
+    rows and each slot's snapshot rows are drawn anywhere among them, so
+    the gathers are checked for any index, the buffer's own included.
+    """
+    xs = scale * rng.standard_normal((count + 1, 2, blocks * m, d))
+    grads = scale * rng.standard_normal((count + 2, m, d))
+    etas = (0.013 * rng.uniform(0.5, 2.0, count)).tolist()
+    moved = rng.integers(0, count + 2, count)
+    snaps = rng.integers(0, count + 2, count + 1)
+    return xs, grads, etas, moved, snaps
+
+
+def _slot_reference(xs, grads, etas, moved, snaps, start) -> list:
+    """Per-slot reference audits of the audited slots, stacked as the chunk audit stacks them."""
+    columns = []
+    for k in range(0 if start else 1, len(xs)):
+        step = None if k == 0 else (column_mean(xs[k - 1, 0]), etas[k - 1], grads[moved[k - 1]])
+        columns.append(_reference_audit(xs[k], grads[snaps[k]], step))
+    return [np.array([e for e, _ in columns]), np.array([c for _, c in columns])]
 
 
 def _chunk_cases():
@@ -238,57 +276,39 @@ def _chunk_cases():
 def test_chunk_means_equal_per_state_column_means():
     rng = np.random.default_rng(4)
     for m, d, blocks, scale, count in _chunk_cases():
-        states = _chunk(m, d, blocks, scale, count, rng)
-        means = state_means(states)
-        assert means.shape[0] == count
-        for state, row in zip(states, means):
-            expected = [column_mean(state.x), column_mean(state.s)]
-            if blocks == 2:
-                expected += [column_mean(state.x[:m]), column_mean(state.x[m:])]
-                expected += [column_mean(state.s[:m]), column_mean(state.s[m:])]
-            assert row.tobytes() == np.array(expected).tobytes(), (m, d, blocks, scale, count)
-
-
-def _stacked_reference(states, befores) -> list[bytes]:
-    columns = [_reference_audit(state, before) for state, before in zip(states, befores)]
-    return _bytes((np.array([e for e, _ in columns]), np.array([c for _, c in columns])))
+        xs = _slots(m, d, blocks, scale, count, rng)[0]
+        means = state_means(xs, m)
+        assert means.shape[0] == count + 1
+        for slot, row in zip(xs, means):
+            assert row.tobytes() == _block_means(m, slot).tobytes(), (m, d, blocks, scale, count)
 
 
 def test_chunk_audit_equals_per_state_norms():
     rng = np.random.default_rng(5)
     for m, d, blocks, scale, count in _chunk_cases():
-        states = _chunk(m, d, blocks, scale, count, rng)
-        before = scale * rng.standard_normal(d)
-        # Every state but the first steps from the previous state's mean.
-        befores = [before] + [column_mean(state.x) for state in states[:-1]]
-        case = (m, d, blocks, scale, count)
-        assert _bytes(audit_identities(states, state_means(states), before)) == _stacked_reference(
-            states, befores
-        ), case
-        # A run's start has no step to check.
-        got = audit_identities(states, state_means(states))
-        assert _bytes(got) == _stacked_reference(states, [None] + befores[1:]), case
+        xs, grads, etas, moved, snaps = slots = _slots(m, d, blocks, scale, count, rng)
+        means = state_means(xs, m)
+        for start in (True, False):
+            # At a run's start slot 0 is audited too, without a step.
+            got = audit_identities(means, grads, etas, moved, snaps, start)
+            assert _bytes(got) == _bytes(_slot_reference(*slots, start)), (m, d, blocks, scale, count, start)
 
 
 def test_chunk_audit_of_non_finite_states_keeps_python_max():
-    # A NaN or an infinity in one state's rows: every scale is still the
-    # Python max of its norms, which keeps a leading NaN and passes over a
-    # later one.
+    # A NaN or an infinity in one slot's rows or in one gradient slice: every
+    # scale is still the Python max of its norms, which keeps a leading NaN
+    # and passes over a later one.
     rng = np.random.default_rng(10)
     for m, d, blocks, scale, count in _chunk_cases():
-        if count == 1:
-            continue
-        states = _chunk(m, d, blocks, scale, count, rng)
-        poisoned = states[int(rng.integers(count))]
-        rows = [poisoned.x, poisoned.s, poisoned.g_snap, poisoned.last_grads][int(rng.integers(4))]
+        xs, grads, etas, moved, snaps = slots = _slots(m, d, blocks, scale, count, rng)
+        rows = [xs[int(rng.integers(count + 1)), int(rng.integers(2))], grads[int(rng.integers(count + 2))]]
+        rows = rows[int(rng.integers(2))]
         rows[int(rng.integers(len(rows))), int(rng.integers(d))] = [np.nan, np.inf, -np.inf][int(rng.integers(3))]
-        before = scale * rng.standard_normal(d)
-        befores = [before] + [column_mean(state.x) for state in states[:-1]]
         with np.errstate(invalid="ignore", over="ignore"):
-            got = audit_identities(states, state_means(states), before)
-            columns = [_reference_audit(state, b) for state, b in zip(states, befores)]
-        for fused, reference in zip(got, zip(*columns)):
-            assert np.array_equal(fused, np.array(reference), equal_nan=True), (m, d, blocks, scale, count)
+            got = audit_identities(state_means(xs, m), grads, etas, moved, snaps, True)
+            expected = _slot_reference(*slots, True)
+        for fused, reference in zip(got, expected):
+            assert np.array_equal(fused, reference, equal_nan=True), (m, d, blocks, scale, count)
 
 
 def test_stacked_suboptimality_equals_the_per_point_form():
@@ -307,8 +327,8 @@ def test_stacked_suboptimality_equals_the_per_point_form():
 
 
 def test_stacked_gradient_and_snapshot_means_equal_column_means():
-    # The audit reduces the gradient rows of every step and the snapshot rows
-    # of every state of a chunk (up to 2K - 1 and 2K slices) in one layout.
+    # The audit reduces the gradient rows of a chunk buffer's slots (up to
+    # K + 1 slices) in one layout.
     rng = np.random.default_rng(7)
     for m in SIZES:
         for d in DIMS:
@@ -435,5 +455,5 @@ def test_the_step_gradient_rows_use_the_einsum_kernel():
                 # A working block is the top half of a stacked iterate.
                 x = (scale * rng.standard_normal((2 * m, d)))[:m]
                 expected = np.einsum("ijk,ik->ij", problem.quads, x) + problem.linears
-                assert _sampled_gradients(problem, x, None).tobytes() == expected.tobytes(), (m, d, scale)
+                assert _sampled_gradients(problem, x, None, np.empty((m, d))).tobytes() == expected.tobytes(), (m, d, scale)
                 assert exact_gradients(problem, x).tobytes() == expected.tobytes(), (m, d, scale)

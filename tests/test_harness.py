@@ -198,6 +198,21 @@ def test_from_dict_rejects_wrong_types_and_unknown_keys():
         assert info.value.field == key
 
 
+def test_checkpoints_given_as_a_list_are_rejected_before_the_config_is_used():
+    # A list would make the config unhashable and unequal to the copy that
+    # save_config and load_config give back, whose checkpoints are a tuple.
+    cfg = _small_cfg(avg_checkpoints=[3])
+    with pytest.raises(ConfigError) as info:
+        cfg.validate()
+    assert info.value.field == "avg_checkpoints"
+    assert "tuple" in str(info.value)
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
+    fixed = _small_cfg(avg_checkpoints=(3,))
+    fixed.validate()
+    assert hash(fixed) == hash(_small_cfg(avg_checkpoints=(3,)))
+
+
 def test_from_dict_widens_ints_and_tuples_checkpoints():
     payload = _small_cfg().to_dict()
     payload.update(mu=1, eps_stop=2, x0_radius=None, label=None, avg_checkpoints=[3, 5])

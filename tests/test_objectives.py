@@ -4,13 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _reference import global_value
 
 from netgrad.objectives import (
     NoiseModel,
     exact_gradient,
     exact_gradients,
     global_suboptimality,
-    global_value,
     make_quadratic_suite,
     stochastic_gradient,
     stochastic_gradients,

@@ -9,6 +9,9 @@ theta_tilde of the momentum chain) and the schedule. It draws its coins,
 gossip edges and gradient noise from a fresh :class:`StreamBundle` of the
 run's seed one call at a time, in the order the equations consume them.
 
+The states are compared too: every iteration's ``x``, ``s``, ``q`` and
+``tau``, taken from the run through the step name the harness looks up.
+
 With ``w`` the mixing weights, ``eta`` the step at iteration ``t``,
 ``g_i`` a fresh gradient sample of agent ``i`` and ``h_i`` the stored one:
 
@@ -36,8 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from netgrad import harness
 from netgrad.harness import ExperimentConfig, prepare_run, run_experiment
 from netgrad.streams import StreamBundle
 
@@ -62,6 +67,7 @@ class _State:
     s: list
     q: list  # m snapshot points
     h: list  # m stored gradient samples
+    tau: int  # iteration of the last snapshot
 
 
 class _Reference:
@@ -134,9 +140,10 @@ class _Reference:
             s=[[row[:] for row in h] for _ in range(blocks)],
             q=x,
             h=h,
+            tau=0,
         )
 
-    def step(self, st: _State, eta: float) -> tuple[_State, int]:
+    def step(self, st: _State, t: int, eta: float) -> tuple[_State, int]:
         w = self.weights()
         if self.algo == "dsgt":
             y = [[[a - eta * b for a, b in zip(xr, sr)] for xr, sr in zip(st.x[0], st.s[0])]]
@@ -144,7 +151,7 @@ class _Reference:
             (s,) = self.mix(w, st.s)
             g = [self.sample(i, x[i]) for i in range(self.m)]
             s = [[a + (b - c) for a, b, c in zip(sr, gr, hr)] for sr, gr, hr in zip(s, g, st.h)]
-            return _State(x=[x], s=[s], q=x, h=g), 0
+            return _State(x=[x], s=[s], q=x, h=g, tau=t + 1), 0
         zeta = 1 if self.coin.random() < self.p else 0
         top = st.x[0]
         g = [self.sample(i, top[i]) for i in range(self.m)]
@@ -156,9 +163,9 @@ class _Reference:
         x = self.mix(w, y)
         s = self.mix(w, st.s)
         if not zeta:
-            return _State(x=x, s=s, q=st.q, h=st.h), 0
+            return _State(x=x, s=s, q=st.q, h=st.h, tau=st.tau), 0
         s = [[[a + c for a, c in zip(sr, cr)] for sr, cr in zip(sb, corr)] for sb in s]
-        return _State(x=x, s=s, q=[row[:] for row in top], h=g), 1
+        return _State(x=x, s=s, q=[row[:] for row in top], h=g, tau=t), 1
 
     def consensus(self, block: list) -> float:
         mean = [sum(row[k] for row in block) / self.m for k in range(self.d)]
@@ -195,13 +202,15 @@ class _Reference:
         scales.update(consensus_x=x2, consensus_s=s2, psi=x2 + ws * s2 + wd * dist)
         return columns, scales
 
-    def run(self, iters: int) -> list[tuple[dict, dict]]:
+    def run(self, iters: int) -> tuple[list[tuple[dict, dict]], list[_State]]:
+        """The recorded columns (with their scales) and the state of every iteration."""
         st = self.start()
-        rows = [self.row(0, st, self.eta(0), 0)]
+        rows, states = [self.row(0, st, self.eta(0), 0)], [st]
         for t in range(iters):
-            st, zeta = self.step(st, self.eta(t))
+            st, zeta = self.step(st, t, self.eta(t))
             rows.append(self.row(t + 1, st, self.eta(t + 1), zeta))
-        return rows
+            states.append(st)
+        return rows, states
 
 
 _PAIRS = (
@@ -231,7 +240,7 @@ def test_every_recorded_column_matches_the_per_agent_reference(algo, mixing, m, 
         iters=ITERS, stride=1, seed=11, problem_seed=4,
     )
     records = run_experiment(cfg).records
-    expected = _Reference(cfg).run(ITERS)
+    expected, _ = _Reference(cfg).run(ITERS)
     assert len(records) == len(expected) == ITERS + 1
     for record, (want, scales) in zip(records, expected):
         assert (record.t, record.zeta, record.eta) == (want["t"], want["zeta"], want["eta"])
@@ -239,3 +248,47 @@ def test_every_recorded_column_matches_the_per_agent_reference(algo, mixing, m, 
             got = getattr(record, name)
             bound = REL_TOL * scales[name]
             assert abs(got - want[name]) <= bound, (record.t, name, got, want[name])
+
+
+def _run_capturing_states(monkeypatch, cfg: ExperimentConfig) -> dict[int, tuple]:
+    """Run ``cfg`` and keep a copy of ``x``, ``s``, ``q`` and ``tau`` of every state, by ``t``.
+
+    The start comes through ``init_state`` and every later state through the
+    step name, both looked up on the harness per run. A step writes into a
+    buffer slot that a later chunk overwrites, so the arrays are copied.
+    """
+    seen: dict[int, tuple] = {}
+
+    def capture(state):
+        seen[state.t] = (state.x.copy(), state.s.copy(), state.q.copy(), state.tau)
+        return state
+
+    name = f"{cfg.algo}_step"
+    init, step = harness.init_state, getattr(harness, name)
+    monkeypatch.setattr(harness, "init_state", lambda *args: capture(init(*args)))
+    monkeypatch.setattr(harness, name, lambda *args: capture(step(*args)))
+    run_experiment(cfg)
+    return seen
+
+
+def _within(got: np.ndarray, want: list) -> bool:
+    """``got`` equals the reference rows up to ``REL_TOL`` of their largest entry."""
+    want = np.array(want, dtype=np.float64).reshape(got.shape)
+    return float(np.max(np.abs(got - want))) <= REL_TOL * float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("algo, mixing, m, sigma", _cases())
+def test_every_state_matches_the_per_agent_reference(monkeypatch, algo, mixing, m, sigma):
+    cfg = ExperimentConfig(
+        topology="ring", agents=m, algo=algo, mixing=mixing, d=2, sigma_bar=sigma,
+        iters=ITERS, stride=1, seed=11, problem_seed=4, x0_radius=1.0,
+    )
+    seen = _run_capturing_states(monkeypatch, cfg)
+    _, states = _Reference(cfg).run(ITERS)
+    assert sorted(seen) == list(range(ITERS + 1))
+    for t, st in enumerate(states):
+        x, s, q, tau = seen[t]
+        assert tau == st.tau, t
+        assert _within(x, st.x), (t, "x")
+        assert _within(s, st.s), (t, "s")
+        assert _within(q, st.q), (t, "q")
