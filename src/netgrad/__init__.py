@@ -27,7 +27,6 @@ from .diagnostics import (
     CSV_COLUMNS,
     IterRecord,
     WeightedAverager,
-    consensus_error,
     record_iteration,
     snapshot_gradient_distance,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "audit_identities",
     "build_graph",
     "chebyshev_augment",
-    "consensus_error",
     "default_gamma",
     "dsgt_step",
     "emit_plot",

@@ -30,8 +30,9 @@ with views into the buffer. A step writes the new state into its state's
 successor slot, with ``out=`` on every product and sum, and sets only
 references and scalars on the slot's object; it allocates nothing but the
 snapshot copies of a coin that fired. The step's temporaries (the mixing
-input, the correction and the momentum products, whose trailing-block
-product a step may carry to the next) are allocated once per run. A state
+input, the correction and the momentum products, from which the augmented
+operator carries one product to the next step) are allocated once per run.
+The run, not the state, holds each step's step size. A state
 that is not in a buffer gets a freshly allocated successor from the same
 kernel. Observation reduces the buffer's slices as they are:
 :func:`state_means` the stacked states and :func:`audit_identities` the
@@ -45,7 +46,6 @@ and are bit-identical to exact-gradient runs.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -79,8 +79,6 @@ __all__ = [
     "dsgt_step",
     "state_means",
     "audit_identities",
-    "column_mean",
-    "vector_norm",
 ]
 
 #: Valid algorithm tags, in the order the command line tool lists them.
@@ -239,7 +237,8 @@ class SsState:
     ``tau == t``. ``grads`` holds the ``(m, d)`` gradient rows the step that
     made the state sampled: the fresh rows of a snapshot step, the new
     snapshot rows of a ``dsgt`` step, and the snapshot rows at a run's
-    start. ``last_eta`` and ``last_zeta`` describe that step.
+    start. ``last_zeta`` is that step's coin; its step size is the
+    caller's, which passed it to the step.
 
     A state is a slot of a buffer (see :class:`StateBuffer`): its ``xs`` and
     ``grads`` are views fixed when the slot is built, and ``successor`` is
@@ -259,7 +258,6 @@ class SsState:
     g_snap: np.ndarray
     tau: int
     t: int
-    last_eta: float = 0.0
     last_zeta: int = 0
     grads: np.ndarray | None = field(default=None, repr=False)
     successor: SsState | None = field(default=None, repr=False)
@@ -294,27 +292,24 @@ class _Scratch:
     ``mixing`` is the ``(2, blocks * m, d)`` input of the step's ``apply``
     (the descent argument over the tracker), ``correction`` the ``(m, d)``
     gradient correction, and ``products`` (two-block states only) the
-    unscaled base products of the augmented ``apply``. ``carried`` is the
-    ``xs`` array of the state whose next step may reuse ``W @ s[:m]`` of
-    the step that made it: when that step's coin did not fire, the new
-    trailing tracker block ``s[m:]`` equals, bit for bit, the old working
-    block whose product sits in ``products[1, :m]`` (``working``); the next
-    step moves it to ``products[1, m:]`` (``trailing``), the slot ``apply``
-    reuses. Every state has its own ``xs`` array, and holding the array
-    rather than the state keeps the scratch out of a reference cycle with
-    the states that hold it, so a run's buffer is freed when the run ends.
+    unscaled base products the augmented ``apply`` writes and carries from
+    one call to the next. ``carried`` is the ``xs`` array of the state
+    whose next step continues the operator's chain: the step that made it
+    added no correction to the tracker (its coin did not fire), so the new
+    trailing tracker block ``s[m:]`` is, bit for bit, the top block of that
+    step's last mixed slice, as ``apply`` with ``reuse`` requires. Every
+    state has its own ``xs`` array, and holding the array rather than the
+    state keeps the scratch out of a reference cycle with the states that
+    hold it, so a run's buffer is freed when the run ends.
     """
 
-    __slots__ = ("mixing", "descent", "tracker", "correction", "products", "working", "trailing", "carried")
+    __slots__ = ("mixing", "descent", "tracker", "correction", "products", "carried")
 
     def __init__(self, shape: tuple[int, ...], m: int, blocks: int) -> None:
         self.mixing = np.empty(shape)
         self.descent, self.tracker = self.mixing
         self.correction = np.empty((m, shape[-1]))
-        self.products = self.working = self.trailing = None
-        if blocks > 1:
-            self.products = np.empty(shape)
-            self.working, self.trailing = self.products[1, :m], self.products[1, m:]
+        self.products = np.empty(shape) if blocks > 1 else None
         self.carried: np.ndarray | None = None
 
 
@@ -365,8 +360,7 @@ class StateBuffer:
         self.grads[0] = state.g_snap
         first.q = first.x if self.dsgt else state.q
         first.g_snap = first.grads if self.dsgt else state.g_snap
-        first.tau, first.t = state.tau, state.t
-        first.last_eta, first.last_zeta = state.last_eta, state.last_zeta
+        first.tau, first.t, first.last_zeta = state.tau, state.t, state.last_zeta
         scratch = first.scratch
         if scratch.carried is state.xs:
             scratch.carried = first.xs
@@ -492,8 +486,9 @@ def ssdsgt_step(
     and the augmented operator it is the momentum iteration, and a zero
     momentum weight reproduces the one-block iteration bit for bit on the
     working block. A momentum step whose state was made by a step of the
-    same scratch whose coin did not fire reuses that step's product of the
-    working tracker block (see :class:`_Scratch`), so it makes three
+    same scratch whose coin did not fire continues the augmented operator's
+    chain (see :class:`_Scratch`): the operator reuses its product of the
+    tracker's working block as the trailing block's, so the step makes three
     base-matrix products instead of four. The new state is written into
     ``state``'s successor slot (see :class:`SsState`) and returned.
     ``eta`` is ``step_size(sched, state.t)``, computed here when not given.
@@ -520,13 +515,9 @@ def ssdsgt_step(
     if state.blocks == 1:
         op.apply(scratch.mixing, new.xs)
     else:
-        # The tracker's working-block product of the step that made
-        # ``state`` is its trailing-block product now, unless a correction
-        # went into the tracker.
-        reuse = scratch.carried is state.xs
-        if reuse:
-            scratch.trailing[...] = scratch.working
-        op.apply(scratch.mixing, new.xs, scratch.products, reuse)
+        # The chain of applies holds unless the step that made ``state``
+        # added a correction to the tracker.
+        op.apply(scratch.mixing, new.xs, scratch.products, scratch.carried is state.xs)
         scratch.carried = new.xs
     if zeta:
         _add_to_blocks(new.s, correction, new.s)
@@ -539,7 +530,6 @@ def ssdsgt_step(
         new.g_snap = state.g_snap
         new.tau = state.tau
     new.t = state.t + 1
-    new.last_eta = eta
     new.last_zeta = zeta
     return new
 
@@ -583,37 +573,16 @@ def dsgt_step(
     new.q = new.x
     new.g_snap = g_new
     new.tau = new.t = state.t + 1
-    new.last_eta = eta
     new.last_zeta = 0
     return new
-
-
-def column_mean(a: np.ndarray) -> np.ndarray:
-    """Column mean of a 2-D array, ``np.add.reduce(a, axis=0) / rows``.
-
-    This is the sum and division ``a.mean(axis=0)`` performs, so the bits are
-    the same, without the overhead of ``mean``'s argument handling. The row
-    count is passed as a float: the quotient is the same, and numpy's path
-    for a Python float is cheaper than its path for a Python int.
-    """
-    return np.add.reduce(a, axis=0) / float(len(a))
-
-
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float vector.
-
-    Equal bit for bit to ``np.linalg.norm(v)``, which also takes the square
-    root of ``v . v``, at a fraction of its call overhead.
-    """
-    return math.sqrt(float(v.dot(v)))
 
 
 def _rows_first(stack: np.ndarray) -> np.ndarray:
     """The ``(rows, count, d)`` layout of a contiguous ``(count, rows, d)`` stack.
 
     Reducing the result over axis 0 gives the column sums of every
-    ``(rows, d)`` slice as :func:`column_mean` takes them, bit for bit, and
-    fast. numpy sums contiguous rows pairwise and strided rows one after
+    ``(rows, d)`` slice as ``np.add.reduce(slice, axis=0)`` takes them, bit
+    for bit, and fast. numpy sums contiguous rows pairwise and strided rows one after
     another. With ``d = 1`` the rows are contiguous, so the result is a
     transposed view, whose rows numpy still sums pairwise. With ``d > 1``
     the rows are copied outermost, each row's ``d`` doubles moved as one
@@ -636,7 +605,9 @@ def state_means(xs: np.ndarray, m: int) -> np.ndarray:
     Rows 0 and 1 are the full-stack means of ``x`` and ``s``. A stacked
     state adds rows 2 to 5, the block means of ``x[:m]``, ``x[m:]``,
     ``s[:m]`` and ``s[m:]``, from a second reduction over the block halves
-    of the same layout. Every row equals :func:`column_mean` of its slice bit for bit.
+    of the same layout. Every row equals ``np.add.reduce(a, axis=0) /
+    float(rows)`` of its ``(rows, d)`` slice ``a`` bit for bit: the sum and
+    division ``a.mean(axis=0)`` makes, without its argument handling.
     Either way the last ``2 * blocks`` rows are the block means, x blocks
     before s blocks, and row ``-2 * blocks`` is the mean of the working
     iterate ``x[:m]``.
@@ -657,7 +628,8 @@ def state_means(xs: np.ndarray, m: int) -> np.ndarray:
         axis=1,
         out=block.reshape(count, 2, blocks, d).transpose(2, 0, 1, 3),
     )
-    # Float divisors, as in column_mean.
+    # Float divisors: the quotient is ``mean``'s, and numpy's path for a
+    # Python float is cheaper than its path for a Python int.
     full /= float(blocks * m)
     block /= float(m)
     return means
@@ -715,9 +687,10 @@ def audit_identities(
 
     Every gradient mean comes from one reduction over ``grads``, each
     snapshot's once, and every norm from one ``sqrt(vecdot)``; each equals
-    :func:`column_mean` and :func:`vector_norm` of its own slice bit for
-    bit. Each scale is the Python ``max`` of its norms, NaN handling
-    included.
+    ``np.add.reduce(a, axis=0) / float(rows)`` of its own ``(rows, d)``
+    slice ``a`` and ``math.sqrt(v.dot(v))`` of its own vector ``v`` (the
+    route of ``np.linalg.norm``) bit for bit. Each scale is the Python
+    ``max`` of its norms, NaN handling included.
     """
     lo = 0 if start else 1
     count, k, d = len(means) - lo, means.shape[1], means.shape[2]
@@ -729,7 +702,7 @@ def audit_identities(
     # top-minus-bottom block residuals of x and s.
     rows = np.zeros((count, k + (8 if stacked else 6), d))
     rows[:, :k] = means[lo:]
-    # The float divisor is column_mean's.
+    # The float divisor is state_means'.
     grad_means = np.add.reduce(_rows_first(grads), axis=0)
     grad_means /= float(grads.shape[1])
     rows[:, k + 1] = grad_means[snaps[lo:]]

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation
 from .harness import (
+    _FIELD_TYPES,
     ExperimentConfig,
     Trace,
     load_config,
@@ -43,24 +44,24 @@ __all__ = ["main", "build_parser"]
 
 
 #: Every config override flag, declared once: flag -> (the
-#: :class:`ExperimentConfig` field it sets, its type, its help). ``run``
-#: takes all but ``--dsgt-tuning``; ``sweep`` takes :data:`_SWEEP_OVERRIDES`;
-#: ``validate-mixing`` takes ``--topology``, ``--agents`` and ``--mixing``.
-_OVERRIDES: dict[str, tuple[str, type, str]] = {
-    "--seed": ("seed", int, "run seed (a sweep's first seed)"),
-    "--topology": ("topology", str, "graph family (ring, grid, star, complete)"),
-    "--agents": ("agents", int, "number of agents"),
-    "--algo": ("algo", str, "algorithm tag (dsgt, ssdsgt, assdsgt)"),
-    "--mixing": ("mixing", str, "mixing variant (a sweep's momentum cells use lazy-metropolis)"),
-    "--sigma": ("sigma_bar", float, "gradient noise level"),
-    "--iters": ("iters", int, "iteration horizon (a sweep's cap per run)"),
-    "--stride": ("stride", int, "recording stride"),
-    "--eps": ("eps_stop", float, "early-stop suboptimality target"),
-    "--step-multiplier": ("step_multiplier", float, "scale on the template step size"),
-    "--label": ("label", str, "display label used in plots"),
+#: :class:`ExperimentConfig` field it sets, its help). Its type is the
+#: field's. ``run`` takes all but ``--dsgt-tuning``; ``sweep`` takes
+#: :data:`_SWEEP_OVERRIDES`; ``validate-mixing`` takes ``--topology``,
+#: ``--agents`` and ``--mixing``.
+_OVERRIDES: dict[str, tuple[str, str]] = {
+    "--seed": ("seed", "run seed (a sweep's first seed)"),
+    "--topology": ("topology", "graph family (ring, grid, star, complete)"),
+    "--agents": ("agents", "number of agents"),
+    "--algo": ("algo", "algorithm tag (dsgt, ssdsgt, assdsgt)"),
+    "--mixing": ("mixing", "mixing variant (a sweep's momentum cells use lazy-metropolis)"),
+    "--sigma": ("sigma_bar", "gradient noise level"),
+    "--iters": ("iters", "iteration horizon (a sweep's cap per run)"),
+    "--stride": ("stride", "recording stride"),
+    "--eps": ("eps_stop", "early-stop suboptimality target"),
+    "--step-multiplier": ("step_multiplier", "scale on the template step size"),
+    "--label": ("label", "display label used in plots"),
     "--dsgt-tuning": (
         "dsgt_tuning",
-        str,
         "step selection for the plain tracking baseline, matched or tuned "
         "(default: the config file's dsgt_tuning, else matched)",
     ),
@@ -69,9 +70,9 @@ _SWEEP_OVERRIDES = ("--topology", "--mixing", "--sigma", "--iters", "--seed", "-
 
 
 def _add_override(parser: argparse.ArgumentParser, flag: str, **options: object) -> None:
-    """Declare ``flag`` from its :data:`_OVERRIDES` entry, with extra argparse options."""
-    dest, kind, text = _OVERRIDES[flag]
-    parser.add_argument(flag, dest=dest, type=kind, help=text, **options)
+    """Declare ``flag`` from its :data:`_OVERRIDES` entry, typed as its field, with extra options."""
+    dest, text = _OVERRIDES[flag]
+    parser.add_argument(flag, dest=dest, type=_FIELD_TYPES[dest][0], help=text, **options)
 
 
 def _add_run_inputs(parser: argparse.ArgumentParser, overrides: tuple[str, ...], out: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import SsState, column_mean
+from .algorithms import SsState
 # global_suboptimality is not called here, but perfbench's layer probe wraps this name.
 from .objectives import QuadraticProblem, global_suboptimality  # noqa: F401
 from .topology import MOMENTUM_ENVELOPE
@@ -25,7 +25,6 @@ __all__ = [
     "CSV_COLUMNS",
     "IterRecord",
     "WeightedAverager",
-    "consensus_error",
     "snapshot_gradient_distance",
     "record_iteration",
 ]
@@ -79,25 +78,6 @@ class IterRecord:
             raise ValueError(f"weighted-average suboptimality {self.wavg_subopt} is not finite")
         if self.zeta not in (0, 1):
             raise ValueError(f"zeta must be 0 or 1, got {self.zeta}")
-
-
-def consensus_error(x: np.ndarray, blocks: int = 1) -> float:
-    """Squared Frobenius distance of row-stacked states from their row mean.
-
-    With ``blocks=2`` the input stacks two equally sized blocks and the
-    deviation is measured blockwise: each block is centered on its own mean
-    and the squared distances are summed.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if blocks == 1:
-        centered = x - column_mean(x)
-        return float(np.sum(centered * centered))
-    if blocks == 2:
-        if x.shape[0] % 2 != 0:
-            raise ValueError(f"two-block input needs an even row count, got {x.shape[0]}")
-        half = x.shape[0] // 2
-        return consensus_error(x[:half]) + consensus_error(x[half:])
-    raise ValueError(f"blocks must be 1 or 2, got {blocks}")
 
 
 def snapshot_gradient_distance(problem: QuadraticProblem, q: np.ndarray) -> float:
@@ -246,8 +226,9 @@ def record_iteration(
     :func:`~netgrad.algorithms.state_means` of its chunk and ``subopt`` the
     suboptimality of its working-block mean, as the driving loop computed
     them. The snapshot distance is :func:`snapshot_gradient_distance` at
-    ``state.q``. Consensus errors are taken blockwise, equal bit for bit to
-    :func:`consensus_error` of ``state.x`` and ``state.s``, and a stacked
+    ``state.q``. Consensus errors are taken blockwise: the squared Frobenius
+    distance of each ``(m, d)`` block of ``state.x`` and ``state.s`` from
+    its column mean in ``means``, summed over the blocks of each. A stacked
     state gets the momentum Lyapunov value ``psi_tilde``, with the envelope
     constant :data:`~netgrad.topology.MOMENTUM_ENVELOPE`, in place of
     ``psi``.
@@ -255,7 +236,7 @@ def record_iteration(
     blocks = state.blocks
     dist = snapshot_gradient_distance(problem, state.q)
     # One centred reduction over the (2 * blocks, m, d) layout of the stacked
-    # state gives every block's consensus error, as consensus_error would.
+    # state gives every block's consensus error.
     parts = state.xs.reshape(2 * blocks, problem.m, problem.d)
     centered = parts - means[-2 * blocks :, None, :]
     centered *= centered

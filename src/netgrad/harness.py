@@ -687,6 +687,11 @@ def iterations_to_epsilon(trace: Trace, eps: float) -> int | None:
     Noiseless runs use the recorded suboptimality of the average iterate;
     noisy runs use the running weighted-average suboptimality. Returns
     ``None`` when the trace never reaches the target.
+
+    Raises:
+        ValueError: When a record of a noisy trace carries no weighted
+            average, as the records :func:`read_trace` loads do not: the
+            trace CSV has no such column.
     """
     if not eps > 0.0:  # NaN fails the comparison too
         raise ValueError(f"eps must be positive, got {eps}")
@@ -694,7 +699,10 @@ def iterations_to_epsilon(trace: Trace, eps: float) -> int | None:
     for record in trace.records:
         value = record.wavg_subopt if noisy else record.subopt
         if value is None:
-            value = record.subopt
+            raise ValueError(
+                f"record t={record.t} of a noisy trace has no weighted-average "
+                "suboptimality (wavg_subopt), the metric a noisy trace is measured by"
+            )
         if value <= eps:
             return record.t
     return None

@@ -27,13 +27,14 @@ Conventions:
       mixes its iterate and tracker in one call. ``out``, when given, is a
       C-contiguous array shaped like ``x`` that receives the result (and is
       returned); it must not overlap ``x``.
-    * The augmented ``apply`` can reuse one base product. Its new bottom
-      block is a copy of the old top block, so when nothing is added to the
-      momentum tracker in between (the snapshot coin did not fire), the next
-      iteration's ``W @ bottom`` is the ``W @ top`` already computed from the
-      same bits. The iteration keeps the products in a buffer of its run and
-      asks ``apply`` to reuse the one in the trailing slot; three of the four
-      ``(m, d)`` products remain.
+    * The augmented ``apply`` can carry one base product from a call to the
+      next. Its new bottom block is a copy of the old top block, so on a
+      chain ``z = aug.apply(z, ...)`` the next call's ``W @ bottom`` is the
+      ``W @ top`` the last call computed from the same bits. With ``reuse``
+      the operator takes that product from the ``products`` buffer the two
+      calls share, and three of the four ``(m, d)`` products remain. The
+      caller only says whether the chain held: the iteration breaks it when
+      the snapshot coin fires and adds a correction to the momentum tracker.
     * The contraction parameter ``theta`` is ``1 - lambda2`` where ``lambda2``
       is the largest magnitude among the non-unit eigenvalues. For the random
       gossip family, ``lambda2`` and ``theta`` describe the expected one-step
@@ -582,12 +583,15 @@ class AugmentedMixing:
 
         ``products``, when given, is a C-contiguous array shaped like
         ``x_aug`` that receives the unscaled products ``W @ top`` and
-        ``W @ bottom`` of every slice. With ``reuse``, its last block already
-        holds ``W @ bottom`` of the last slice, computed by an earlier product
-        of a block with the same bits, and only the other blocks are
-        multiplied. A batched product gives each slice the bits a lone
-        product would, so the reused bits are the ones the multiplication
-        would give. Plain ``apply(x_aug)`` multiplies every block.
+        ``W @ bottom`` of every slice. ``reuse`` says that the last slice's
+        bottom block has the bits of the last top block of the previous call
+        with the same ``products``, as it does on a chain
+        ``z = aug.apply(z, ...)``: that call's last top product, still in
+        the second-to-last block of ``products``, is copied to the last
+        block, and only the other blocks are multiplied. A batched product
+        gives each slice the bits a lone product would, so the copied bits
+        are the ones the multiplication would give. Plain ``apply(x_aug)``
+        multiplies every block.
         """
         w = self.base.entries
         m = len(w)
@@ -603,6 +607,7 @@ class AugmentedMixing:
             raise ValueError("the output of an augmented apply must be C-contiguous")
         blocks, mixed = x_aug.reshape(-1, m, shape[-1]), products.reshape(-1, m, shape[-1])
         if reuse:
+            mixed[-1] = mixed[-2]
             np.matmul(w, blocks[:-1], out=mixed[:-1])
         else:
             np.matmul(w, blocks, out=mixed)

@@ -5,21 +5,23 @@
   products, mixes through the plain four-product augmented operator, and
   builds a new :class:`ReferenceState`. The buffer kernel must give every
   state of a run bit for bit as this route does.
-* The dense augmented matrix, the objective value, and the two Lyapunov
-  combinations by their definitions, which the fused routes of the package
-  are checked against.
+* The dense augmented matrix, the objective value, the column mean, the
+  vector norm, the consensus error and the two Lyapunov combinations by
+  their definitions, one value at a time, which the fused routes of the
+  package are checked against.
 
 Nothing here is imported by ``netgrad``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from netgrad.algorithms import ALGORITHMS, Schedule
-from netgrad.diagnostics import consensus_error, snapshot_gradient_distance
+from netgrad.diagnostics import snapshot_gradient_distance
 from netgrad.objectives import QuadraticProblem
 from netgrad.streams import StreamBundle
 from netgrad.topology import AugmentedMixing, EdgeGossip, MixingMatrix
@@ -30,8 +32,8 @@ class ReferenceState:
     """One state of the per-state route, as its own arrays.
 
     ``xs`` is the ``(2, blocks * m, d)`` stack of the iterate and the
-    tracker; ``q`` and ``g_snap`` the snapshot point and rows; ``last_eta``
-    and ``last_zeta`` describe the step that made it.
+    tracker; ``q`` and ``g_snap`` the snapshot point and rows; ``last_zeta``
+    is the coin of the step that made it.
     """
 
     xs: np.ndarray
@@ -39,7 +41,6 @@ class ReferenceState:
     g_snap: np.ndarray
     tau: int
     t: int
-    last_eta: float = 0.0
     last_zeta: int = 0
 
     @property
@@ -112,11 +113,11 @@ def reference_ssdsgt_step(
     np.subtract(x, descent, out=descent)
     xs_new = reference_apply(op, mixing)
     if not zeta:
-        return ReferenceState(xs_new, state.q, state.g_snap, state.tau, state.t + 1, eta, 0)
+        return ReferenceState(xs_new, state.q, state.g_snap, state.tau, state.t + 1, 0)
     s_new = xs_new[1]
     for b in range(state.blocks):
         s_new[b * m : (b + 1) * m] += correction
-    return ReferenceState(xs_new, x[:m].copy(), g_x, state.t, state.t + 1, eta, 1)
+    return ReferenceState(xs_new, x[:m].copy(), g_x, state.t, state.t + 1, 1)
 
 
 def reference_dsgt_step(
@@ -128,7 +129,7 @@ def reference_dsgt_step(
     xs_new = reference_apply(op, mixing)
     g_new = _gradients(problem, xs_new[0], streams)
     xs_new[1] += g_new - state.g_snap
-    return ReferenceState(xs_new, xs_new[0], g_new, state.t + 1, state.t + 1, eta, 0)
+    return ReferenceState(xs_new, xs_new[0], g_new, state.t + 1, state.t + 1, 0)
 
 
 REFERENCE_STEPS = {"dsgt": reference_dsgt_step, "ssdsgt": reference_ssdsgt_step, "assdsgt": reference_ssdsgt_step}
@@ -137,7 +138,7 @@ REFERENCE_STEPS = {"dsgt": reference_dsgt_step, "ssdsgt": reference_ssdsgt_step,
 def state_mismatches(got, want: ReferenceState) -> list[str]:
     """The fields of a package state that differ from a reference state, bits included."""
     bad = [name for name in ("xs", "q", "g_snap") if getattr(got, name).tobytes() != getattr(want, name).tobytes()]
-    bad += [name for name in ("tau", "t", "last_eta", "last_zeta") if getattr(got, name) != getattr(want, name)]
+    bad += [name for name in ("tau", "t", "last_zeta") if getattr(got, name) != getattr(want, name)]
     return bad
 
 
@@ -158,6 +159,39 @@ def global_value(problem: QuadraticProblem, v: np.ndarray) -> float:
     quad_terms = 0.5 * np.einsum("j,ijk,k->i", v, problem.quads, v)
     linear_terms = problem.linears @ v
     return float(np.mean(quad_terms + linear_terms))
+
+
+def column_mean(a: np.ndarray) -> np.ndarray:
+    """Column mean of a 2-D array, ``np.add.reduce(a, axis=0) / rows``.
+
+    This is the sum and division ``a.mean(axis=0)`` performs, so the bits are
+    the same; the row count is a float, which gives the same quotient.
+    """
+    return np.add.reduce(a, axis=0) / float(len(a))
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, the square root of ``v . v`` as ``np.linalg.norm`` takes it."""
+    return math.sqrt(float(v.dot(v)))
+
+
+def consensus_error(x: np.ndarray, blocks: int = 1) -> float:
+    """Squared Frobenius distance of row-stacked states from their row mean.
+
+    With ``blocks=2`` the input stacks two equally sized blocks and the
+    deviation is measured blockwise: each block is centered on its own mean
+    and the squared distances are summed.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if blocks == 1:
+        centered = x - column_mean(x)
+        return float(np.sum(centered * centered))
+    if blocks == 2:
+        if x.shape[0] % 2 != 0:
+            raise ValueError(f"two-block input needs an even row count, got {x.shape[0]}")
+        half = x.shape[0] // 2
+        return consensus_error(x[:half]) + consensus_error(x[half:])
+    raise ValueError(f"blocks must be 1 or 2, got {blocks}")
 
 
 def lyapunov_psi(state, eta: float, theta: float, L: float, problem: QuadraticProblem) -> float:

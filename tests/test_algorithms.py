@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _reference import column_mean
 
 from netgrad.algorithms import (
     MOMENTUM_CONSTANT_DIVISOR,
@@ -14,7 +15,6 @@ from netgrad.algorithms import (
     Schedule,
     assdsgt_step,
     audit_identities,
-    column_mean,
     dsgt_step,
     init_state,
     ssdsgt_step,

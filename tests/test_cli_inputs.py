@@ -7,9 +7,11 @@ its value or its command without a test naming it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -195,3 +197,18 @@ def test_run_config_file_out_is_the_default_trace_path(recorded, tmp_path: Path,
     assert json.loads(capsys.readouterr().out)["out"] == str(out)
     assert _changed(recorded[0]["cfg"]) == {"out": str(out)}
     assert out.exists() and Path(str(out) + ".config.json").exists()
+
+
+def test_every_override_flag_takes_its_config_field_type():
+    # A flag's argparse type is its ExperimentConfig field's kind, the type
+    # hint without its None.
+    hints = typing.get_type_hints(ExperimentConfig)
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    typed = {}
+    for command in ("run", "sweep", "validate-mixing"):
+        for action in commands.choices[command]._actions:
+            if action.dest in hints:
+                kinds = [kind for kind in typing.get_args(hints[action.dest]) if kind is not type(None)]
+                assert action.type is (kinds[0] if kinds else hints[action.dest]), (command, action.option_strings)
+                typed[command] = typed.get(command, 0) + 1
+    assert typed == {"run": 11, "sweep": 6, "validate-mixing": 3}

@@ -6,14 +6,13 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from _reference import lyapunov_psi, lyapunov_psi_tilde
+from _reference import consensus_error, lyapunov_psi, lyapunov_psi_tilde
 
-from netgrad.algorithms import assdsgt_step, init_state, ssdsgt_step, state_means, theory_schedule
+from netgrad.algorithms import assdsgt_step, init_state, ssdsgt_step, state_means, step_size, theory_schedule
 from netgrad.diagnostics import (
     CSV_COLUMNS,
     IterRecord,
     WeightedAverager,
-    consensus_error,
     record_iteration,
     snapshot_gradient_distance,
 )
@@ -98,7 +97,6 @@ def test_lyapunov_psi_hand_assembly():
         g_snap=state.g_snap,
         tau=0,
         t=0,
-        last_eta=0.0,
         last_zeta=0,
     )
     eta, theta = 0.1, 0.5
@@ -115,7 +113,6 @@ def test_lyapunov_psi_tilde_hand_assembly():
         g_snap=state.g_snap,
         tau=0,
         t=0,
-        last_eta=0.0,
         last_zeta=0,
     )
     eta, tt, alpha = 0.1, 0.5, 14.0
@@ -174,16 +171,17 @@ def test_record_iteration_recomputes_from_state():
     streams = StreamBundle.from_seed(21, 4)
     state = init_state(problem, np.zeros(2), "ssdsgt", streams)
     for _ in range(5):
-        state = ssdsgt_step(state, problem, w, sched, streams)
+        eta = step_size(sched, state.t)
+        state = ssdsgt_step(state, problem, w, sched, streams, eta)
     xbar = state.x.mean(axis=0)
     subopt = global_suboptimality(problem, xbar)
-    record = record_iteration(state, problem, state.last_eta, sched.theta, state_means(state.xs[None], problem.m)[0], subopt)
+    record = record_iteration(state, problem, eta, sched.theta, state_means(state.xs[None], problem.m)[0], subopt)
     assert record.t == state.t
     assert record.zeta == state.last_zeta
     assert record.consensus_x == pytest.approx(consensus_error(state.x), rel=1e-14)
     assert record.mean_dist == pytest.approx(float(np.sum((xbar - problem.x_star) ** 2)), rel=1e-14)
     assert record.psi == pytest.approx(
-        lyapunov_psi(state, state.last_eta, sched.theta, problem.L, problem), rel=1e-14
+        lyapunov_psi(state, eta, sched.theta, problem.L, problem), rel=1e-14
     )
 
 
@@ -332,8 +330,8 @@ def test_record_iteration_psi_equals_the_public_lyapunov_values_exactly():
         streams = StreamBundle.from_seed(8, 6)
         state = init_state(problem, np.zeros(2), algo, streams)
         for _ in range(7):
-            state = step(state, problem, op, sched, streams)
-        eta = state.last_eta
+            eta = step_size(sched, state.t)
+            state = step(state, problem, op, sched, streams, eta)
         subopt = global_suboptimality(problem, state.x[: problem.m].mean(axis=0))
         record = record_iteration(state, problem, eta, theta, state_means(state.xs[None], problem.m)[0], subopt)
         if algo == "ssdsgt":

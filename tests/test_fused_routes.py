@@ -18,7 +18,7 @@ import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
 from _one_thread import run_one_thread
-from _reference import lyapunov_psi, lyapunov_psi_tilde
+from _reference import column_mean, consensus_error, lyapunov_psi, lyapunov_psi_tilde, vector_norm
 
 from netgrad.algorithms import (
     SsState,
@@ -26,15 +26,9 @@ from netgrad.algorithms import (
     _sampled_gradients,
     audit_identities,
     c_einsum,
-    column_mean,
     state_means,
-    vector_norm,
 )
-from netgrad.diagnostics import (
-    consensus_error,
-    record_iteration,
-    snapshot_gradient_distance,
-)
+from netgrad.diagnostics import record_iteration, snapshot_gradient_distance
 from netgrad.errors import InvariantViolation
 from netgrad.harness import _AUDITED, AUDIT_ABORT_TOL, _AuditTracker
 from netgrad.objectives import exact_gradients, global_suboptimality, make_quadratic_suite
@@ -84,11 +78,12 @@ def batched_apply_mismatches(m: int, seed: int = 0) -> list[tuple]:
                 if op.apply(batch, out) is not out or out.tobytes() != mixed.tobytes():
                     bad.append((type(op).__name__, m, d, scale, "out"))
                 if isinstance(op, AugmentedMixing):
-                    # A second call reuses the last block's product of the first.
+                    # On a chain, the second call's last bottom block is the
+                    # first call's last top block, whose product it carries.
                     products = np.empty_like(batch)
-                    op.apply(batch, out, products)
-                    op.apply(batch, out, products, reuse=True)
-                    if out.tobytes() != mixed.tobytes():
+                    chained = op.apply(batch, products=products)
+                    op.apply(chained, out, products, reuse=True)
+                    if out.tobytes() != op.apply(chained).tobytes():
                         bad.append((type(op).__name__, m, d, scale, "reuse"))
                 for k in np.ndindex(2, 2):
                     alone = op.apply(batch[k])
@@ -124,7 +119,6 @@ def _state(m: int, d: int, blocks: int, scale: float, rng: np.random.Generator) 
         g_snap=scale * rng.standard_normal((m, d)),
         tau=0,
         t=1,
-        last_eta=0.013,
     )
 
 

@@ -17,6 +17,7 @@ from netgrad import harness, topology
 from netgrad.errors import ConfigError, InvariantViolation
 from netgrad.harness import (
     ExperimentConfig,
+    Trace,
     iterations_to_epsilon,
     load_config,
     prepare_run,
@@ -399,6 +400,23 @@ def test_iterations_to_epsilon_rejects_a_target_that_is_not_positive(eps):
     trace = run_experiment(_small_cfg(iters=5, x0_radius=3.0))
     with pytest.raises(ValueError, match="eps must be positive"):
         iterations_to_epsilon(trace, eps)
+
+
+def test_iterations_to_epsilon_does_not_switch_metric_on_a_reloaded_noisy_trace(tmp_path: Path):
+    # The trace CSV has no weighted-average column. A noisy trace read back
+    # from it cannot give its own metric, and the raw suboptimality is a
+    # different one; a noiseless trace's metric is in the file.
+    for sigma in (1.0, 0.0):
+        trace = run_experiment(_small_cfg(sigma_bar=sigma, iters=40))
+        path = tmp_path / f"trace-{sigma}.csv"
+        write_trace(trace, path)
+        reloaded = Trace(config=trace.config, records=read_trace(path), summary={})
+        assert iterations_to_epsilon(trace, 1e3) == 0
+        if sigma:
+            with pytest.raises(ValueError, match="t=0 .* no weighted-average suboptimality"):
+                iterations_to_epsilon(reloaded, 1e3)
+        else:
+            assert iterations_to_epsilon(reloaded, 1e-3) == iterations_to_epsilon(trace, 1e-3)
 
 
 def test_noisy_stop_metric_uses_weighted_average():

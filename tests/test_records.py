@@ -12,9 +12,9 @@ produced, bit for bit.
 from __future__ import annotations
 
 import pytest
+from _reference import column_mean
 
 import netgrad.harness
-from netgrad.algorithms import column_mean
 from netgrad.harness import ExperimentConfig, run_experiment
 from netgrad.objectives import global_suboptimality
 
