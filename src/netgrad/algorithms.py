@@ -30,9 +30,11 @@ with views into the buffer. A step writes the new state into its state's
 successor slot, with ``out=`` on every product and sum, and sets only
 references and scalars on the slot's object; it allocates nothing but the
 snapshot copies of a coin that fired. The step's temporaries (the mixing
-input, the correction and the momentum products, from which the augmented
-operator carries one product to the next step) are allocated once per run.
-The run, not the state, holds each step's step size. A state
+input and the correction) are allocated once per run. A momentum run's
+mixing input is the input of the augmented operator's workspace, which
+also holds the products (the operator carries one of them to the next
+step) and the scaled addends of the result, each view built once. The
+run, not the state, holds each step's step size. A state
 that is not in a buffer gets a freshly allocated successor from the same
 kernel. Observation reduces the buffer's slices as they are:
 :func:`state_means` the stacked states and :func:`audit_identities` the
@@ -40,8 +42,10 @@ gradient rows.
 
 Randomness comes exclusively from a
 :class:`~netgrad.streams.StreamBundle`, which serves the coin uniforms and the
-noise rows from blocks; noiseless runs draw nothing from the gradient streams
-and are bit-identical to exact-gradient runs.
+noise rows from blocks, the noise rows already scaled and contiguous, so a
+noisy step adds them to its gradient rows with one same-shape add;
+noiseless runs draw nothing from the gradient streams and are bit-identical
+to exact-gradient runs.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from numpy._core.multiarray import c_einsum
 # oracle up under this module's name.
 from .objectives import QuadraticProblem, stochastic_gradients  # noqa: F401
 from .streams import StreamBundle
-from .topology import AugmentedMixing, EdgeGossip, MixingMatrix
+from .topology import AugmentedMixing, AugmentedWorkspace, EdgeGossip, MixingMatrix
 
 __all__ = [
     "ALGORITHMS",
@@ -249,7 +253,8 @@ class SsState:
     :func:`init_state`, or one a step returned for it) gets a freshly
     allocated one: a chunk of one, stepped by the same kernel. A step never
     writes to an array of the state it starts from. ``scratch`` holds the
-    step's temporaries, shared by a buffer's slots and by a chain of
+    step's temporaries (see :class:`_Scratch`), the augmented operator's
+    workspace among them, shared by a buffer's slots and by a chain of
     freshly allocated successors.
     """
 
@@ -287,29 +292,35 @@ class SsState:
 
 
 class _Scratch:
-    """A step's temporaries: the mixing input, the correction and the products.
+    """A step's temporaries: the mixing input, the correction and the operator's workspace.
 
     ``mixing`` is the ``(2, blocks * m, d)`` input of the step's ``apply``
-    (the descent argument over the tracker), ``correction`` the ``(m, d)``
-    gradient correction, and ``products`` (two-block states only) the
-    unscaled base products the augmented ``apply`` writes and carries from
-    one call to the next. ``carried`` is the ``xs`` array of the state
-    whose next step continues the operator's chain: the step that made it
-    added no correction to the tracker (its coin did not fire), so the new
-    trailing tracker block ``s[m:]`` is, bit for bit, the top block of that
-    step's last mixed slice, as ``apply`` with ``reuse`` requires. Every
-    state has its own ``xs`` array, and holding the array rather than the
-    state keeps the scratch out of a reference cycle with the states that
-    hold it, so a run's buffer is freed when the run ends.
+    (the descent argument over the tracker) and ``correction`` the ``(m, d)``
+    gradient correction. A two-block state mixes through the augmented
+    operator the scratch was built for: ``workspace`` is that operator's
+    :class:`~netgrad.topology.AugmentedWorkspace`, whose ``input`` is
+    ``mixing`` and whose products the operator carries from one call to
+    the next. ``carried`` is the ``xs`` array of the state whose next step
+    continues the operator's chain: the step that made it added no
+    correction to the tracker (its coin did not fire), so the new trailing
+    tracker block ``s[m:]`` is, bit for bit, the top block of that step's
+    last mixed slice, as ``apply`` with ``reuse`` requires. Every state has
+    its own ``xs`` array, and holding the array rather than the state keeps
+    the scratch out of a reference cycle with the states that hold it, so
+    a run's buffer is freed when the run ends.
     """
 
-    __slots__ = ("mixing", "descent", "tracker", "correction", "products", "carried")
+    __slots__ = ("mixing", "descent", "tracker", "correction", "workspace", "carried")
 
-    def __init__(self, shape: tuple[int, ...], m: int, blocks: int) -> None:
-        self.mixing = np.empty(shape)
+    def __init__(self, shape: tuple[int, ...], m: int, op: Operator | None) -> None:
+        if shape[-2] > m:
+            self.workspace = AugmentedWorkspace(op, shape)
+            self.mixing = self.workspace.input
+        else:
+            self.workspace = None
+            self.mixing = np.empty(shape)
         self.descent, self.tracker = self.mixing
         self.correction = np.empty((m, shape[-1]))
-        self.products = np.empty(shape) if blocks > 1 else None
         self.carried: np.ndarray | None = None
 
 
@@ -318,11 +329,11 @@ def _slot(xs: np.ndarray, grads: np.ndarray, scratch: _Scratch) -> SsState:
     return SsState(xs=xs, q=None, g_snap=grads, tau=0, t=0, grads=grads, scratch=scratch)
 
 
-def _successor(state: SsState) -> SsState:
-    """A freshly allocated slot for a step from ``state``, which has no successor."""
+def _successor(state: SsState, op: Operator) -> SsState:
+    """A freshly allocated slot for a step from ``state`` through ``op``; ``state`` has no successor."""
     scratch = state.scratch
     if scratch is None:
-        scratch = _Scratch(state.xs.shape, len(state.g_snap), state.blocks)
+        scratch = _Scratch(state.xs.shape, len(state.g_snap), op)
     return _slot(np.empty(state.xs.shape), np.empty(state.g_snap.shape), scratch)
 
 
@@ -337,15 +348,17 @@ class StateBuffer:
     there by :meth:`restart`, the last state of the chunk before. The steps
     of a chunk fill slots 1 and on. So the states of a chunk and the one
     before it are consecutive slices of the two arrays, which observation
-    reduces as they are.
+    reduces as they are. ``op`` is the augmented operator a two-block
+    run mixes through, whose workspace the slots share; a one-block run
+    passes ``None`` or its matrix.
     """
 
-    def __init__(self, start: SsState, algo: str, steps: int) -> None:
+    def __init__(self, start: SsState, algo: str, steps: int, op: Operator | None) -> None:
         m = len(start.g_snap)
         self.xs = np.zeros((steps + 1, *start.xs.shape))
         self.grads = np.zeros((steps + 1, *start.g_snap.shape))
         self.dsgt = algo == "dsgt"
-        scratch = _Scratch(start.xs.shape, m, start.blocks)
+        scratch = _Scratch(start.xs.shape, m, op)
         self.states = [_slot(xs, grads, scratch) for xs, grads in zip(self.xs, self.grads)]
         for state, successor in zip(self.states, self.states[1:]):
             state.successor = successor
@@ -401,7 +414,8 @@ def _sampled_gradients(
     """Row-stacked noisy gradients with noise rows served by the bundle.
 
     Equals :func:`~netgrad.objectives.stochastic_gradients` on the bundle's
-    agent streams bit for bit: the noise is scaled elementwise either way.
+    agent streams bit for bit: the bundle serves the noise rows already
+    scaled, and ``scale * z`` rounds once wherever it is taken.
     The exact rows are :func:`~netgrad.objectives.exact_gradients` without
     its argument checks (``x`` is always an ``(m, d)`` float array here),
     through the ``c_einsum`` that ``np.einsum`` forwards to, so the bits
@@ -413,9 +427,10 @@ def _sampled_gradients(
     if problem.sigma_bar == 0.0:
         return grads
     assert streams is not None
-    if len(streams.agents) != problem.m:
-        raise ValueError(f"need {problem.m} agent streams, got {len(streams.agents)}")
-    grads += problem.noise.scale(problem.d) * streams.noise_rows(problem.d)
+    # A bundle for fewer agents would broadcast its rows.
+    if streams.m != problem.m:
+        raise ValueError(f"need {problem.m} agent streams, got {streams.m}")
+    grads += streams.noise_rows(problem.d, problem.noise.scale(problem.d))
     return grads
 
 
@@ -497,7 +512,7 @@ def ssdsgt_step(
         eta = step_size(sched, state.t)
     new = state.successor
     if new is None:
-        new = _successor(state)
+        new = _successor(state, op)
     scratch = new.scratch
     m = problem.m
     zeta = 1 if streams.coin_uniform() < sched.p else 0
@@ -517,7 +532,7 @@ def ssdsgt_step(
     else:
         # The chain of applies holds unless the step that made ``state``
         # added a correction to the tracker.
-        op.apply(scratch.mixing, new.xs, scratch.products, scratch.carried is state.xs)
+        op.apply(scratch.mixing, new.xs, scratch.workspace, scratch.carried is state.xs)
         scratch.carried = new.xs
     if zeta:
         _add_to_blocks(new.s, correction, new.s)
@@ -561,7 +576,7 @@ def dsgt_step(
         eta = step_size(sched, state.t)
     new = state.successor
     if new is None:
-        new = _successor(state)
+        new = _successor(state, op)
     scratch = new.scratch
     descent = scratch.descent
     np.multiply(state.s, eta, descent)

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The function ``np.einsum`` forwards to when ``optimize`` is off.
+from numpy._core.multiarray import c_einsum
+
 from .algorithms import SsState
 # global_suboptimality is not called here, but perfbench's layer probe wraps this name.
 from .objectives import QuadraticProblem, global_suboptimality  # noqa: F401
@@ -85,12 +88,17 @@ def snapshot_gradient_distance(problem: QuadraticProblem, q: np.ndarray) -> floa
 
     Row ``i`` compares agent ``i`` at ``q[i]`` against agent ``i`` at the
     network minimizer; the linear terms cancel, leaving
-    ``sum_i |Q_i (q_i - x*)|^2``.
+    ``sum_i |Q_i (q_i - x*)|^2``. The rows come from the ``c_einsum`` that
+    ``np.einsum`` forwards to, and their squares are summed by one
+    ``np.add.reduce`` over the flattened rows, the pairwise sum
+    ``np.sum`` takes of the contiguous ``(m, d)`` array, so the bits are
+    those of ``np.sum(rows * rows)``.
     """
     q = np.asarray(q, dtype=np.float64)
     delta = q - problem.x_star
-    rows = np.einsum("ijk,ik->ij", problem.quads, delta)
-    return float(np.sum(rows * rows))
+    rows = c_einsum("ijk,ik->ij", problem.quads, delta)
+    rows *= rows
+    return float(np.add.reduce(rows.reshape(-1)))
 
 
 def _psi(cx: float, cs: float, dist: float, eta: float, theta: float, L: float) -> float:

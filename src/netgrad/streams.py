@@ -13,9 +13,13 @@ coin stream in blocks of :data:`COIN_BLOCK` uniforms, each agent stream in
 blocks of ``k`` noise vectors with ``k * m * d`` at most
 :data:`NOISE_BLOCK_DOUBLES`. One block draw from a Philox generator yields the
 same values, in the same order, as the same number of single draws, so the
-served sequence equals the per-call sequence. A refill leaves a stream's
-generator ahead of what has been served: once a stream has served a block,
-its generator must not be drawn from directly.
+served sequence equals the per-call sequence. Noise rows come scaled by the
+noise model's coordinate deviation, which the first draw fixes: a refill
+draws every agent's vectors in agent order into a staging array and writes
+them, scaled, into a contiguous ``(k, m, d)`` block with one multiply, so
+each served ``(m, d)`` row block is contiguous and ready to add. A refill
+leaves a stream's generator ahead of what has been served: once a stream has
+served a block, its generator must not be drawn from directly.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ __all__ = ["COIN_BLOCK", "NOISE_BLOCK_DOUBLES", "StreamBundle"]
 
 #: Coin uniforms drawn per refill of the coin block.
 COIN_BLOCK = 1024
-#: Bound on the doubles of one bundle's noise buffer (256 KiB); a block holds
-#: at least one iteration however large ``m * d`` is.
+#: Bound on the doubles of one bundle's noise block (256 KiB), and of its
+#: staging array; a block holds at least one iteration however large
+#: ``m * d`` is.
 NOISE_BLOCK_DOUBLES = 2**15
 
 
@@ -61,10 +66,17 @@ class StreamBundle:
     )
     _coins: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
     _coin_next: int = field(default=0, init=False, repr=False, compare=False)
-    # Shape (m, k, d): row j of agent i's contiguous (k, d) block is that
-    # agent's j-th noise vector of the block. Allocated on the first noise draw.
+    # Shape (k, m, d): entry j is the j-th pre-scaled (m, d) noise row of the
+    # block, row i of it from agent i; ``_rows`` lists the entries as views.
+    # ``_staging`` (m, k, d) takes each agent's (k, d) draw. All three are
+    # allocated on the first noise draw, which fixes ``_noise_d`` and
+    # ``_noise_scale``.
     _noise: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _staging: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
     _noise_next: int = field(default=0, init=False, repr=False, compare=False)
+    _noise_d: int = field(default=0, init=False, repr=False, compare=False)
+    _noise_scale: float = field(default=0.0, init=False, repr=False, compare=False)
 
     @classmethod
     def from_seed(cls, seed: int, m: int) -> "StreamBundle":
@@ -88,24 +100,37 @@ class StreamBundle:
         self._coin_next += 1
         return value
 
-    def noise_rows(self, d: int) -> np.ndarray:
-        """The next standard normal ``d``-vector of every agent stream.
+    def noise_rows(self, d: int, scale: float) -> np.ndarray:
+        """The next ``d``-vector of every agent stream, times ``scale``.
 
-        Returns an ``(m, d)`` view whose row ``i`` comes from ``agents[i]``.
-        The view is overwritten by a later refill, so use it before the next
-        call.
+        Returns a C-contiguous ``(m, d)`` view whose row ``i`` is ``scale``
+        times the next standard normal vector of ``agents[i]``. A refill
+        draws each agent's ``(k, d)`` rows in agent order into a staging
+        array and writes them, scaled, into the ``(k, m, d)`` block with one
+        multiply; ``scale * z`` rounds once either way, so every row has the
+        bits of ``scale * agents[i].standard_normal(d)``. The first call
+        fixes ``d`` and ``scale``, and asking for another raises
+        ``ValueError``. The view is overwritten by a later refill, so use it
+        before the next call.
         """
-        block = self._noise
-        if block is None:
+        if d != self._noise_d or scale != self._noise_scale:
+            if self._noise is not None:
+                raise ValueError(
+                    f"noise rows are fixed at dimension {self._noise_d} and scale "
+                    f"{self._noise_scale!r}, asked for {d} and {scale!r}"
+                )
             k = max(1, NOISE_BLOCK_DOUBLES // (self.m * d))
-            block = self._noise = np.empty((self.m, k, d))
+            self._staging = np.empty((self.m, k, d))
+            self._noise = np.empty((k, self.m, d))
+            self._rows = list(self._noise)
             self._noise_next = k
-        elif block.shape[2] != d:
-            raise ValueError(f"noise rows have dimension {block.shape[2]}, asked for {d}")
-        if self._noise_next == block.shape[1]:
-            for rng, rows in zip(self.agents, block):
+            self._noise_d, self._noise_scale = d, scale
+        if self._noise_next == len(self._rows):
+            staging = self._staging
+            for rng, rows in zip(self.agents, staging):
                 rng.standard_normal(rows.shape, out=rows)
+            np.multiply(staging.transpose(1, 0, 2), scale, out=self._noise)
             self._noise_next = 0
-        rows = block[:, self._noise_next]
+        rows = self._rows[self._noise_next]
         self._noise_next += 1
         return rows

@@ -24,17 +24,25 @@ Conventions:
       :class:`AugmentedMixing` acts on ``(2m, d)`` duplicated block vectors.
       ``apply`` also takes leading batch axes, ``(..., rows, d)``, and mixes
       every slice as a separate call would, bit for bit, so an iteration
-      mixes its iterate and tracker in one call. ``out``, when given, is a
-      C-contiguous array shaped like ``x`` that receives the result (and is
-      returned); it must not overlap ``x``.
+      mixes its iterate and tracker in one call. ``out``, when given, is an
+      array shaped like ``x`` that receives the result (and is returned);
+      it must not overlap ``x``.
+    * The augmented ``apply`` runs through an :class:`AugmentedWorkspace`:
+      the input, the products, the scale weights and the two addends of the
+      result, with every view of them built once. A caller that applies
+      the operator on every step (the momentum iteration) builds one
+      workspace per run, writes its input into the workspace and passes
+      it; any other input is checked, converted and copied into a fresh
+      workspace, so every apply runs the same tail: one product, one
+      multiply, one copy and one add.
     * The augmented ``apply`` can carry one base product from a call to the
       next. Its new bottom block is a copy of the old top block, so on a
       chain ``z = aug.apply(z, ...)`` the next call's ``W @ bottom`` is the
       ``W @ top`` the last call computed from the same bits. With ``reuse``
-      the operator takes that product from the ``products`` buffer the two
-      calls share, and three of the four ``(m, d)`` products remain. The
-      caller only says whether the chain held: the iteration breaks it when
-      the snapshot coin fires and adds a correction to the momentum tracker.
+      the operator takes that product from the workspace the two calls
+      share, and three of the four ``(m, d)`` products remain. The caller
+      only says whether the chain held: the iteration breaks it when the
+      snapshot coin fires and adds a correction to the momentum tracker.
     * The contraction parameter ``theta`` is ``1 - lambda2`` where ``lambda2``
       is the largest magnitude among the non-unit eigenvalues. For the random
       gossip family, ``lambda2`` and ``theta`` describe the expected one-step
@@ -57,6 +65,7 @@ __all__ = [
     "MixingMatrix",
     "EdgeGossip",
     "AugmentedMixing",
+    "AugmentedWorkspace",
     "build_graph",
     "metropolis_mixing",
     "lazify",
@@ -560,64 +569,107 @@ class AugmentedMixing:
     def m(self) -> int:
         return self.base.m
 
-    @cached_property
-    def _block_weights(self) -> np.ndarray:
-        """``1 + gamma`` and ``-gamma``, shaped to scale the two flattened mixed blocks."""
-        return np.array([[1.0 + self.gamma], [-self.gamma]])
-
     def apply(
         self,
         x_aug: np.ndarray,
         out: np.ndarray | None = None,
-        products: np.ndarray | None = None,
+        workspace: AugmentedWorkspace | None = None,
         reuse: bool = False,
     ) -> np.ndarray:
         """Apply the operator to ``(..., 2m, d)`` stacked block vectors.
 
         The blocks of every slice are mixed by one batched product with the
         base matrix; each slice comes out as a separate call would give it.
-        The new top block is the sum of the two scaled mixed blocks, written
-        to ``out`` (a fresh array when it is not given), which rounds exactly
-        as ``(1 + gamma) * (W @ top) - gamma * (W @ bottom)`` does: negating
-        a product is exact, and subtracting is adding the negation.
+        One multiply scales the products by ``1 + gamma`` (top) and
+        ``-gamma`` (bottom) into the workspace's two addends, and one add of
+        the addends writes the result to ``out`` (a fresh array when it is
+        not given). The new top block rounds exactly as ``(1 + gamma) * (W @
+        top) - gamma * (W @ bottom)`` does: negating a product is exact, and
+        subtracting is adding the negation. The new bottom block is the old
+        top block plus ``-0.0``, which is the old top block bit for bit.
 
-        ``products``, when given, is a C-contiguous array shaped like
-        ``x_aug`` that receives the unscaled products ``W @ top`` and
-        ``W @ bottom`` of every slice. ``reuse`` says that the last slice's
-        bottom block has the bits of the last top block of the previous call
-        with the same ``products``, as it does on a chain
-        ``z = aug.apply(z, ...)``: that call's last top product, still in
-        the second-to-last block of ``products``, is copied to the last
-        block, and only the other blocks are multiplied. A batched product
-        gives each slice the bits a lone product would, so the copied bits
-        are the ones the multiplication would give. Plain ``apply(x_aug)``
-        multiplies every block.
+        With a ``workspace`` (an :class:`AugmentedWorkspace` built for this
+        operator), ``x_aug`` must be the workspace's ``input``, which the
+        caller has written. ``reuse`` says that the last slice's bottom
+        block has the bits of the last top block of the previous call with
+        the same workspace, as it does on a chain ``z = aug.apply(z, ...)``:
+        that call's last top product is copied to the last block, and only
+        the other blocks are multiplied. A batched product gives each slice the
+        bits a lone product would, so the copied bits are the ones the
+        multiplication would give. Without a workspace, ``x_aug`` is
+        checked, converted and copied into a fresh one, and every block is
+        multiplied.
         """
+        if workspace is None:
+            if reuse:
+                raise ValueError("a reused product needs the workspace of the call before")
+            x_aug = np.asarray(x_aug, dtype=np.float64)
+            if x_aug.ndim < 2 or x_aug.shape[-2] != 2 * self.m:
+                raise ValueError(f"augmented state needs {2 * self.m} rows, got shape {x_aug.shape}")
+            workspace = AugmentedWorkspace(self, x_aug.shape)
+            workspace.input[...] = x_aug
+        elif x_aug is not workspace.input or workspace.op is not self:
+            raise ValueError("a workspace mixes only its own input, through the operator that built it")
         w = self.base.entries
-        m = len(w)
-        x_aug = np.asarray(x_aug, dtype=np.float64)
-        shape = x_aug.shape
-        if shape[-2] != 2 * m:
-            raise ValueError(f"augmented state needs {2 * m} rows, got {shape[-2]}")
-        if products is None:
-            products = np.empty(shape)
-        if out is None:
-            out = np.empty(shape)
-        elif not out.flags.c_contiguous:
-            raise ValueError("the output of an augmented apply must be C-contiguous")
-        blocks, mixed = x_aug.reshape(-1, m, shape[-1]), products.reshape(-1, m, shape[-1])
         if reuse:
-            mixed[-1] = mixed[-2]
-            np.matmul(w, blocks[:-1], out=mixed[:-1])
+            workspace.last[...] = workspace.previous
+            np.matmul(w, workspace.head_blocks, out=workspace.head)
         else:
-            np.matmul(w, blocks, out=mixed)
-        # Elementwise work on (batch, 2, m * d) views: fewer axes, less overhead.
-        halves = (-1, 2, m * shape[-1])
-        flat = np.multiply(mixed.reshape(halves), self._block_weights, out=out.reshape(halves))
-        top = flat[:, 0]
-        top += flat[:, 1]
-        flat[:, 1] = x_aug.reshape(halves)[:, 0]
-        return out
+            np.matmul(w, workspace.blocks, out=workspace.mixed)
+        np.multiply(workspace.product_halves, workspace.weights, out=workspace.scaled)
+        workspace.first_bottom[...] = workspace.input_top
+        return np.add(workspace.first, workspace.second, out=out)
+
+
+class AugmentedWorkspace:
+    """The arrays and views of one chain of augmented applies, built once.
+
+    ``input`` is the ``(..., 2m, d)`` array the caller writes before each
+    :meth:`AugmentedMixing.apply`, and ``products`` receives the unscaled
+    base products ``W @ top`` and ``W @ bottom`` of every slice; they
+    persist between calls, so one workspace carries a product along one
+    chain. ``first`` and ``second`` are the two addends of the result,
+    shaped like the input: the top blocks of ``first`` and ``second`` take
+    ``1 + gamma`` and ``-gamma`` times the top and bottom products, the
+    bottom blocks of ``first`` a copy of the input's top blocks, and the
+    bottom blocks of ``second`` hold ``-0.0`` for good.
+
+    The other attributes are fixed views: ``blocks`` and ``mixed`` are
+    ``input`` and ``products`` as ``(-1, m, d)`` blocks, ``head_blocks`` and
+    ``head`` all but their last block, ``last`` the last product block and
+    ``previous`` the one before it (the last slice's top product, which a
+    chained call carries); ``product_halves`` and ``input_top`` are the
+    products and the input's top blocks as ``(-1, 2, m * d)`` and
+    ``(-1, m * d)`` views, ``weights`` the ``(-1, 2, m * d)`` scale of each
+    product, ``scaled`` the addends' top blocks in the layout of
+    ``product_halves``, and ``first_bottom`` the bottom blocks of ``first``.
+    """
+
+    __slots__ = (
+        "op", "input", "products", "first", "second", "blocks", "mixed", "head_blocks", "head",
+        "last", "previous", "product_halves", "input_top", "weights", "scaled", "first_bottom",
+    )
+
+    def __init__(self, op: AugmentedMixing, shape: tuple[int, ...]) -> None:
+        m, d = op.m, shape[-1]
+        self.op = op
+        self.input = np.empty(shape)
+        self.products = np.empty(shape)
+        halves = (self.input.size // (2 * m * d), 2, m * d)
+        addends = np.empty((2, *halves))
+        addends[1, :, 1] = -0.0
+        self.first, self.second = addends[0].reshape(shape), addends[1].reshape(shape)
+        self.blocks = self.input.reshape(-1, m, d)
+        self.mixed = self.products.reshape(-1, m, d)
+        self.head_blocks, self.head = self.blocks[:-1], self.mixed[:-1]
+        self.last, self.previous = self.mixed[-1], self.mixed[-2]
+        self.product_halves = self.products.reshape(halves)
+        self.input_top = self.input.reshape(halves)[:, 0]
+        self.weights = np.empty(halves)
+        self.weights[:, 0] = 1.0 + op.gamma
+        self.weights[:, 1] = -op.gamma
+        self.scaled = addends[:, :, 0].swapaxes(0, 1)
+        self.first_bottom = addends[0, :, 1]
 
 
 def chebyshev_augment(w: MixingMatrix, gamma: float) -> AugmentedMixing:

@@ -2,26 +2,30 @@
 
 * The per-state step route the run's chunk buffer replaced: every step
   copies the stacked state, allocates its gradient rows, correction and
-  products, mixes through the plain four-product augmented operator, and
-  builds a new :class:`ReferenceState`. The buffer kernel must give every
+  products, draws its noise straight from the agent streams, mixes through
+  the plain four-product augmented operator, and builds a new
+  :class:`ReferenceState`. The buffer kernel must give every
   state of a run bit for bit as this route does.
 * The dense augmented matrix, the objective value, the column mean, the
-  vector norm, the consensus error and the two Lyapunov combinations by
-  their definitions, one value at a time, which the fused routes of the
-  package are checked against.
+  vector norm, the consensus error, the snapshot gradient distance (through
+  ``np.einsum`` and ``np.sum``) and the two Lyapunov combinations by their
+  definitions, one value at a time, which the fused routes of the package
+  are checked against.
+* The trace CSV written through ``csv.writer``, one cell at a time.
 
 Nothing here is imported by ``netgrad``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from netgrad.algorithms import ALGORITHMS, Schedule
-from netgrad.diagnostics import snapshot_gradient_distance
+from netgrad.diagnostics import CSV_COLUMNS
 from netgrad.objectives import QuadraticProblem
 from netgrad.streams import StreamBundle
 from netgrad.topology import AugmentedMixing, EdgeGossip, MixingMatrix
@@ -82,7 +86,9 @@ def _gradients(problem: QuadraticProblem, x: np.ndarray, streams: StreamBundle |
     grads = np.einsum("ijk,ik->ij", problem.quads, x) + problem.linears
     if problem.sigma_bar == 0.0:
         return grads
-    grads += problem.noise.scale(problem.d) * streams.noise_rows(problem.d)
+    # Straight from the agent streams, one draw per agent and call.
+    noise = np.stack([rng.standard_normal(problem.d) for rng in streams.agents])
+    grads += problem.noise.scale(problem.d) * noise
     return grads
 
 
@@ -140,6 +146,29 @@ def state_mismatches(got, want: ReferenceState) -> list[str]:
     bad = [name for name in ("xs", "q", "g_snap") if getattr(got, name).tobytes() != getattr(want, name).tobytes()]
     bad += [name for name in ("tau", "t", "last_zeta") if getattr(got, name) != getattr(want, name)]
     return bad
+
+
+def snapshot_gradient_distance(problem: QuadraticProblem, q: np.ndarray) -> float:
+    """``sum_i |Q_i (q_i - x*)|^2`` through the ``np.einsum`` wrapper and ``np.sum``."""
+    delta = np.asarray(q, dtype=np.float64) - problem.x_star
+    rows = np.einsum("ijk,ik->ij", problem.quads, delta)
+    return float(np.sum(rows * rows))
+
+
+def write_trace_csv(records, path) -> None:
+    """Write trace records as CSV through ``csv.writer``, one cell at a time."""
+    with open(path, "w", newline="\n", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for record in records:
+            row = []
+            for name in CSV_COLUMNS:
+                value = getattr(record, name)
+                if name in ("t", "zeta"):
+                    row.append(str(int(value)))
+                else:
+                    row.append(f"{float(value):.17g}")
+            writer.writerow(row)
 
 
 def augmented_matrix(aug: AugmentedMixing) -> np.ndarray:

@@ -7,6 +7,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 from _reference import consensus_error, lyapunov_psi, lyapunov_psi_tilde
+from _reference import snapshot_gradient_distance as reference_snapshot_gradient_distance
 
 from netgrad.algorithms import assdsgt_step, init_state, ssdsgt_step, state_means, step_size, theory_schedule
 from netgrad.diagnostics import (
@@ -86,6 +87,18 @@ def test_consensus_error_two_blocks_centers_each_half():
 def test_snapshot_gradient_distance_hand_value():
     problem = _toy_problem()
     assert snapshot_gradient_distance(problem, np.array([[1.0], [2.0]])) == 5.0
+
+
+def test_snapshot_gradient_distance_equals_the_einsum_route():
+    # The c_einsum rows and one flat reduction against np.einsum and np.sum.
+    rng = np.random.default_rng(21)
+    for m in (1, 2, 3, 8, 16, 64, 256, 1024):
+        for d in (1, 2, 3, 5, 8):
+            problem = make_quadratic_suite(m, d, 0.5, 4.0, 1.0, rng)
+            for scale in (1e-8, 1.0, 1e8):
+                q = problem.x_star + scale * rng.standard_normal((m, d))
+                got = snapshot_gradient_distance(problem, q)
+                assert got.hex() == reference_snapshot_gradient_distance(problem, q).hex(), (m, d, scale)
 
 
 def test_lyapunov_psi_hand_assembly():

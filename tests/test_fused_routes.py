@@ -35,6 +35,7 @@ from netgrad.objectives import exact_gradients, global_suboptimality, make_quadr
 from netgrad.topology import (
     MOMENTUM_ENVELOPE,
     AugmentedMixing,
+    AugmentedWorkspace,
     EdgeGossip,
     build_graph,
     lazify,
@@ -64,6 +65,34 @@ def _augmented_reference(op: AugmentedMixing, x: np.ndarray) -> np.ndarray:
     return np.concatenate([(1.0 + op.gamma) * (w @ top) - op.gamma * (w @ bottom), top])
 
 
+def _chain_mismatches(op: AugmentedMixing, batch: np.ndarray) -> list[str]:
+    """A chained augmented apply through one shared workspace, with its carried product.
+
+    On a chain the second call's last bottom block is the first call's last
+    top block, whose product the workspace carries. The chained call must
+    equal a plain apply of the same input, and it must read the carried
+    product: with that product poisoned, the last slice's top block comes
+    out NaN, where a silent full product would give finite values.
+    """
+    workspace = AugmentedWorkspace(op, batch.shape)
+    out = np.empty_like(batch)
+    bad = []
+    for poisoned in (False, True):
+        np.copyto(workspace.input, batch)
+        chained = op.apply(workspace.input, workspace=workspace)
+        np.copyto(workspace.input, chained)
+        if poisoned:
+            workspace.previous[...] = np.nan
+        if op.apply(workspace.input, out, workspace, reuse=True) is not out:
+            bad.append("chain out")
+        slices = out.reshape(-1, 2 * op.m, batch.shape[-1])
+        if not poisoned and out.tobytes() != op.apply(chained).tobytes():
+            bad.append("reuse")
+        if poisoned and not (np.isnan(slices[-1, : op.m]).all() and np.isfinite(slices[:-1]).all()):
+            bad.append("carried product unread")
+    return bad
+
+
 def batched_apply_mismatches(m: int, seed: int = 0) -> list[tuple]:
     """Cases where a batched ``apply`` differs from per-slice ones, for one ``m``."""
     rng = np.random.default_rng(seed)
@@ -78,13 +107,7 @@ def batched_apply_mismatches(m: int, seed: int = 0) -> list[tuple]:
                 if op.apply(batch, out) is not out or out.tobytes() != mixed.tobytes():
                     bad.append((type(op).__name__, m, d, scale, "out"))
                 if isinstance(op, AugmentedMixing):
-                    # On a chain, the second call's last bottom block is the
-                    # first call's last top block, whose product it carries.
-                    products = np.empty_like(batch)
-                    chained = op.apply(batch, products=products)
-                    op.apply(chained, out, products, reuse=True)
-                    if out.tobytes() != op.apply(chained).tobytes():
-                        bad.append((type(op).__name__, m, d, scale, "reuse"))
+                    bad += [(type(op).__name__, m, d, scale, kind) for kind in _chain_mismatches(op, batch)]
                 for k in np.ndindex(2, 2):
                     alone = op.apply(batch[k])
                     if mixed[k].tobytes() != alone.tobytes():
@@ -100,6 +123,67 @@ def batched_apply_mismatches(m: int, seed: int = 0) -> list[tuple]:
 @pytest.mark.parametrize("m", SIZES)
 def test_batched_apply_equals_per_slice_apply(m):
     assert batched_apply_mismatches(m) == []
+
+
+@pytest.mark.parametrize("m", (1, 2, 16))
+def test_foreign_augmented_inputs_equal_the_two_product_form(m):
+    # Inputs that are not a workspace's own are checked, converted and
+    # copied into a fresh workspace, and take the one tail.
+    rng = np.random.default_rng(11)
+    op = _operators(m, rng)[1]
+    d = 3
+    wide = rng.standard_normal((2 * m, 2 * d))
+    cases = {
+        "strided view": wide[:, ::2],
+        "integers": rng.integers(-9, 10, (2 * m, d)),
+        "2-D": rng.standard_normal((2 * m, d)),
+        "4-D": rng.standard_normal((3, 2, 2 * m, d)),
+        "fortran order": np.asfortranarray(rng.standard_normal((2 * m, d))),
+    }
+    for name, x in cases.items():
+        got = op.apply(x)
+        assert got.shape == x.shape and got.dtype == np.float64, name
+        # The reference's own products take a C-ordered copy of the values.
+        floats = np.ascontiguousarray(x, dtype=np.float64)
+        for k in np.ndindex(x.shape[:-2]):
+            assert got[k].tobytes() == _augmented_reference(op, floats[k]).tobytes(), (name, k)
+        out = np.empty(x.shape)
+        assert op.apply(x, out) is out and out.tobytes() == got.tobytes(), name
+        strided = np.empty((*x.shape[:-1], 2 * d))[..., ::2]
+        assert op.apply(x, strided) is strided and strided.tobytes() == got.tobytes(), name
+
+
+def test_augmented_bottom_blocks_are_the_top_blocks_bit_for_bit():
+    # The new bottom block is the old top block plus -0.0, which keeps
+    # signed zeros, subnormals, infinities and NaNs as they are.
+    rng = np.random.default_rng(13)
+    m, d = 4, 2
+    op = _operators(m, rng)[1]
+    x = rng.standard_normal((2, 2 * m, d))
+    x[0, :m].flat[:6] = [-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf]
+    x[1, :m].flat[:2] = [np.nan, -0.0]
+    workspace = AugmentedWorkspace(op, x.shape)
+    workspace.input[...] = x
+    with np.errstate(invalid="ignore", over="ignore"):
+        for got in (op.apply(x), op.apply(workspace.input, workspace=workspace)):
+            assert got[:, m:].tobytes() == x[:, :m].tobytes()
+
+
+def test_augmented_apply_rejects_misused_workspaces():
+    rng = np.random.default_rng(12)
+    op = _operators(4, rng)[1]
+    other = AugmentedMixing(base=op.base, gamma=0.5, theta_tilde=0.5)
+    workspace = AugmentedWorkspace(op, (2, 8, 2))
+    with pytest.raises(ValueError):
+        op.apply(workspace.input.copy(), workspace=workspace)  # not its input
+    with pytest.raises(ValueError):
+        other.apply(workspace.input, workspace=workspace)  # another operator's
+    with pytest.raises(ValueError):
+        op.apply(np.zeros((2, 8, 2)), reuse=True)  # nothing carried
+    with pytest.raises(ValueError):
+        op.apply(np.zeros((2, 6, 2)))  # wrong row count
+    with pytest.raises(ValueError):
+        op.apply(np.zeros((2, 8, 2)), np.empty((2, 8, 3)))  # wrong output shape
 
 
 def test_batched_apply_equals_per_slice_apply_at_1024_agents():

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _reference import write_trace_csv
 
 from netgrad import harness, topology
+from netgrad.diagnostics import IterRecord
 from netgrad.errors import ConfigError, InvariantViolation
 from netgrad.harness import (
     ExperimentConfig,
@@ -309,6 +311,27 @@ def test_trace_file_format_details(tmp_path: Path):
     assert raw.endswith(b"\n")
     header = raw.decode("utf-8").splitlines()[0]
     assert header == "t,eta,zeta,consensus_x,consensus_s,snap_grad_dist,psi,mean_dist,subopt"
+
+
+def test_trace_writer_equals_the_csv_writer_route(tmp_path: Path):
+    # Signed zeros, subnormals, huge values and long iteration counts write
+    # the bytes csv.writer gives for the same cells.
+    records = list(run_experiment(_small_cfg(sigma_bar=1.0, iters=30, stride=3)).records)
+    extremes = (-0.0, 5e-324, 1e308, 0.1, 1.0, 123456789.0)
+    for k, value in enumerate(extremes):
+        records.append(
+            IterRecord(
+                t=10**6 + k * 99991, eta=value if value > 0.0 else 1e-3, zeta=k % 2,
+                consensus_x=value, consensus_s=abs(value), snap_grad_dist=value, psi=value,
+                mean_dist=value, subopt=value, wavg_subopt=None,
+            )
+        )
+    trace = Trace(config={}, records=records, summary={})
+    path, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
+    write_trace(trace, path)
+    write_trace_csv(records, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert b"-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
 
 
 def test_read_trace_reports_malformed_rows(tmp_path: Path):

@@ -83,3 +83,15 @@ def test_traced_runs_observe_once_per_chunk(monkeypatch):
         netgrad.harness.run_experiment(cfg)
     calls = {layer: p.stats[layer].calls for layer in _LAYER_CALLS}
     assert calls == {**_LAYER_CALLS, "algorithms.audit_identities": 3, "objectives.global_suboptimality": 3}
+
+
+def test_a_noisy_momentum_run_makes_one_augmented_apply_per_step():
+    probe = _load_probe()
+    cfg = ExperimentConfig(
+        topology="ring", agents=6, algo="assdsgt", mixing="lazy-metropolis", sigma_bar=1.0, iters=20
+    )
+    with probe.Probe(traced=True) as p:
+        trace = netgrad.harness.run_experiment(cfg)
+    assert trace.summary["final_t"] == 20
+    assert p.stats["algorithms.step"].calls == 20
+    assert p.stats["topology.augmented_apply"].calls == 20

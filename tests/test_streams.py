@@ -11,7 +11,7 @@ import pytest
 
 from netgrad.algorithms import assdsgt_step, dsgt_step, init_state, ssdsgt_step, theory_schedule
 from netgrad.harness import ExperimentConfig, run_experiment, write_trace
-from netgrad.objectives import make_quadratic_suite
+from netgrad.objectives import NoiseModel, make_quadratic_suite
 from netgrad.streams import COIN_BLOCK, NOISE_BLOCK_DOUBLES, StreamBundle
 from netgrad.topology import build_graph, chebyshev_augment, default_gamma, lazify, metropolis_mixing
 
@@ -19,13 +19,17 @@ from netgrad.topology import build_graph, chebyshev_augment, default_gamma, lazi
 @pytest.mark.parametrize("m", [1, 16])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_noise_rows_equal_per_call_draws(m, d):
+    # The served rows come pre-scaled: each equals the scale times one
+    # per-call draw of its agent's stream, bit for bit.
+    scale = NoiseModel(1.3).scale(d)
     served = StreamBundle.from_seed(123, m)
     reference = StreamBundle.from_seed(123, m)
     k = NOISE_BLOCK_DOUBLES // (m * d)
     for _ in range(2 * k + 3):  # two refills and a partly used third block
-        rows = served.noise_rows(d)
-        expected = np.stack([rng.standard_normal(d) for rng in reference.agents])
-        assert np.array_equal(rows, expected)
+        rows = served.noise_rows(d, scale)
+        expected = np.stack([scale * rng.standard_normal(d) for rng in reference.agents])
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == expected.tobytes()
 
 
 def test_coin_uniforms_equal_per_call_draws():
@@ -35,11 +39,30 @@ def test_coin_uniforms_equal_per_call_draws():
         assert served.coin_uniform() == float(reference.coin.random())
 
 
-def test_noise_rows_keep_their_dimension():
+def test_noise_rows_keep_their_dimension_and_scale():
     streams = StreamBundle.from_seed(0, 2)
-    streams.noise_rows(2)
+    streams.noise_rows(2, 0.5)
+    streams.noise_rows(2, 0.5)
     with pytest.raises(ValueError):
-        streams.noise_rows(3)
+        streams.noise_rows(3, 0.5)
+    with pytest.raises(ValueError):
+        streams.noise_rows(2, 0.25)
+
+
+@pytest.mark.parametrize("algo", ["dsgt", "ssdsgt", "assdsgt"])
+def test_a_noisy_step_rejects_a_bundle_for_another_agent_count(algo):
+    # One agent's rows would broadcast over all six; the step must refuse.
+    m = 6
+    problem = make_quadratic_suite(m, 2, 0.5, 4.0, 1.0, np.random.default_rng(1), sigma_bar=1.0)
+    w = lazify(metropolis_mixing(build_graph("ring", m)))
+    sched = theory_schedule(algo, "constant", w.theta, problem.L, problem.mu)
+    state = init_state(problem, np.ones(2), algo, StreamBundle.from_seed(9, m))
+    op = chebyshev_augment(w, default_gamma(w.lambda2)) if algo == "assdsgt" else w
+    step = {"dsgt": dsgt_step, "ssdsgt": ssdsgt_step, "assdsgt": assdsgt_step}[algo]
+    with pytest.raises(ValueError, match="agent streams"):
+        step(state, problem, op, sched, StreamBundle.from_seed(9, 1))
+    with pytest.raises(ValueError, match="agent streams"):
+        init_state(problem, np.ones(2), algo, StreamBundle.from_seed(9, 1))
 
 
 @pytest.mark.parametrize("algo", ["dsgt", "ssdsgt", "assdsgt"])
