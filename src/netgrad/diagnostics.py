@@ -149,7 +149,6 @@ class WeightedAverager:
         self._mu = mu
         self._log_w = 0.0
         self._eta_prev: float | None = None
-        self._count = 0
         self._wmax = -math.inf
         self._wsum = 0.0
         self._vmax = -math.inf
@@ -167,7 +166,7 @@ class WeightedAverager:
         """
         half_mu = 0.5 * self._mu
         log, exp, isinf = math.log, math.exp, math.isinf
-        log_w, eta_prev, count = self._log_w, self._eta_prev, self._count
+        log_w, eta_prev = self._log_w, self._eta_prev
         wmax, wsum, vmax, vsum = self._wmax, self._wsum, self._vmax, self._vsum
         bad = None
         for eta, value in zip(etas, values):
@@ -181,7 +180,6 @@ class WeightedAverager:
             else:
                 log_w += log(eta / eta_prev) + half_mu * eta
             eta_prev = eta
-            count += 1
             # Each total is kept relative to its running maximum term.
             if log_w <= wmax:
                 wsum += exp(log_w - wmax)
@@ -198,19 +196,15 @@ class WeightedAverager:
                 else:
                     vmax, vsum = term, vsum * exp(vmax - term) + 1.0
         # The pairs before a bad step size stay folded in.
-        self._log_w, self._eta_prev, self._count = log_w, eta_prev, count
+        self._log_w, self._eta_prev = log_w, eta_prev
         self._wmax, self._wsum, self._vmax, self._vsum = wmax, wsum, vmax, vsum
         if bad is not None:
             raise ValueError(f"step size must be positive, got {bad}")
 
     @property
-    def count(self) -> int:
-        return self._count
-
-    @property
     def average(self) -> float:
         """Current weighted average; zero when every pushed value was zero."""
-        if self._count == 0:
+        if self._eta_prev is None:  # set by every folded pair
             raise ValueError("no values pushed yet")
         if self._vsum == 0.0:
             return 0.0
@@ -226,20 +220,21 @@ def record_iteration(
     theta: float,
     means: np.ndarray,
     subopt: float,
-    wavg_subopt: float | None = None,
+    wavg_subopt: float | None,
 ) -> IterRecord:
     """Assemble the diagnostic record for the current state.
 
     ``means`` is the row block of ``state`` in
     :func:`~netgrad.algorithms.state_means` of its chunk and ``subopt`` the
     suboptimality of its working-block mean, as the driving loop computed
-    them. The snapshot distance is :func:`snapshot_gradient_distance` at
-    ``state.q``. Consensus errors are taken blockwise: the squared Frobenius
-    distance of each ``(m, d)`` block of ``state.x`` and ``state.s`` from
-    its column mean in ``means``, summed over the blocks of each. A stacked
-    state gets the momentum Lyapunov value ``psi_tilde``, with the envelope
-    constant :data:`~netgrad.topology.MOMENTUM_ENVELOPE`, in place of
-    ``psi``.
+    them, and ``wavg_subopt`` the running weighted average the record
+    carries (``None`` for none). The snapshot distance is
+    :func:`snapshot_gradient_distance` at ``state.q``. Consensus errors are
+    taken blockwise: the squared Frobenius distance of each ``(m, d)`` block
+    of ``state.x`` and ``state.s`` from its column mean in ``means``, summed
+    over the blocks of each. A stacked state gets the momentum Lyapunov
+    value ``psi_tilde``, with the envelope constant
+    :data:`~netgrad.topology.MOMENTUM_ENVELOPE`, in place of ``psi``.
     """
     blocks = state.blocks
     dist = snapshot_gradient_distance(problem, state.q)

@@ -14,12 +14,11 @@ never touch draw order, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -915,15 +914,16 @@ class SweepResult:
         return "\n".join(lines)
 
     def to_csv(self, path: str | os.PathLike) -> None:
+        """Write the table as CSV with LF endings in one write; no cell needs quoting."""
+        lines = ["algo,m,theta,mean_iters,std_iters,counts"]
+        for row in self.rows:
+            mean = "" if row.mean_iters is None else f"{row.mean_iters:.17g}"
+            counts = ";".join("-" if c is None else str(c) for c in row.counts)
+            lines.append(f"{row.algo},{row.m},{row.theta:.17g},{mean},{row.std_iters:.17g},{counts}")
+        for algo in sorted(self.exponents):
+            lines.append(f"exponent,{algo},{self.exponents[algo]:.17g},,,")
         with open(path, "w", newline="\n", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["algo", "m", "theta", "mean_iters", "std_iters", "counts"])
-            for row in self.rows:
-                mean = "" if row.mean_iters is None else f"{row.mean_iters:.17g}"
-                counts = ";".join("-" if c is None else str(c) for c in row.counts)
-                writer.writerow([row.algo, row.m, f"{row.theta:.17g}", mean, f"{row.std_iters:.17g}", counts])
-            for algo in sorted(self.exponents):
-                writer.writerow(["exponent", algo, f"{self.exponents[algo]:.17g}", "", "", ""])
+            handle.write("\n".join(lines) + "\n")
 
 
 def sweep_topology(
@@ -1020,16 +1020,21 @@ def sweep_topology(
     return SweepResult(eps=eps, rows=rows, exponents=exponents)
 
 
+#: The type of each :data:`CSV_COLUMNS` column, as :class:`IterRecord` declares it.
+_TRACE_TYPES = tuple(typing.get_type_hints(IterRecord)[name] for name in CSV_COLUMNS)
+
+
 def write_trace(trace: Trace, path: str | os.PathLike) -> None:
     """Write the trace records as a CSV file with LF endings.
 
     Floats carry 17 significant digits, enough to reload every value
     bit-for-bit. Every row is one ``%`` format of its fields (``%d`` for
-    the integer columns, ``%.17g`` for the others), and the file is written
-    with one call. No cell can hold a delimiter, quote or line break, so
-    the bytes are those ``csv.writer`` gives for the same cells.
+    the columns :class:`IterRecord` types ``int``, ``%.17g`` for the
+    others), and the file is written with one call. No cell can hold a
+    delimiter, quote or line break, so the bytes are those ``csv.writer``
+    gives for the same cells.
     """
-    row = ",".join("%d" if name in ("t", "zeta") else "%.17g" for name in CSV_COLUMNS) + "\n"
+    row = ",".join("%d" if kind is int else "%.17g" for kind in _TRACE_TYPES) + "\n"
     fields = attrgetter(*CSV_COLUMNS)
     text = ",".join(CSV_COLUMNS) + "\n" + "".join([row % fields(record) for record in trace.records])
     with open(path, "w", newline="\n", encoding="utf-8") as handle:
@@ -1039,41 +1044,41 @@ def write_trace(trace: Trace, path: str | os.PathLike) -> None:
 def read_trace(path: str | os.PathLike) -> list[IterRecord]:
     """Load trace records from a CSV file written by :func:`write_trace`.
 
+    Each line's cells are converted with their columns' types in
+    :class:`IterRecord`; no cell is ever quoted, so a quoted one does not parse.
+
     Raises:
-        ConfigError: On a missing file, wrong header, or malformed cell; the
-            message names the line and column involved.
+        ConfigError: On a missing or empty file, wrong header, wrong cell
+            count, unparsable cell or invalid value; the message names the
+            line, and the column of an unparsable cell.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"trace file '{path}' does not exist")
     records: list[IterRecord] = []
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"trace file '{path}' is empty") from None
+    with open(path, "r", encoding="utf-8") as handle:
+        # A line's cells, read one line at a time; a blank line has none.
+        rows = ([] if line == "\n" else line.rstrip("\n").split(",") for line in handle)
+        header = next(rows, None)
+        if header is None:
+            raise ConfigError(f"trace file '{path}' is empty")
         if tuple(header) != CSV_COLUMNS:
-            raise ConfigError(
-                f"trace file '{path}' line 1: header {header} does not match {list(CSV_COLUMNS)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
+            raise ConfigError(f"trace file '{path}' line 1: header {header} does not match {list(CSV_COLUMNS)}")
+        for line_no, row in enumerate(rows, start=2):
             if len(row) != len(CSV_COLUMNS):
                 raise ConfigError(
-                    f"trace file '{path}' line {line_no}: expected "
-                    f"{len(CSV_COLUMNS)} cells, got {len(row)}"
+                    f"trace file '{path}' line {line_no}: expected {len(CSV_COLUMNS)} cells, got {len(row)}"
                 )
-            values: dict = {}
-            for name, cell in zip(CSV_COLUMNS, row):
+            values = []
+            for name, kind, cell in zip(CSV_COLUMNS, _TRACE_TYPES, row):
                 try:
-                    values[name] = int(cell) if name in ("t", "zeta") else float(cell)
+                    values.append(kind(cell))
                 except ValueError:
                     raise ConfigError(
-                        f"trace file '{path}' line {line_no}, column '{name}': "
-                        f"cannot parse {cell!r}"
+                        f"trace file '{path}' line {line_no}, column '{name}': cannot parse {cell!r}"
                     ) from None
             try:
-                records.append(IterRecord(**values))
+                records.append(IterRecord(*values))
             except ValueError as exc:  # a cell that parses but is not a valid value
                 raise ConfigError(f"trace file '{path}' line {line_no}: {exc}") from None
     return records

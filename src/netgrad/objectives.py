@@ -15,7 +15,7 @@ curvatures are attained exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,53 +64,52 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class QuadraticProblem:
-    """A suite of per-agent quadratics plus cached network-level quantities.
+    """A suite of per-agent quadratics plus the network-level quantities they fix.
+
+    A problem is built from its inputs alone: ``quads``, ``linears``, ``mu``,
+    ``L`` and ``sigma_bar``. Everything else is derived from them once, at
+    construction, and cannot be set.
 
     Attributes:
-        m: Number of agents.
-        d: Decision dimension.
         quads: Stacked curvature matrices, shape ``(m, d, d)``; symmetric with
             eigenvalues in ``[mu, L]`` up to a ``1e-9`` tolerance.
         linears: Stacked linear terms, shape ``(m, d)``.
         mu: Strong convexity modulus, positive.
         L: Smoothness constant, at least ``mu``.
         sigma_bar: Gradient noise level (see :class:`NoiseModel`).
-        heterogeneity: Spread knob used when the linear terms were drawn.
-        noise: The noise model sampling gradient perturbations.
+        m: Number of agents, from the shape of ``quads``.
+        d: Decision dimension, from the shape of ``quads``.
+        noise: The noise model of ``sigma_bar``, sampling gradient perturbations.
         qbar: Average curvature matrix ``mean(quads)``.
         cbar: Average linear term ``mean(linears)``.
         x_star: Network minimizer, solving ``qbar @ x_star = -cbar``.
-        f_star: Network objective value at ``x_star``.
     """
 
-    m: int
-    d: int
     quads: np.ndarray
     linears: np.ndarray
     mu: float
     L: float
     sigma_bar: float
-    heterogeneity: float
-    noise: NoiseModel
-    qbar: np.ndarray
-    cbar: np.ndarray
-    x_star: np.ndarray
-    f_star: float
+    m: int = field(init=False)
+    d: int = field(init=False)
+    noise: NoiseModel = field(init=False)
+    qbar: np.ndarray = field(init=False)
+    cbar: np.ndarray = field(init=False)
+    x_star: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("quads", "linears", "qbar", "cbar", "x_star"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
-        if self.m < 1 or self.d < 1:
-            raise ValueError(f"need m >= 1 and d >= 1, got m={self.m}, d={self.d}")
+        quads = np.asarray(self.quads, dtype=np.float64)
+        linears = np.asarray(self.linears, dtype=np.float64)
+        if quads.ndim != 3 or quads.shape[1] != quads.shape[2]:
+            raise ValueError(f"curvature stack has shape {quads.shape}")
+        m, d = quads.shape[:2]
+        if m < 1 or d < 1:
+            raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
+        if linears.shape != (m, d):
+            raise ValueError(f"linear stack has shape {linears.shape}")
         if not (0.0 < self.mu <= self.L):
             raise ValueError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
-        if self.quads.shape != (self.m, self.d, self.d):
-            raise ValueError(f"curvature stack has shape {self.quads.shape}")
-        if self.linears.shape != (self.m, self.d):
-            raise ValueError(f"linear stack has shape {self.linears.shape}")
-        evals = np.linalg.eigvalsh(self.quads)
+        evals = np.linalg.eigvalsh(quads)
         escaped = (evals[:, 0] < self.mu - _EIG_TOL) | (evals[:, -1] > self.L + _EIG_TOL)
         if escaped.any():
             i = int(np.argmax(escaped))
@@ -118,6 +117,14 @@ class QuadraticProblem:
                 f"agent {i} eigenvalues [{evals[i, 0]:.12g}, {evals[i, -1]:.12g}] "
                 f"escape [{self.mu}, {self.L}]"
             )
+        qbar = quads.mean(axis=0)
+        cbar = linears.mean(axis=0)
+        x_star = np.linalg.solve(qbar, -cbar)
+        for arr in (quads, linears, qbar, cbar, x_star):
+            arr.setflags(write=False)
+        derived = dict(m=m, d=d, noise=NoiseModel(self.sigma_bar), qbar=qbar, cbar=cbar, x_star=x_star)
+        for name, value in dict(derived, quads=quads, linears=linears).items():
+            object.__setattr__(self, name, value)
 
 
 def make_quadratic_suite(
@@ -173,25 +180,8 @@ def make_quadratic_suite(
     shifts -= shifts.mean(axis=0)
     linears = base_linear + heterogeneity * shifts
 
-    qbar = quads.mean(axis=0)
-    cbar = linears.mean(axis=0)
-    x_star = np.linalg.solve(qbar, -cbar)
-
-    f_star = 0.5 * float(x_star @ qbar @ x_star) + float(cbar @ x_star)
     return QuadraticProblem(
-        m=m,
-        d=d,
-        quads=quads,
-        linears=linears,
-        mu=float(mu),
-        L=float(L),
-        sigma_bar=float(sigma_bar),
-        heterogeneity=float(heterogeneity),
-        noise=NoiseModel(sigma_bar=float(sigma_bar)),
-        qbar=qbar,
-        cbar=cbar,
-        x_star=x_star,
-        f_star=f_star,
+        quads=quads, linears=linears, mu=float(mu), L=float(L), sigma_bar=float(sigma_bar)
     )
 
 

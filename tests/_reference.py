@@ -11,7 +11,8 @@
   ``np.einsum`` and ``np.sum``) and the two Lyapunov combinations by their
   definitions, one value at a time, which the fused routes of the package
   are checked against.
-* The trace CSV written through ``csv.writer``, one cell at a time.
+* The trace CSV written through ``csv.writer``, one cell at a time, and
+  read back through ``csv.reader`` and a per-row dict.
 
 Nothing here is imported by ``netgrad``.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from netgrad.algorithms import ALGORITHMS, Schedule
-from netgrad.diagnostics import CSV_COLUMNS
+from netgrad.diagnostics import CSV_COLUMNS, IterRecord
 from netgrad.objectives import QuadraticProblem
 from netgrad.streams import StreamBundle
 from netgrad.topology import AugmentedMixing, EdgeGossip, MixingMatrix
@@ -169,6 +170,18 @@ def write_trace_csv(records, path) -> None:
                 else:
                     row.append(f"{float(value):.17g}")
             writer.writerow(row)
+
+
+def read_trace_csv(path) -> list[IterRecord]:
+    """Read a well-formed trace CSV through ``csv.reader``, one row dict at a time."""
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        assert tuple(next(reader)) == CSV_COLUMNS
+        rows = [dict(zip(CSV_COLUMNS, row)) for row in reader]
+    return [
+        IterRecord(**{name: int(cell) if name in ("t", "zeta") else float(cell) for name, cell in row.items()})
+        for row in rows
+    ]
 
 
 def augmented_matrix(aug: AugmentedMixing) -> np.ndarray:

@@ -299,7 +299,7 @@ def test_record_fields_equal_the_public_diagnostics(m, d):
             state = _state(m, d, blocks, scale, rng)
             xbar = column_mean(state.x[:m])
             subopt = global_suboptimality(problem, xbar)
-            record = record_iteration(state, problem, eta, theta, state_means(state.xs[None], m)[0], subopt)
+            record = record_iteration(state, problem, eta, theta, state_means(state.xs[None], m)[0], subopt, None)
             assert record.consensus_x == consensus_error(state.x, blocks)
             assert record.consensus_s == consensus_error(state.s, blocks)
             assert record.snap_grad_dist == snapshot_gradient_distance(problem, state.q)

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _reference import write_trace_csv
+from _reference import read_trace_csv, write_trace_csv
 
 from netgrad import harness, topology
-from netgrad.diagnostics import IterRecord
+from netgrad.diagnostics import CSV_COLUMNS, IterRecord
 from netgrad.errors import ConfigError, InvariantViolation
 from netgrad.harness import (
     ExperimentConfig,
@@ -376,6 +376,48 @@ def test_read_trace_rejects_wrong_header(tmp_path: Path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
         read_trace(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_trace_equals_the_csv_reader_route(tmp_path: Path, newline):
+    # Traces from the writer and from the csv.writer route, with LF or CRLF
+    # line ends, load into the records csv.reader and a row dict give.
+    records = run_experiment(_small_cfg(sigma_bar=1.0, iters=30, stride=3)).records
+    ours, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
+    write_trace(Trace(config={}, records=records, summary={}), ours)
+    write_trace_csv(records, reference)
+    for path in (ours, reference):
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        loaded = read_trace(path)
+        assert loaded == read_trace_csv(path)
+        assert loaded == [replace(record, wavg_subopt=None) for record in records]
+
+
+def test_read_trace_names_what_is_wrong(tmp_path: Path):
+    path = tmp_path / "bad.csv"
+    header = ",".join(CSV_COLUMNS)
+    row = "1,0.5,0,1,1,1,1,1,1"
+
+    def message(text: str | None) -> str:
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError) as excinfo:
+            read_trace(path)
+        return str(excinfo.value).removeprefix(f"trace file '{path}'")
+
+    assert message(None) == " does not exist"
+    assert message("") == " is empty"
+    assert message("a,b\n") == f" line 1: header ['a', 'b'] does not match {list(CSV_COLUMNS)}"
+    assert message("\n") == f" line 1: header [] does not match {list(CSV_COLUMNS)}"
+    # A blank line has no cells, and a trailing comma makes one more.
+    assert message(f"{header}\n{row}\n\n{row}\n") == " line 3: expected 9 cells, got 0"
+    assert message(f"{header}\n{row},\n") == " line 2: expected 9 cells, got 10"
+    assert message(f"{header}\n{row}\n1.5,0.5,0,1,1,1,1,1,1\n") == " line 3, column 't': cannot parse '1.5'"
+    # No cell is ever quoted, so a quoted one does not parse.
+    assert message(f'{header}\n1,"0.5",0,1,1,1,1,1,1\n') == " line 2, column 'eta': cannot parse '\"0.5\"'"
+    assert message(f"{header}\n1,0.5,0,1,1,1,1,1,-1\n") == (
+        " line 2: suboptimality -1.0 is not finite or below the -1e-12 floor"
+    )
 
 
 def test_config_file_round_trip(tmp_path: Path):

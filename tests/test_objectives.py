@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from _reference import global_value
 
 from netgrad.objectives import (
     NoiseModel,
+    QuadraticProblem,
     exact_gradient,
     exact_gradients,
     global_suboptimality,
@@ -124,7 +125,7 @@ def test_suboptimality_two_routes_agree():
     for _ in range(20):
         x = problem.x_star + rng.standard_normal(problem.d)
         direct = global_suboptimality(problem, x)
-        literal = global_value(problem, x) - problem.f_star
+        literal = global_value(problem, x) - global_value(problem, problem.x_star)
         assert direct == pytest.approx(literal, rel=1e-12, abs=1e-12)
 
 
@@ -174,6 +175,37 @@ def test_problem_names_the_first_agent_whose_curvature_escapes():
     quads[5] = 0.5 * problem.mu * np.eye(problem.d)
     with pytest.raises(ValueError, match=r"^agent 3 eigenvalues \[5, 5\] escape \[0\.5, 4\.0\]$"):
         replace(problem, quads=quads)
+
+
+def test_problem_is_built_from_its_five_inputs():
+    problem = _suite(sigma_bar=0.5)
+    inputs = [f.name for f in fields(QuadraticProblem) if f.init]
+    assert inputs == ["quads", "linears", "mu", "L", "sigma_bar"]
+    assert (problem.m, problem.d, problem.noise) == (4, 3, NoiseModel(0.5))
+    qbar, cbar = problem.quads.mean(axis=0), problem.linears.mean(axis=0)
+    derived = dict(qbar=qbar, cbar=cbar, x_star=np.linalg.solve(qbar, -cbar))
+    for name, value in derived.items():
+        assert getattr(problem, name).tobytes() == value.tobytes()
+        assert not getattr(problem, name).flags.writeable
+    # A derived value cannot disagree with the inputs it comes from.
+    with pytest.raises(ValueError, match="init=False"):
+        replace(problem, noise=NoiseModel(0.0))
+    assert replace(problem, sigma_bar=0.0).noise == NoiseModel(0.0)
+
+
+@pytest.mark.parametrize(
+    "quads, linears, message",
+    [
+        (np.ones((2, 2)), np.ones((2, 2)), r"^curvature stack has shape \(2, 2\)$"),
+        (np.ones((2, 2, 3)), np.ones((2, 2)), r"^curvature stack has shape \(2, 2, 3\)$"),
+        (np.ones((0, 2, 2)), np.ones((0, 2)), r"^need m >= 1 and d >= 1, got m=0, d=2$"),
+        (np.ones((2, 0, 0)), np.ones((2, 0)), r"^need m >= 1 and d >= 1, got m=2, d=0$"),
+        (np.eye(2)[None].repeat(3, axis=0), np.ones((3, 3)), r"^linear stack has shape \(3, 3\)$"),
+    ],
+)
+def test_problem_rejects_bad_shapes(quads, linears, message):
+    with pytest.raises(ValueError, match=message):
+        QuadraticProblem(quads=quads, linears=linears, mu=1.0, L=1.0, sigma_bar=0.0)
 
 
 def test_problem_arrays_are_read_only():

@@ -42,6 +42,21 @@ def test_build_graph_ring_four():
     assert g.degrees().tolist() == [2, 2, 2, 2]
 
 
+def test_graph_keeps_one_sorted_edge_order():
+    # Every edge reader takes the graph's one sorted order, which the graph
+    # computes once and keeps; edge_list hands out a copy of it.
+    g = build_graph("grid", 16)
+    order = g.edge_list()
+    assert order == sorted(g.edges)
+    ends = g._edge_array
+    assert ends.tolist() == [list(edge) for edge in order]
+    assert not ends.flags.writeable
+    assert g._edge_array is ends
+    order.clear()
+    assert g.edge_list() == sorted(g.edges)
+    assert g.degrees().tolist() == [sum(node in edge for edge in g.edges) for node in range(16)]
+
+
 def test_build_graph_star_five():
     g = build_graph("star", 5)
     assert g.edge_list() == [(0, 1), (0, 2), (0, 3), (0, 4)]
