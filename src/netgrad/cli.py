@@ -30,6 +30,7 @@ from .harness import (
     _FIELD_TYPES,
     ExperimentConfig,
     Trace,
+    _network,
     load_config,
     read_trace,
     run_experiment,
@@ -38,7 +39,6 @@ from .harness import (
     write_trace,
 )
 from .plotting import emit_plot
-from .topology import build_graph, chebyshev_augment, default_gamma, gossip_contraction, lazify, metropolis_mixing
 
 __all__ = ["main", "build_parser"]
 
@@ -200,33 +200,26 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_mixing(args: argparse.Namespace) -> int:
+    """Report the network ``run`` builds for these three flags."""
     ExperimentConfig(topology=args.topology, agents=args.agents, mixing=args.mixing).validate()
-    graph = build_graph(args.topology, args.agents)
+    net = _network(args.topology, args.agents, args.mixing)
     report: dict = {
         "topology": args.topology,
         "agents": args.agents,
         "mixing": args.mixing,
-        "edges": len(graph.edges),
+        "edges": len(net.graph.edges),
+        "lambda2": net.lambda2,
+        "theta": net.theta,
     }
-    if args.mixing == "random-gossip":
-        lambda2_eff, theta_eff = gossip_contraction(graph)
-        report["lambda2"] = lambda2_eff
-        report["theta"] = theta_eff
+    if net.w is None:
         report["note"] = "family values for the single-edge gossip draws"
     else:
-        w = metropolis_mixing(graph)
-        if args.mixing == "lazy-metropolis":
-            w = lazify(w)
-        entries = w.entries
-        report["lambda2"] = w.lambda2
-        report["theta"] = w.theta
-        report["psd"] = w.psd_flag
-        report["row_sum_deviation"] = float(abs(entries.sum(axis=1) - 1.0).max())
-        report["asymmetry"] = w.asymmetry
-        if w.psd_flag:
-            gamma = default_gamma(w.lambda2)
-            aug = chebyshev_augment(w, gamma)
-            report["gamma"] = gamma
+        report["psd"] = net.w.psd_flag
+        report["row_sum_deviation"] = float(abs(net.w.entries.sum(axis=1) - 1.0).max())
+        report["asymmetry"] = net.w.asymmetry
+        if net.w.psd_flag:
+            aug = net.momentum()
+            report["gamma"] = aug.gamma
             report["theta_tilde"] = aug.theta_tilde
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

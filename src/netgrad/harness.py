@@ -9,7 +9,10 @@ can be written to a CSV file and reloaded without precision loss.
 Randomness is split into four independent purposes: problem generation uses
 ``problem_seed``; the run seed fans out into the snapshot coin stream, the
 gossip edge stream, and one gradient-noise stream per agent. Thread counts
-never touch draw order, so repeated runs are byte-identical.
+never touch draw order, so repeated runs at one OpenBLAS thread count are
+byte-identical. Across thread counts the last bits of large decompositions
+and products can differ (ring-256 ``ssdsgt`` traces do); the benchmark and
+its frozen digests run at one thread.
 """
 
 from __future__ import annotations
@@ -358,13 +361,43 @@ def _resolve_x0(cfg: ExperimentConfig, problem: QuadraticProblem, rng: np.random
     return problem.x_star + (cfg.x0_radius / norm) * direction
 
 
+class _Network(typing.NamedTuple):
+    """A graph, its mixing matrix (``None`` for gossip) and the gap the network contracts by."""
+
+    graph: Graph
+    w: MixingMatrix | None
+    lambda2: float
+    theta: float
+
+    def momentum(self) -> AugmentedMixing:
+        """The momentum-augmented operator on the matrix, damped critically for its ``lambda2``."""
+        assert self.w is not None
+        return chebyshev_augment(self.w, default_gamma(self.lambda2))
+
+
+def _network(topology: str, agents: int, mixing: str) -> _Network:
+    """The network a run, the decay tuner and ``validate-mixing`` all read.
+
+    ``lambda2`` and ``theta`` are the matrix's, or the gossip family's. Only
+    that one spectrum is computed: gossip builds no matrix, and a lazy
+    network decomposes the lazy matrix, never its Metropolis base.
+    """
+    graph = build_graph(topology, agents)
+    if mixing == "random-gossip":
+        return _Network(graph, None, *gossip_contraction(graph))
+    w = metropolis_mixing(graph)
+    if mixing == "lazy-metropolis":
+        w = lazify(w)
+    return _Network(graph, w, w.lambda2, w.theta)
+
+
 def prepare_run(cfg: ExperimentConfig) -> RunSetup:
     """Validate the config and build every run ingredient deterministically.
 
     The schedule is the config's template; :func:`run_experiment` may replace it.
     """
     cfg.validate()
-    graph = build_graph(cfg.topology, cfg.agents)
+    net = _network(cfg.topology, cfg.agents, cfg.mixing)
     problem_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.problem_seed)))
     problem = make_quadratic_suite(
         cfg.agents,
@@ -376,42 +409,13 @@ def prepare_run(cfg: ExperimentConfig) -> RunSetup:
         sigma_bar=cfg.sigma_bar,
     )
     x0 = _resolve_x0(cfg, problem, problem_rng)
-
-    # Only the spectrum a run reads is computed: gossip runs build no matrix,
-    # and a lazy run decomposes the lazy matrix, never its Metropolis base.
-    w: MixingMatrix | None = None
-    aug: AugmentedMixing | None = None
-    if cfg.mixing == "random-gossip":
-        _, theta = gossip_contraction(graph)
-    else:
-        w = metropolis_mixing(graph)
-        if cfg.mixing == "lazy-metropolis":
-            w = lazify(w)
-        theta = w.theta
-
-    sched_theta = theta
-    if cfg.algo == "assdsgt":
-        assert w is not None
-        aug = chebyshev_augment(w, default_gamma(w.lambda2))
-        sched_theta = aug.theta_tilde
-
+    aug = net.momentum() if cfg.algo == "assdsgt" else None
+    theta = aug.theta_tilde if aug is not None else net.theta
     sched = theory_schedule(
-        cfg.algo,
-        cfg.effective_schedule_mode(),
-        sched_theta,
-        cfg.L,
-        cfg.mu,
-        multiplier=cfg.step_multiplier,
+        cfg.algo, cfg.effective_schedule_mode(), theta, cfg.L, cfg.mu, multiplier=cfg.step_multiplier
     )
     return RunSetup(
-        cfg=cfg,
-        graph=graph,
-        problem=problem,
-        w=w,
-        aug=aug,
-        theta=sched_theta,
-        sched=sched,
-        x0=x0,
+        cfg=cfg, graph=net.graph, problem=problem, w=net.w, aug=aug, theta=theta, sched=sched, x0=x0
     )
 
 
@@ -835,7 +839,8 @@ def tune_dsgt_beta(cfg: ExperimentConfig) -> Schedule:
         raise ConfigError(f"decay tuning applies to 'dsgt', got '{cfg.algo}'", "algo")
     if cfg.sigma_bar <= 0.0:
         raise ConfigError("the decay grid needs a noisy run", "sigma_bar")
-    theta = prepare_run(cfg).theta
+    cfg.validate()
+    theta = _network(cfg.topology, cfg.agents, cfg.mixing).theta
 
     best: tuple[float, Schedule] | None = None
     for multiplier in _DSGT_BETA_GRID:

@@ -13,6 +13,10 @@
   are checked against.
 * The trace CSV written through ``csv.writer``, one cell at a time, and
   read back through ``csv.reader`` and a per-row dict.
+* The ``validate-mixing`` report built by its own chain of topology calls:
+  graph, then Metropolis, then ``lazify`` or the gossip family, then the
+  momentum operator. The command, which builds the network as a run does,
+  must print these bytes.
 
 Nothing here is imported by ``netgrad``.
 """
@@ -20,6 +24,7 @@ Nothing here is imported by ``netgrad``.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +34,18 @@ from netgrad.algorithms import ALGORITHMS, Schedule
 from netgrad.diagnostics import CSV_COLUMNS, IterRecord
 from netgrad.objectives import QuadraticProblem
 from netgrad.streams import StreamBundle
-from netgrad.topology import AugmentedMixing, EdgeGossip, MixingMatrix
+from netgrad.harness import ExperimentConfig
+from netgrad.topology import (
+    AugmentedMixing,
+    EdgeGossip,
+    MixingMatrix,
+    build_graph,
+    chebyshev_augment,
+    default_gamma,
+    gossip_contraction,
+    lazify,
+    metropolis_mixing,
+)
 
 
 @dataclass
@@ -182,6 +198,32 @@ def read_trace_csv(path) -> list[IterRecord]:
         IterRecord(**{name: int(cell) if name in ("t", "zeta") else float(cell) for name, cell in row.items()})
         for row in rows
     ]
+
+
+def validate_mixing_report(topology: str, agents: int, mixing: str) -> str:
+    """The ``validate-mixing`` stdout for these flags, built from the topology calls alone."""
+    ExperimentConfig(topology=topology, agents=agents, mixing=mixing).validate()
+    graph = build_graph(topology, agents)
+    report: dict = {"topology": topology, "agents": agents, "mixing": mixing, "edges": len(graph.edges)}
+    if mixing == "random-gossip":
+        lambda2_eff, theta_eff = gossip_contraction(graph)
+        report["lambda2"] = lambda2_eff
+        report["theta"] = theta_eff
+        report["note"] = "family values for the single-edge gossip draws"
+    else:
+        w = metropolis_mixing(graph)
+        if mixing == "lazy-metropolis":
+            w = lazify(w)
+        report["lambda2"] = w.lambda2
+        report["theta"] = w.theta
+        report["psd"] = w.psd_flag
+        report["row_sum_deviation"] = float(abs(w.entries.sum(axis=1) - 1.0).max())
+        report["asymmetry"] = w.asymmetry
+        if w.psd_flag:
+            gamma = default_gamma(w.lambda2)
+            report["gamma"] = gamma
+            report["theta_tilde"] = chebyshev_augment(w, gamma).theta_tilde
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def augmented_matrix(aug: AugmentedMixing) -> np.ndarray:

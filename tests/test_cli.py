@@ -9,9 +9,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from _reference import validate_mixing_report
 
 from netgrad import cli, harness
-from netgrad.errors import InvariantViolation
+from netgrad.errors import ConfigError, InvariantViolation
 from netgrad.harness import load_config
 
 
@@ -151,6 +152,22 @@ def test_validate_mixing_gossip_reports_family_gap(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["theta"] == pytest.approx(0.018476517016368987, rel=1e-12)
+
+
+@pytest.mark.parametrize("topology", ["ring", "star", "complete", "grid"])
+@pytest.mark.parametrize("agents", [1, 4, 16])
+@pytest.mark.parametrize("mixing", ["metropolis", "lazy-metropolis", "random-gossip"])
+def test_validate_mixing_prints_the_reference_report_byte_for_byte(capsys, topology, agents, mixing):
+    # One-agent gossip has no edge to draw: the reference's config error,
+    # with exit code 2, is the expected outcome there.
+    try:
+        want = (0, validate_mixing_report(topology, agents, mixing), "")
+    except ConfigError as exc:
+        want = (2, "", f"configuration error: {exc}\n")
+    argv = ["validate-mixing", "--topology", topology, "--agents", str(agents), "--mixing", mixing]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
 
 
 def test_package_runs_as_a_module():

@@ -281,6 +281,21 @@ def test_prepare_run_decomposes_one_spectrum_and_validates_each_matrix_once(
     assert counts["_symmetric_spectrum"] == 1
 
 
+def test_an_equal_gossip_network_reuses_the_family_values_of_an_earlier_run(monkeypatch):
+    # The gossip family cache is keyed by the graph's value: each run builds
+    # a new Graph, and an equal one must not decompose its family again.
+    topology.gossip_contraction.cache_clear()
+    cfg = _small_cfg(agents=16, mixing="random-gossip")
+    first = prepare_run(cfg)
+    calls = []
+    original = topology._symmetric_spectrum
+    monkeypatch.setattr(topology, "_symmetric_spectrum", lambda w: calls.append(w) or original(w))
+    second = prepare_run(cfg)
+    assert calls == []
+    assert second.graph is not first.graph and second.graph == first.graph
+    assert second.theta == first.theta
+
+
 def test_prepare_run_start_radius():
     setup = prepare_run(_small_cfg())
     assert np.array_equal(setup.x0, np.zeros(2))

@@ -65,3 +65,40 @@ def test_no_module_imports_a_name_it_never_uses(path):
 def test_the_walk_finds_a_leftover_import():
     source = "import csv\nfrom itertools import chain\nimport json\n\n__all__ = ['x']\nx = json.dumps\n"
     assert unused_imports(source) == ["csv", "chain"]
+
+
+def topology_imports(source: str) -> list[str]:
+    """The names a module imports from ``netgrad.topology``, or the module itself.
+
+    Relative imports are read as imports inside the ``netgrad`` package.
+    """
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "netgrad.topology"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"netgrad.{module}" if module else "netgrad"
+            if module == "netgrad.topology":
+                found += [alias.name for alias in node.names]
+            elif module == "netgrad":
+                found += [alias.name for alias in node.names if alias.name == "topology"]
+    return found
+
+
+def test_the_command_line_builds_no_network_of_its_own():
+    # The harness owns the one chain from flags to graph, matrix and gap;
+    # a topology import in the CLI would be a second owner.
+    assert topology_imports((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_topology_walk_finds_every_import_form():
+    source = (
+        "from .topology import build_graph\n"
+        "from netgrad.topology import lazify\n"
+        "from . import topology\n"
+        "import netgrad.topology\n"
+        "from .harness import prepare_run\n"
+    )
+    assert topology_imports(source) == ["build_graph", "lazify", "topology", "netgrad.topology"]

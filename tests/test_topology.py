@@ -32,34 +32,30 @@ def _ring(m: int):
 def test_build_graph_complete_three():
     g = build_graph("complete", 3)
     assert g.m == 3
-    assert g.edge_list() == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(g.edges) == [(0, 1), (0, 2), (1, 2)]
     assert g.degrees().tolist() == [2, 2, 2]
 
 
 def test_build_graph_ring_four():
     g = build_graph("ring", 4)
-    assert g.edge_list() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert sorted(g.edges) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert g.degrees().tolist() == [2, 2, 2, 2]
 
 
 def test_graph_keeps_one_sorted_edge_order():
     # Every edge reader takes the graph's one sorted order, which the graph
-    # computes once and keeps; edge_list hands out a copy of it.
+    # computes once and keeps as a read-only array.
     g = build_graph("grid", 16)
-    order = g.edge_list()
-    assert order == sorted(g.edges)
     ends = g._edge_array
-    assert ends.tolist() == [list(edge) for edge in order]
+    assert ends.tolist() == [list(edge) for edge in sorted(g.edges)]
     assert not ends.flags.writeable
     assert g._edge_array is ends
-    order.clear()
-    assert g.edge_list() == sorted(g.edges)
     assert g.degrees().tolist() == [sum(node in edge for edge in g.edges) for node in range(16)]
 
 
 def test_build_graph_star_five():
     g = build_graph("star", 5)
-    assert g.edge_list() == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    assert sorted(g.edges) == [(0, 1), (0, 2), (0, 3), (0, 4)]
     assert g.degrees().tolist() == [4, 1, 1, 1, 1]
 
 
@@ -254,6 +250,17 @@ def test_gossip_single_edge_matrix():
     assert abs(theta - (1.0 - math.sqrt(3.0) / 2.0)) < 1e-12
 
 
+def test_gossip_draws_index_the_sorted_edges_one_integer_each():
+    graph = build_graph("grid", 16)
+    order = sorted(graph.edges)
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(200):
+        draw = random_edge_gossip(graph, rng)
+        assert (draw.i, draw.j) == order[int(twin.integers(len(order)))]
+        assert type(draw.i) is int and type(draw.j) is int
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def _edge_matrix(m: int, i: int, j: int) -> np.ndarray:
     w = np.eye(m)
     w[i, i] = w[j, j] = w[i, j] = w[j, i] = 0.5
@@ -268,7 +275,7 @@ def _wide_rows(rng: np.random.Generator, m: int) -> np.ndarray:
 @pytest.mark.parametrize("m", [3, 8])
 def test_edge_gossip_equals_dense_single_edge_product_on_every_edge(m):
     rng = np.random.default_rng(m)
-    for i, j in build_graph("ring", m).edge_list():
+    for i, j in sorted(build_graph("ring", m).edges):
         x = _wide_rows(rng, m)
         assert EdgeGossip(i, j).apply(x).tobytes() == (_edge_matrix(m, i, j) @ x).tobytes()
 
