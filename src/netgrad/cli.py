@@ -98,6 +98,7 @@ def _check_writable(path: str | None) -> None:
     A run's result is written only after its last iteration, so a missing
     or unwritable directory (or a directory in the file's place) is caught
     here, before the work that would be lost, and reported with the path.
+    Every file a command writes is checked before it writes the first.
     """
     if not path:
         return
@@ -150,11 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     out = args.out_path if args.out_path is not None else cfg.out
+    sidecar = str(out) + ".config.json" if out else None
     _check_writable(out)
+    _check_writable(sidecar)
     trace = run_experiment(cfg)
     if out:
         write_trace(trace, out)
-        save_config(cfg, str(out) + ".config.json")
+        save_config(cfg, sidecar)
     payload = {"records": len(trace.records), "out": out, **trace.summary}
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -185,6 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     traces: list[Trace] = []
     for path in args.traces:
         records = read_trace(path)

@@ -14,7 +14,7 @@ import os
 from xml.sax.saxutils import escape
 
 from .diagnostics import IterRecord
-from .harness import Trace
+from .harness import Trace, _write_text
 
 __all__ = ["emit_plot", "trace_label"]
 
@@ -196,6 +196,4 @@ def emit_plot(traces: list[Trace], path: str | os.PathLike) -> None:
         )
     parts.append("</svg>")
 
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(parts))
-        handle.write("\n")
+    _write_text(path, "\n".join(parts) + "\n")

@@ -310,10 +310,25 @@ def test_an_unwritable_output_exits_two_naming_the_path(tmp_path: Path, monkeypa
     calls = _counting_runs(monkeypatch)
     # `run` calls the name it imported into the cli module.
     monkeypatch.setattr(cli, "run_experiment", harness.run_experiment)
+    reads: list = []
+    monkeypatch.setattr(cli, "read_trace", lambda path: reads.append(path) or harness.read_trace(path))
     assert cli.main([*argv, str(target)]) == 2
     assert str(target) in capsys.readouterr().err
-    # Checked before the first iteration, not after the runs.
-    assert calls == []
+    # Checked before the first iteration, not after the runs, and before
+    # `plot` reads a trace.
+    assert calls == reads == []
+
+
+def test_a_directory_at_the_sidecar_path_stops_run_before_it_runs(tmp_path: Path, monkeypatch, capsys):
+    out = tmp_path / "t.csv"
+    sidecar = tmp_path / "t.csv.config.json"
+    sidecar.mkdir()
+    calls = _counting_runs(monkeypatch)
+    monkeypatch.setattr(cli, "run_experiment", harness.run_experiment)
+    assert cli.main(_run_args(out)) == 2
+    assert str(sidecar) in capsys.readouterr().err
+    # No trace is left without its sidecar.
+    assert calls == [] and not out.exists()
 
 
 def test_an_unreadable_config_exits_two_naming_the_path(tmp_path: Path, capsys):

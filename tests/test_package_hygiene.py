@@ -102,3 +102,59 @@ def test_the_topology_walk_finds_every_import_form():
         "from .harness import prepare_run\n"
     )
     assert topology_imports(source) == ["build_graph", "lazify", "topology", "netgrad.topology"]
+
+
+def truncating_writes(source: str) -> list[int]:
+    """The lines where a module opens a file to write it or names ``O_TRUNC``.
+
+    A call of ``open`` counts when its mode holds ``w``, ``a``, ``x`` or
+    ``+``, or is not a string literal. Code inside ``_write_text``, the one
+    writer of every output file, is not counted.
+    """
+    tree = ast.parse(source)
+    writer = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_write_text"
+        for inner in ast.walk(node)
+    }
+    lines: list[int] = []
+    for node in ast.walk(tree):
+        if id(node) in writer:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            literal = all(isinstance(m, ast.Constant) and isinstance(m.value, str) for m in modes)
+            if not literal or any(set(m.value) & set("wax+") for m in modes):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "O_TRUNC") or (
+            isinstance(node, ast.Name) and node.id == "O_TRUNC"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_output_file_goes_through_the_one_writer(path):
+    # A plain `open(path, "w")` truncates the old file to zero before it
+    # writes, the slow part of a rewrite; `_write_text` rewrites in place.
+    assert truncating_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_write_walk_finds_every_truncating_form():
+    source = (
+        "import os\n"
+        "from os import O_TRUNC\n"
+        "open(p)\n"
+        "open(p, 'r', encoding='utf-8')\n"
+        "open(p, 'w')\n"
+        "open(p, mode='a')\n"
+        "open(p, 'r+b')\n"
+        "open(p, 'x')\n"
+        "open(p, kind)\n"
+        "os.open(p, os.O_WRONLY | os.O_TRUNC)\n"
+        "def _write_text(path, text):\n"
+        "    with open(os.open(path, os.O_WRONLY | os.O_TRUNC), 'wb') as handle:\n"
+        "        handle.write(text)\n"
+    )
+    assert truncating_writes(source) == [5, 6, 7, 8, 9, 10]
