@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--dsgt-multiplier",
         type=float,
-        default=1.0,
+        default=None,
         help="constant factor on the matched baseline step (exponent-neutral)",
     )
     _add_run_inputs(sweep_p, _SWEEP_OVERRIDES, "sweep table CSV output path")
@@ -170,7 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise ConfigError(f"cannot parse sizes from '{args.sizes}'", "agents") from None
     algos = [part.strip() for part in args.algos.split(",") if part.strip()]
-    multipliers = {"dsgt": args.dsgt_multiplier} if args.dsgt_multiplier != 1.0 else None
+    multipliers = None if args.dsgt_multiplier is None else {"dsgt": args.dsgt_multiplier}
     _check_writable(args.out_path)
     result = sweep_topology(
         _run_config(args),

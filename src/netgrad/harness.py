@@ -2,9 +2,10 @@
 
 A run is fully described by an :class:`ExperimentConfig`: topology, mixing
 variant, algorithm, problem parameters, schedule selection, horizon, seeds,
-and recording cadence. :func:`run_experiment` executes it deterministically,
-audits the tracking identities as it goes, and returns a :class:`Trace` that
-can be written to a CSV file and reloaded without precision loss.
+and recording cadence. :func:`run_experiment` executes it deterministically
+through one private ``_Run`` (which steps and then observes a chunk of
+states at a time, auditing the tracking identities as it goes) and returns
+a :class:`Trace` that can be written to a CSV file and reloaded losslessly.
 
 Randomness is split into four independent purposes: problem generation uses
 ``problem_seed``; the run seed fans out into the snapshot coin stream, the
@@ -164,31 +165,7 @@ class ExperimentConfig:
                 _check_type(kind, nullable, getattr(self, name))
             except TypeError as exc:
                 raise ConfigError(str(exc), name) from None
-        if self.topology not in TOPOLOGIES:
-            raise ConfigError(f"must be one of {TOPOLOGIES}, got '{self.topology}'", "topology")
-        if self.agents < 1:
-            raise ConfigError(f"needs a positive integer, got {self.agents!r}", "agents")
-        if self.topology == "grid":
-            side = math.isqrt(self.agents)
-            if side * side != self.agents:
-                raise ConfigError(
-                    f"grid topology needs a perfect square, got {self.agents}", "agents"
-                )
-        if self.mixing not in MIXINGS:
-            raise ConfigError(f"must be one of {MIXINGS}, got '{self.mixing}'", "mixing")
-        if self.mixing == "random-gossip" and self.agents < 2:
-            raise ConfigError(
-                f"random gossip draws an edge, so it needs at least 2 agents, got {self.agents}",
-                "agents",
-            )
-        if self.algo not in ALGORITHMS:
-            raise ConfigError(f"must be one of {ALGORITHMS}, got '{self.algo}'", "algo")
-        if self.algo == "assdsgt" and self.mixing != "lazy-metropolis":
-            raise ConfigError(
-                "the momentum algorithm needs the static positive semidefinite "
-                f"'lazy-metropolis' mixing, got '{self.mixing}'",
-                "mixing",
-            )
+        self._validate_network()
         if self.d < 1:
             raise ConfigError(f"needs a positive integer, got {self.d!r}", "d")
         for name in _FLOAT_FIELDS:
@@ -203,30 +180,21 @@ class ExperimentConfig:
             raise ConfigError(f"must be nonnegative, got {self.sigma_bar}", "sigma_bar")
         if self.heterogeneity < 0.0:
             raise ConfigError(f"must be nonnegative, got {self.heterogeneity}", "heterogeneity")
-        if self.schedule not in _SCHEDULE_MODES:
-            raise ConfigError(
-                f"must be one of {_SCHEDULE_MODES}, got '{self.schedule}'", "schedule"
-            )
+        _require_choice(self.schedule, _SCHEDULE_MODES, "schedule")
         if not (self.step_multiplier > 0.0):
             raise ConfigError(f"must be positive, got {self.step_multiplier}", "step_multiplier")
-        if self.dsgt_tuning not in _DSGT_TUNINGS:
-            raise ConfigError(
-                f"must be one of {_DSGT_TUNINGS}, got '{self.dsgt_tuning}'", "dsgt_tuning"
-            )
+        _require_choice(self.dsgt_tuning, _DSGT_TUNINGS, "dsgt_tuning")
         step_search = self.algo == "dsgt" and self.dsgt_tuning == "tuned" and self.sigma_bar == 0.0
         if step_search and self.mixing == "random-gossip":
             raise ConfigError(
                 "the noiseless step search needs a static mixing matrix, got 'random-gossip'",
                 "dsgt_tuning",
             )
-        for name in ("problem_seed", "seed"):
+        for name, least in (("problem_seed", 0), ("seed", 0), ("iters", 1), ("stride", 1)):
             value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"needs a nonnegative integer, got {value!r}", name)
-        if self.iters < 1:
-            raise ConfigError(f"needs a positive integer, got {self.iters!r}", "iters")
-        if self.stride < 1:
-            raise ConfigError(f"needs a positive integer, got {self.stride!r}", "stride")
+            if value < least:
+                sign = "positive" if least else "nonnegative"
+                raise ConfigError(f"needs a {sign} integer, got {value!r}", name)
         if self.x0_radius is not None and not (self.x0_radius >= 0.0):
             raise ConfigError(f"must be nonnegative, got {self.x0_radius}", "x0_radius")
         if self.eps_stop is not None and not (self.eps_stop > 0.0):
@@ -237,6 +205,31 @@ class ExperimentConfig:
                     f"entries need to be nonnegative integers, got {value!r}",
                     "avg_checkpoints",
                 )
+
+    def _validate_network(self) -> None:
+        """The value rules of the network and algorithm fields, in :meth:`validate`'s order."""
+        _require_choice(self.topology, TOPOLOGIES, "topology")
+        if self.agents < 1:
+            raise ConfigError(f"needs a positive integer, got {self.agents!r}", "agents")
+        if self.topology == "grid":
+            side = math.isqrt(self.agents)
+            if side * side != self.agents:
+                raise ConfigError(
+                    f"grid topology needs a perfect square, got {self.agents}", "agents"
+                )
+        _require_choice(self.mixing, MIXINGS, "mixing")
+        if self.mixing == "random-gossip" and self.agents < 2:
+            raise ConfigError(
+                f"random gossip draws an edge, so it needs at least 2 agents, got {self.agents}",
+                "agents",
+            )
+        _require_choice(self.algo, ALGORITHMS, "algo")
+        if self.algo == "assdsgt" and self.mixing != "lazy-metropolis":
+            raise ConfigError(
+                "the momentum algorithm needs the static positive semidefinite "
+                f"'lazy-metropolis' mixing, got '{self.mixing}'",
+                "mixing",
+            )
 
     def effective_schedule_mode(self) -> str:
         if self.schedule != "auto":
@@ -289,6 +282,12 @@ def _field_type(hint: object) -> tuple[object, bool]:
 _FIELD_TYPES = {name: _field_type(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 #: Float fields of :class:`ExperimentConfig`; each must be finite when set.
 _FLOAT_FIELDS = tuple(name for name, (kind, _) in _FIELD_TYPES.items() if kind is float)
+
+
+def _require_choice(value: str, choices: tuple[str, ...], name: str) -> None:
+    """Raise :class:`ConfigError` on field ``name`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"must be one of {choices}, got '{value}'", name)
 
 
 def _is_int(value: object) -> bool:
@@ -504,7 +503,14 @@ def run_experiment(
     """
     sched = schedule_override or _tuned_schedule(cfg)
     setup = prepare_run(cfg)
-    return _execute(setup if sched is None else replace(setup, sched=sched))
+    # A diverging state, or an overflowing start, overflows before the
+    # finiteness checks see it; the checks report it with its iteration, so
+    # numpy's warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = _Run(setup if sched is None else replace(setup, sched=sched))
+        while not run.observe_chunk(run.step_chunk()):
+            pass
+    return run.trace()
 
 
 def _tuned_schedule(cfg: ExperimentConfig) -> Schedule | None:
@@ -557,132 +563,129 @@ def _event_indices(start: int, count: int, cfg: ExperimentConfig, subopts: list[
     return [t - start for t in sorted(ts)]
 
 
-def _execute(setup: RunSetup) -> Trace:
-    """Step and observe a prepared run.
+class _Run:
+    """One prepared run: its chunk buffer and what it carries from one chunk to the next.
 
-    A step only advances the dynamics; everything a run observes is taken a
-    chunk of states at a time. The run owns one :class:`StateBuffer`, and
-    its steps write their states straight into the buffer's slots. The loop
-    steps until the chunk holds :data:`_OBSERVE_CHUNK` states (fewer when
-    the buffer would pass :data:`_CHUNK_DOUBLES`), then takes the chunk's
-    state means, identity audits and suboptimalities in one batched pass
-    each over the buffer's slices, and folds every audit ratio at once to
-    find the first failing state. It then walks only the chunk's event
-    states before that failure, in iteration order: records, checkpoints
-    and the early stop (every state, for a noisy run with a target, whose
-    stop test reads the running average). Before each event it pushes the
-    states since the last one to the averager in one segment. The first
-    stop or violation ends the run, and the states stepped past it are
-    discarded, so a run's records, summary and failure do not depend on the
-    chunk length.
+    :meth:`step_chunk` steps the run's states straight into the slots of its
+    :class:`StateBuffer`, :data:`_OBSERVE_CHUNK` to a chunk (fewer when the
+    buffer would pass :data:`_CHUNK_DOUBLES`). :meth:`observe_chunk` takes
+    the chunk's state means, audits and suboptimalities in one batched pass
+    each, folds the audit ratios to find the first failing state, and walks
+    the event states before it in iteration order: records, checkpoints and
+    the early stop (every state, for a noisy run with a target, whose stop
+    test reads the running average), pushing the states up to each event to
+    the averager in one segment. The first stop or violation ends the run
+    and discards the states stepped past it, so a run's records, summary
+    and failure do not depend on the chunk length. The hooks a run calls are
+    module globals looked up as it goes, so wrappers on them see every call.
     """
-    cfg = setup.cfg
-    problem = setup.problem
-    sched = setup.sched
-    streams = StreamBundle.from_seed(cfg.seed, problem.m)
-    # The step functions and the gossip draw are looked up as module globals
-    # on every run, so wrappers installed on these names see every call.
-    step = {"dsgt": dsgt_step, "ssdsgt": ssdsgt_step, "assdsgt": assdsgt_step}[cfg.algo]
-    static_op = setup.aug or setup.w
 
-    audits = _AuditTracker()
-    averager = WeightedAverager(mu=cfg.mu)
-    records: list[IterRecord] = []
-    wavg_at: dict[str, float] = {}
-    checkpoints = set(cfg.avg_checkpoints)
-    noisy = cfg.sigma_bar > 0.0
-    eps = cfg.eps_stop
-    stride = cfg.stride
-    stopped_early = False
-
-    # A diverging state, or an overflowing start, overflows before the
-    # finiteness checks see it; the checks report it with its iteration, so
-    # numpy's warnings add nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = init_state(problem, setup.x0, cfg.algo, streams)
+    def __init__(self, setup: RunSetup) -> None:
+        cfg = setup.cfg
+        self.setup = setup
+        self.streams = StreamBundle.from_seed(cfg.seed, setup.problem.m)
+        self.step = {"dsgt": dsgt_step, "ssdsgt": ssdsgt_step, "assdsgt": assdsgt_step}[cfg.algo]
+        self.static_op = setup.aug or setup.w
+        state = init_state(setup.problem, setup.x0, cfg.algo, self.streams)
         slot_doubles = state.xs.size + state.g_snap.size
-        size = max(1, min(_OBSERVE_CHUNK, _CHUNK_DOUBLES // slot_doubles - 1))
-        buffer = StateBuffer(state, cfg.algo, size, static_op)
-        state = buffer.states[0]
-        blocks = state.blocks
-        # Each state's step size is computed once: the walk pushes and
-        # records it, and the step from that state takes it. ``etas[k]`` is
-        # slot k's.
-        eta = step_size(sched, state.t)
-        etas = [eta]
+        self.size = max(1, min(_OBSERVE_CHUNK, _CHUNK_DOUBLES // slot_doubles - 1))
+        self.buffer = StateBuffer(state, cfg.algo, self.size, self.static_op)
+        self.state = self.buffer.states[0]
+        # Each state's step size is computed once, for the walk and for the
+        # step from that state: ``etas[k]`` is slot k's.
+        self.etas = [step_size(setup.sched, self.state.t)]
         # The slot of the chunk's first observed state: the first chunk
         # observes the run's start in slot 0 and steps one state less; a
         # later chunk's slot 0 holds the last state of the chunk before.
-        lo = 0
-        while True:
-            count = min(size - 1 + lo, cfg.iters - state.t)
-            for _ in range(count):
-                op = static_op or random_edge_gossip(setup.graph, streams.gossip)
-                state = step(state, problem, op, sched, streams, eta)
-                eta = step_size(sched, state.t)
-                etas.append(eta)
-            means = state_means(buffer.xs[: count + 1], problem.m)
-            errors, scales = audit_identities(
-                means, buffer.grads[: count + 1], etas[:count], *buffer.gradient_slots(count), lo == 0
-            )
-            subopts = global_suboptimality(problem, means[lo:, -2 * blocks])
-            observed = etas[lo:]
-            failed, failure = audits.fold(errors, scales, subopts)
-            # The states up to each event go to the averager in one segment.
-            pushed = 0
-            for index in _event_indices(buffer.states[lo].t, failed, cfg, subopts):
-                averager.push(observed[pushed : index + 1], subopts[pushed : index + 1])
-                pushed = index + 1
-                current = buffer.states[lo + index]
-                t = current.t
-                if t in checkpoints:
-                    wavg_at[str(t)] = averager.average
-                stopped_early = eps is not None and (averager.average if noisy else subopts[index]) <= eps
-                if stopped_early or t % stride == 0 or t == cfg.iters:
-                    try:
-                        records.append(
-                            record_iteration(
-                                current, problem, observed[index], setup.theta, means[lo + index],
-                                subopts[index], averager.average,
-                            )
-                        )
-                    except ValueError as exc:  # a non-finite or negative diagnostic
-                        raise InvariantViolation(str(exc), iteration=t) from None
-                if stopped_early:
-                    state = current
-                    break
-            if stopped_early:
-                audits.settle(pushed)
-                break
-            if failure is not None:
-                raise InvariantViolation(failure, iteration=buffer.states[lo + failed].t)
-            averager.push(observed[pushed:], subopts[pushed:])
-            audits.settle(len(subopts))
-            if state.t == cfg.iters:
-                break
-            state = buffer.restart(state)
-            etas = [eta]
-            lo = 1
+        self.lo = 0
+        self.audits = _AuditTracker()
+        self.averager = WeightedAverager(mu=cfg.mu)
+        self.records: list[IterRecord] = []
+        self.wavg_at: dict[str, float] = {}
+        self.checkpoints = set(cfg.avg_checkpoints)
+        self.stopped_early = False
 
-    final = records[-1]
-    summary = {
-        "final_t": state.t,
-        "final_subopt": final.subopt,
-        "final_wavg_subopt": averager.average,
-        "stopped_early": stopped_early,
-        "theta": setup.theta,
-        "schedule_mode": sched.mode,
-        "eta0": sched.eta0,
-        "beta": sched.beta,
-        "p": sched.p,
-        "audit_max": audits.summary(),
-        "wavg_at": wavg_at,
-    }
-    if setup.aug is not None:
-        summary["gamma"] = setup.aug.gamma
-        summary["theta_tilde"] = setup.aug.theta_tilde
-        summary["base_theta"] = setup.aug.base.theta
-    return Trace(config=cfg.to_dict(), records=records, summary=summary)
+    def step_chunk(self) -> int:
+        """Step the chunk's states into the buffer; return how many were stepped."""
+        setup, state, etas = self.setup, self.state, self.etas
+        count = min(self.size - 1 + self.lo, setup.cfg.iters - state.t)
+        step, static_op, graph = self.step, self.static_op, setup.graph
+        problem, sched, streams = setup.problem, setup.sched, self.streams
+        eta, push_eta = etas[-1], etas.append
+        for _ in range(count):
+            op = static_op or random_edge_gossip(graph, streams.gossip)
+            state = step(state, problem, op, sched, streams, eta)
+            eta = step_size(sched, state.t)
+            push_eta(eta)
+        self.state = state
+        return count
+
+    def observe_chunk(self, count: int) -> bool:
+        """Observe the ``count`` states just stepped; return whether the run is over."""
+        cfg, problem, buffer, lo = self.setup.cfg, self.setup.problem, self.buffer, self.lo
+        averager, eps, noisy = self.averager, cfg.eps_stop, cfg.sigma_bar > 0.0
+        means = state_means(buffer.xs[: count + 1], problem.m)
+        errors, scales = audit_identities(
+            means, buffer.grads[: count + 1], self.etas[:count], *buffer.gradient_slots(count), lo == 0
+        )
+        subopts = global_suboptimality(problem, means[lo:, -2 * self.state.blocks])
+        observed = self.etas[lo:]
+        failed, failure = self.audits.fold(errors, scales, subopts)
+        pushed = 0
+        for index in _event_indices(buffer.states[lo].t, failed, cfg, subopts):
+            averager.push(observed[pushed : index + 1], subopts[pushed : index + 1])
+            pushed = index + 1
+            current = buffer.states[lo + index]
+            t = current.t
+            if t in self.checkpoints:
+                self.wavg_at[str(t)] = averager.average
+            stop = eps is not None and (averager.average if noisy else subopts[index]) <= eps
+            if stop or t % cfg.stride == 0 or t == cfg.iters:
+                try:
+                    self.records.append(
+                        record_iteration(
+                            current, problem, observed[index], self.setup.theta, means[lo + index],
+                            subopts[index], averager.average,
+                        )
+                    )
+                except ValueError as exc:  # a non-finite or negative diagnostic
+                    raise InvariantViolation(str(exc), iteration=t) from None
+            if stop:
+                self.state, self.stopped_early = current, True
+                self.audits.settle(pushed)
+                return True
+        if failure is not None:
+            raise InvariantViolation(failure, iteration=buffer.states[lo + failed].t)
+        averager.push(observed[pushed:], subopts[pushed:])
+        self.audits.settle(len(subopts))
+        if self.state.t == cfg.iters:
+            return True
+        self.state = buffer.restart(self.state)
+        self.etas = self.etas[-1:]
+        self.lo = 1
+        return False
+
+    def trace(self) -> Trace:
+        """The finished run's trace: its config, records and summary."""
+        setup, sched = self.setup, self.setup.sched
+        summary = {
+            "final_t": self.state.t,
+            "final_subopt": self.records[-1].subopt,
+            "final_wavg_subopt": self.averager.average,
+            "stopped_early": self.stopped_early,
+            "theta": setup.theta,
+            "schedule_mode": sched.mode,
+            "eta0": sched.eta0,
+            "beta": sched.beta,
+            "p": sched.p,
+            "audit_max": self.audits.summary(),
+            "wavg_at": self.wavg_at,
+        }
+        if setup.aug is not None:
+            summary["gamma"] = setup.aug.gamma
+            summary["theta_tilde"] = setup.aug.theta_tilde
+            summary["base_theta"] = setup.aug.base.theta
+        return Trace(config=setup.cfg.to_dict(), records=self.records, summary=summary)
 
 
 def iterations_to_epsilon(trace: Trace, eps: float) -> int | None:
@@ -842,10 +845,11 @@ def tune_dsgt_beta(cfg: ExperimentConfig) -> Schedule:
     cfg.validate()
     theta = _network(cfg.topology, cfg.agents, cfg.mixing).theta
 
+    # No target: it would stop every candidate near it, and all would score alike.
+    probe_cfg = replace(cfg, stride=max(1, cfg.iters // 50), eps_stop=None, avg_checkpoints=())
     best: tuple[float, Schedule] | None = None
     for multiplier in _DSGT_BETA_GRID:
         candidate = theory_schedule("dsgt", "decaying", theta, cfg.L, cfg.mu, multiplier=multiplier)
-        probe_cfg = replace(cfg, stride=max(1, cfg.iters // 50), avg_checkpoints=())
         try:
             trace = run_experiment(probe_cfg, schedule_override=candidate)
         except InvariantViolation:
@@ -1008,7 +1012,11 @@ def sweep_topology(
         summary = traces[0].summary
         theta = summary.get("base_theta", summary["theta"])
         rows.append(SweepRow(algo=runs[0].algo, m=runs[0].agents, theta=theta, counts=counts))
+    return SweepResult(eps=eps, rows=rows, exponents=_scaling_exponents(rows, algos))
 
+
+def _scaling_exponents(rows: list[SweepRow], algos: tuple[str, ...]) -> dict[str, float]:
+    """The exponents of :class:`SweepResult`, for each algorithm with two rows of positive mean."""
     exponents: dict[str, float] = {}
     for algo in algos:
         points = [
@@ -1019,9 +1027,8 @@ def sweep_topology(
         if len(points) >= 2:
             log_inv_theta = np.log([1.0 / theta for theta, _ in points])
             log_iters = np.log([mean for _, mean in points])
-            slope = float(np.polyfit(log_inv_theta, log_iters, 1)[0])
-            exponents[algo] = slope
-    return SweepResult(eps=eps, rows=rows, exponents=exponents)
+            exponents[algo] = float(np.polyfit(log_inv_theta, log_iters, 1)[0])
+    return exponents
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:

@@ -112,28 +112,21 @@ class Graph:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"graph needs at least one agent, got m={self.m}")
+        adjacency: list[list[int]] = [[] for _ in range(self.m)]
         for i, j in self.edges:
             if not (0 <= i < j < self.m):
                 raise ValueError(f"edge ({i}, {j}) invalid for m={self.m}")
-        if not self._connected():
-            raise ValueError("graph is not connected")
-
-    def _connected(self) -> bool:
-        if self.m == 1:
-            return True
-        adjacency: list[list[int]] = [[] for _ in range(self.m)]
-        for i, j in self.edges:
             adjacency[i].append(j)
             adjacency[j].append(i)
         seen = {0}
         stack = [0]
         while stack:
-            node = stack.pop()
-            for other in adjacency[node]:
+            for other in adjacency[stack.pop()]:
                 if other not in seen:
                     seen.add(other)
                     stack.append(other)
-        return len(seen) == self.m
+        if len(seen) != self.m:
+            raise ValueError("graph is not connected")
 
     @cached_property
     def _edge_array(self) -> np.ndarray:

@@ -141,6 +141,16 @@ def test_sweep_axis_flags_stay_off_the_base_config(recorded, capsys):
     }
 
 
+def test_sweep_dsgt_multiplier_of_one_is_passed_on(recorded, capsys):
+    # A multiplier of 1 is a value like any other: it must override the
+    # config's own step_multiplier in the dsgt cells, not read as "not given".
+    argv = ["sweep", "--agents", "8", "--algo", "dsgt", "--dsgt-multiplier", "1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    (call,) = recorded
+    assert call["multipliers"] == {"dsgt": 1.0}
+
+
 @pytest.mark.parametrize("flag, expected", [([], "tuned"), (["--dsgt-tuning", "matched"], "matched")])
 def test_sweep_dsgt_tuning_from_the_file_unless_the_flag_is_given(
     recorded, tmp_path: Path, capsys, flag, expected

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -459,6 +461,39 @@ def test_runs_are_bitwise_reproducible(tmp_path: Path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "overrides, stopped_early",
+    [
+        (dict(iters=200), False),
+        (dict(iters=400, eps_stop=1.0), True),
+        (dict(iters=200, schedule="constant", step_multiplier=1e6), None),  # diverges
+    ],
+    ids=["full", "early-stop", "diverging"],
+)
+def test_a_run_frees_its_buffer_by_reference_counting(monkeypatch, overrides, stopped_early):
+    # With the cycle collector off only reference counting frees the buffer,
+    # so a reference cycle through the run or its states would keep it alive.
+    buffers = []
+
+    class RecordingBuffer(harness.StateBuffer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(weakref.ref(self))
+
+    monkeypatch.setattr(harness, "StateBuffer", RecordingBuffer)
+    gc.disable()
+    try:
+        try:
+            outcome = run_experiment(_small_cfg(**overrides)).summary["stopped_early"]
+        except InvariantViolation:
+            outcome = None
+        (buffer,) = buffers
+        assert buffer() is None
+    finally:
+        gc.enable()
+    assert outcome is stopped_early
+
+
 def test_early_stop_lands_on_first_crossing():
     cfg = _small_cfg(iters=5000, stride=100, eps_stop=1e-3, x0_radius=3.0)
     trace = run_experiment(cfg)
@@ -689,6 +724,16 @@ def test_step_tuning_on_random_gossip_names_the_mixing_field_under_optimisation(
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "mixing"
+
+
+def test_decay_tuner_runs_every_candidate_to_the_horizon_despite_a_target():
+    # With its target, every candidate would stop near 0.3 and score about
+    # the same; at the horizon this config picks a different beta.
+    cfg = ExperimentConfig(
+        topology="ring", agents=4, algo="dsgt", sigma_bar=0.5, iters=400, x0_radius=1.0,
+        heterogeneity=0.5, problem_seed=4, eps_stop=0.3,
+    )
+    assert tune_dsgt_beta(cfg) == tune_dsgt_beta(replace(cfg, eps_stop=None))
 
 
 def test_decay_tuner_skips_divergent_candidates(monkeypatch):

@@ -53,36 +53,53 @@ def test_traced_gossip_run_counts_one_draw_and_one_step_per_iteration():
 # iteration and (stride 1) one record per state. The run observes its 21
 # states in one chunk, so one batched audit and one batched suboptimality
 # serve all of them. The batched step mixes the momentum state in one
-# augmented apply per iteration, where the two-apply step made two.
+# augmented apply per iteration, where the two-apply step made two. Each
+# state's step size is computed once (21), the averager takes one push per
+# event and one for the chunk's tail (22), and the start state and the
+# stream bundle are built once: a run that bound one of these names at
+# import time would drop its layer from traced runs.
 _LAYER_CALLS = {
     "algorithms.step": 20,
     "algorithms.audit_identities": 1,
     "objectives.global_suboptimality": 1,
     "diagnostics.record_iteration": 21,
+    "algorithms.step_size": 21,
+    "diagnostics.averager_push": 22,
+    "algorithms.init_state": 1,
+    "streams.from_seed": 1,
 }
 
 
 def test_traced_runs_keep_their_layer_call_counts():
     probe = _load_probe()
     for algo, mixing in (("dsgt", "metropolis"), ("ssdsgt", "metropolis"), ("assdsgt", "lazy-metropolis")):
-        cfg = ExperimentConfig(topology="ring", agents=6, algo=algo, mixing=mixing, iters=20)
-        with probe.Probe(traced=True) as p:
-            netgrad.harness.run_experiment(cfg)
-        calls = {layer: p.stats[layer].calls for layer in _LAYER_CALLS}
-        assert calls == _LAYER_CALLS, algo
-        augmented = p.stats.get("topology.augmented_apply")
-        assert (augmented.calls if augmented else 0) == (20 if algo == "assdsgt" else 0), algo
+        for sigma in (0.0, 1.0):
+            cfg = ExperimentConfig(
+                topology="ring", agents=6, algo=algo, mixing=mixing, iters=20, sigma_bar=sigma
+            )
+            with probe.Probe(traced=True) as p:
+                netgrad.harness.run_experiment(cfg)
+            calls = {layer: p.stats[layer].calls for layer in _LAYER_CALLS}
+            assert calls == _LAYER_CALLS, (algo, sigma)
+            augmented = p.stats.get("topology.augmented_apply")
+            assert (augmented.calls if augmented else 0) == (20 if algo == "assdsgt" else 0), algo
 
 
 def test_traced_runs_observe_once_per_chunk(monkeypatch):
-    # Chunks of 8 split the 21 states 8, 8, 5: three batched passes.
+    # Chunks of 8 split the 21 states 8, 8, 5: three batched passes, and
+    # three tail pushes to the averager.
     probe = _load_probe()
     monkeypatch.setattr(netgrad.harness, "_OBSERVE_CHUNK", 8)
     cfg = ExperimentConfig(topology="ring", agents=6, iters=20)
     with probe.Probe(traced=True) as p:
         netgrad.harness.run_experiment(cfg)
     calls = {layer: p.stats[layer].calls for layer in _LAYER_CALLS}
-    assert calls == {**_LAYER_CALLS, "algorithms.audit_identities": 3, "objectives.global_suboptimality": 3}
+    assert calls == {
+        **_LAYER_CALLS,
+        "algorithms.audit_identities": 3,
+        "objectives.global_suboptimality": 3,
+        "diagnostics.averager_push": 24,
+    }
 
 
 def test_a_noisy_momentum_run_makes_one_augmented_apply_per_step():
