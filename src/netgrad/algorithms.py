@@ -59,6 +59,8 @@ import numpy as np
 # without the wrapper's argument handling.
 from numpy._core.multiarray import c_einsum
 
+from .errors import ConfigError
+
 # ``stochastic_gradients`` is the per-call reference oracle; the iterations
 # use block-served noise instead, but perfbench's layer probe still looks the
 # oracle up under this module's name.
@@ -171,6 +173,10 @@ def theory_schedule(
 
     Returns:
         The assembled :class:`Schedule`.
+
+    Raises:
+        ConfigError: On field ``step_multiplier`` when the template's step
+            (``eta0``) or decay scale (``beta``) underflows to 0.
     """
     if multiplier <= 0.0:
         raise ValueError(f"step multiplier must be positive, got {multiplier}")
@@ -188,24 +194,15 @@ def theory_schedule(
     else:
         raise ValueError(f"unknown algorithm tag '{algo}'")
     if mode == "constant":
-        return Schedule(
-            algo=algo,
-            mode=mode,
-            p=p,
-            L=L,
-            mu=mu,
-            theta=theta,
-            eta0=multiplier * scale / (divisors[0] * L),
+        step = {"eta0": multiplier * scale / (divisors[0] * L)}
+    else:
+        step = {"beta": multiplier * scale / divisors[1]}
+    ((name, value),) = step.items()
+    if not value > 0.0:
+        raise ConfigError(
+            f"the template {name} underflows to 0 (multiplier {multiplier:g}, L={L:g})", "step_multiplier"
         )
-    return Schedule(
-        algo=algo,
-        mode=mode,
-        p=p,
-        L=L,
-        mu=mu,
-        theta=theta,
-        beta=multiplier * scale / divisors[1],
-    )
+    return Schedule(algo=algo, mode=mode, p=p, L=L, mu=mu, theta=theta, **step)
 
 
 def step_size(sched: Schedule, t: int) -> float:

@@ -90,6 +90,15 @@ MIXINGS: tuple[str, ...] = ("metropolis", "lazy-metropolis", "random-gossip")
 #: Runs abort when any audited identity ratio exceeds this threshold.
 AUDIT_ABORT_TOL = 1e-7
 
+#: Largest ``L`` a config may set: the curvature matrices, symmetrised sums
+#: of products up to ``L`` in size, stay finite.
+_MAX_L = 1e300
+#: Largest ``L / mu`` a config may set. Float64 computes a curvature only to
+#: about ``d * 2**-52 * L``, which is ``d * 2.2e-4 * mu`` at this bound; far
+#: past it the smallest curvature, ``mu``, drowns in rounding and an agent's
+#: matrix can come out indefinite or singular.
+_MAX_CONDITION = 1e12
+
 _SCHEDULE_MODES = ("auto", "constant", "decaying")
 _DSGT_TUNINGS = ("matched", "tuned")
 
@@ -176,6 +185,15 @@ class ExperimentConfig:
             raise ConfigError(f"must be positive, got {self.mu}", "mu")
         if not (self.L >= self.mu):
             raise ConfigError(f"must be at least mu={self.mu}, got {self.L}", "L")
+        if self.L > _MAX_L:
+            raise ConfigError(f"must be at most {_MAX_L:g}, got {self.L}", "L")
+        if self.L > _MAX_CONDITION * self.mu:
+            # The one of the two farther from 1 on a log scale is named.
+            raise ConfigError(
+                f"L/mu = {self.L / self.mu:.3g} is past {_MAX_CONDITION:g}, the conditioning "
+                "float64 can hold",
+                "mu" if self.mu * self.L < 1.0 else "L",
+            )
         if self.sigma_bar < 0.0:
             raise ConfigError(f"must be nonnegative, got {self.sigma_bar}", "sigma_bar")
         if self.heterogeneity < 0.0:
@@ -531,9 +549,10 @@ def _tuned_schedule(cfg: ExperimentConfig) -> Schedule | None:
 #: Most consecutive states a run observes in one batched pass.
 _OBSERVE_CHUNK = 64
 #: Bound on the doubles of a run's chunk buffer, its states and their
-#: gradient rows (256 KiB); a chunk holds at least one step however large
-#: ``m * d`` is.
-_CHUNK_DOUBLES = 2**15
+#: gradient rows (1 MiB); a chunk holds at least one step however large
+#: ``m * d`` is. At m = 1024, d = 2 a momentum run observes 11 states a
+#: chunk and a snapshot run 20.
+_CHUNK_DOUBLES = 2**17
 
 
 def _event_indices(start: int, count: int, cfg: ExperimentConfig, subopts: list[float]) -> list[int]:
@@ -561,6 +580,26 @@ def _event_indices(start: int, count: int, cfg: ExperimentConfig, subopts: list[
         if len(hits):
             ts.add(start + int(hits[0]))
     return [t - start for t in sorted(ts)]
+
+
+def _seed_free(cfg: ExperimentConfig) -> bool:
+    """Whether a run of ``cfg`` draws nothing from its run seed.
+
+    The run seed feeds three streams (see :class:`~netgrad.streams.StreamBundle`),
+    and each condition shuts one of them:
+
+    * ``sigma_bar == 0``: a noiseless gradient is exact and reads no agent's
+      noise stream;
+    * ``algo == "dsgt"``: the plain baseline re-takes its snapshot at every
+      iterate, so it flips no snapshot coin (the other two algorithms draw
+      one every step);
+    * a static mixing matrix: ``random-gossip`` draws an edge every step.
+
+    Such a run gives the same trace for every seed, which
+    ``tests/test_run_invariants.py::test_noiseless_dsgt_on_a_static_matrix_is_the_same_for_every_seed``
+    pins; :func:`sweep_topology` runs such a cell once for all its seeds.
+    """
+    return cfg.sigma_bar == 0.0 and cfg.algo == "dsgt" and cfg.mixing != "random-gossip"
 
 
 class _Run:
@@ -594,6 +633,10 @@ class _Run:
         # Each state's step size is computed once, for the walk and for the
         # step from that state: ``etas[k]`` is slot k's.
         self.etas = [step_size(setup.sched, self.state.t)]
+        # A decaying step falls from a positive start no faster than
+        # 3 / (mu * t) with mu <= 1e300, so it stays positive for 6e23 steps.
+        if not self.etas[0] > 0.0:
+            raise ConfigError(f"the step size underflows to 0 (L={cfg.L:g})", "step_multiplier")
         # The slot of the chunk's first observed state: the first chunk
         # observes the run's start in slot 0 and steps one state less; a
         # later chunk's slot 0 holds the last state of the chunk before.
@@ -805,7 +848,8 @@ def tune_dsgt_step(cfg: ExperimentConfig) -> Schedule:
     if best_eta is None:
         raise InvariantViolation(
             f"baseline step tuning found no stable step reaching {target:g} "
-            f"within {cfg.iters} iterations"
+            f"within {cfg.iters} iterations",
+            iteration=cfg.iters,
         )
     return _constant_dsgt_schedule(cfg, best_eta)
 
@@ -859,7 +903,8 @@ def tune_dsgt_beta(cfg: ExperimentConfig) -> Schedule:
             best = (score, candidate)
     if best is None:
         raise InvariantViolation(
-            f"baseline decay tuning: every multiplier in {_DSGT_BETA_GRID} diverged"
+            f"baseline decay tuning: every multiplier in {_DSGT_BETA_GRID} diverged",
+            iteration=cfg.iters,
         )
     return best[1]
 
@@ -945,13 +990,16 @@ def sweep_topology(
 ) -> SweepResult:
     """Measure iterations-to-target across network sizes for several algorithms.
 
-    For each algorithm and size, ``seeds`` runs (run seeds ``base.seed``
-    upward) execute with early stopping at ``eps`` and the first recorded
-    iteration at or below the target is collected. The momentum algorithm is
-    switched to its required lazy mixing automatically, and the plain
-    tracking baseline is tuned once per size, on the size's first seed, for
-    fairness when ``base.dsgt_tuning`` is ``"tuned"``. Cells and seeds run
-    serially; ``workers`` is accepted for compatibility and has no effect.
+    For each algorithm and size, ``seeds`` run seeds (``base.seed`` upward)
+    each get the first recorded iteration at or below ``eps`` of an
+    early-stopping run. A cell whose runs draw nothing from the run seed
+    (noiseless ``dsgt`` on a static matrix, see :func:`_seed_free`) runs
+    once, on its first seed, and that count stands for every seed; the
+    other cells run every seed. The momentum algorithm is switched to its
+    required lazy mixing automatically, and the plain tracking baseline is
+    tuned once per size, on the size's first seed, for fairness when
+    ``base.dsgt_tuning`` is ``"tuned"``. Cells and seeds run serially;
+    ``workers`` is accepted for compatibility and has no effect.
 
     ``multipliers`` maps an algorithm name to a constant factor applied to
     its template step size in every cell (others keep ``base``'s
@@ -1004,8 +1052,10 @@ def sweep_topology(
     rows: list[SweepRow] = []
     for runs in cells:
         sched = _tuned_schedule(runs[0])
-        traces = [run_experiment(cfg, schedule_override=sched) for cfg in runs]
-        counts = tuple(iterations_to_epsilon(trace, eps) for trace in traces)
+        # Every seed of a seed-free cell would repeat its first run bit for bit.
+        ran = runs[:1] if _seed_free(runs[0]) else runs
+        traces = [run_experiment(cfg, schedule_override=sched) for cfg in ran]
+        counts = tuple(iterations_to_epsilon(trace, eps) for trace in traces) * (len(runs) // len(ran))
         # Exponents compare algorithms on the network's own contraction
         # parameter, so the momentum cells report their base (pre-momentum)
         # gap rather than the accelerated schedule parameter.

@@ -30,6 +30,9 @@ __all__ = [
     "global_suboptimality",
 ]
 
+#: Tolerance on the curvature bounds ``[mu, L]``, relative to ``max(1, L)``:
+#: an eigenvalue of a ``(d, d)`` curvature is only ever computed to about
+#: ``d * 2**-52 * L``.
 _EIG_TOL = 1e-9
 
 
@@ -72,7 +75,7 @@ class QuadraticProblem:
 
     Attributes:
         quads: Stacked curvature matrices, shape ``(m, d, d)``; symmetric with
-            eigenvalues in ``[mu, L]`` up to a ``1e-9`` tolerance.
+            eigenvalues in ``[mu, L]`` up to a ``1e-9 * max(1, L)`` tolerance.
         linears: Stacked linear terms, shape ``(m, d)``.
         mu: Strong convexity modulus, positive.
         L: Smoothness constant, at least ``mu``.
@@ -110,7 +113,8 @@ class QuadraticProblem:
         if not (0.0 < self.mu <= self.L):
             raise ValueError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
         evals = np.linalg.eigvalsh(quads)
-        escaped = (evals[:, 0] < self.mu - _EIG_TOL) | (evals[:, -1] > self.L + _EIG_TOL)
+        tol = _EIG_TOL * max(1.0, self.L)
+        escaped = (evals[:, 0] < self.mu - tol) | (evals[:, -1] > self.L + tol)
         if escaped.any():
             i = int(np.argmax(escaped))
             raise ValueError(

@@ -102,6 +102,15 @@ MISTYPED = [
         (dict(problem_seed=-1), "problem_seed"),
         (dict(seed=1.5), "seed"),
         (dict(agents=1, mixing="random-gossip"), "agents"),
+        # Float64 cannot hold these: curvature sums past L = 1e300 can
+        # overflow, and past L/mu = 1e12 mu drowns in rounding (a curvature
+        # of 0 against mu = 1; a singular one-agent average curvature). The
+        # field named is the one farther from 1.
+        (dict(mu=1e300, L=1e301), "L"),
+        (dict(L=1e300, sigma_bar=1.0, agents=64), "L"),
+        (dict(topology="grid", agents=1, mu=1e-300, schedule="decaying", iters=1), "mu"),
+        (dict(mu=1e-13), "mu"),
+        (dict(step_multiplier=1e-300, L=1e300, mu=1e-300, schedule="constant", algo="dsgt"), "L"),
         (dict(algo="dsgt", mixing="random-gossip", dsgt_tuning="tuned"), "dsgt_tuning"),
         *((dict([(name, wrong)]), name) for name, wrong, _ in MISTYPED),
     ],
@@ -494,6 +503,20 @@ def test_a_run_frees_its_buffer_by_reference_counting(monkeypatch, overrides, st
     assert outcome is stopped_early
 
 
+@pytest.mark.parametrize(
+    "algo, mixing, size",
+    [("ssdsgt", "random-gossip", 20), ("assdsgt", "lazy-metropolis", 11), ("ssdsgt", "metropolis", 64)],
+)
+def test_the_chunk_buffer_bound_sets_the_states_a_chunk_observes(algo, mixing, size):
+    # A ring-1024 state and its gradient rows hold 6144 doubles (10240 for
+    # the momentum algorithm's stacked blocks); 2**17 of them fit 21 (12)
+    # slots, one of which carries the chunk before. At m = 8 every chunk
+    # holds the full 64 states.
+    agents = 8 if mixing == "metropolis" else 1024
+    cfg = ExperimentConfig(agents=agents, algo=algo, mixing=mixing, iters=200)
+    assert harness._Run(prepare_run(cfg)).size == size
+
+
 def test_early_stop_lands_on_first_crossing():
     cfg = _small_cfg(iters=5000, stride=100, eps_stop=1e-3, x0_radius=3.0)
     trace = run_experiment(cfg)
@@ -618,6 +641,82 @@ def test_tuned_sweep_tunes_once_per_baseline_cell(seeds, monkeypatch):
     assert [len(row.counts) for row in result.rows] == [seeds] * 4
 
 
+def _sweep_calls(monkeypatch) -> tuple[list, list]:
+    """The configs a sweep passes to ``run_experiment`` and to the step tuner.
+
+    The tuner's probe runs also call the harness's ``run_experiment``; they
+    are not counted among the runs.
+    """
+    runs: list[ExperimentConfig] = []
+    tunes: list[ExperimentConfig] = []
+    tuning = [False]
+    run, tune = harness.run_experiment, harness.tune_dsgt_step
+
+    def counting_run(cfg, schedule_override=None):
+        if not tuning[0]:
+            runs.append(cfg)
+        return run(cfg, schedule_override=schedule_override)
+
+    def counting_tune(cfg):
+        tunes.append(cfg)
+        tuning[0] = True
+        try:
+            return tune(cfg)
+        finally:
+            tuning[0] = False
+
+    monkeypatch.setattr(harness, "run_experiment", counting_run)
+    monkeypatch.setattr(harness, "tune_dsgt_step", counting_tune)
+    return runs, tunes
+
+
+def _cell_count(base: ExperimentConfig, algo: str, m: int, seed: int, eps: float) -> int | None:
+    """The count of one seed of a sweep cell, from a run of that seed's config alone."""
+    mixing = "lazy-metropolis" if algo == "assdsgt" else base.mixing
+    cfg = replace(
+        base, algo=algo, agents=m, mixing=mixing, seed=seed, eps_stop=eps,
+        stride=max(1, base.iters // 512),
+    )
+    return iterations_to_epsilon(run_experiment(cfg), eps)
+
+
+@pytest.mark.parametrize("tuning", ["matched", "tuned"])
+@pytest.mark.parametrize("mixing", ["metropolis", "lazy-metropolis"])
+def test_a_seed_free_sweep_cell_runs_once_for_every_seed(monkeypatch, mixing, tuning):
+    base = _small_cfg(iters=20000, x0_radius=3.0, mixing=mixing, dsgt_tuning=tuning, step_multiplier=64.0)
+    with monkeypatch.context() as patch:
+        runs, tunes = _sweep_calls(patch)
+        result = sweep_topology(base, (4, 8), ("dsgt",), eps=1e-3, seeds=3)
+    # One run per size, on the first seed, and one tuner call for a tuned cell.
+    assert [(cfg.agents, cfg.seed) for cfg in runs] == [(4, base.seed), (8, base.seed)]
+    tuned = [(cfg.agents, cfg.seed) for cfg in tunes]
+    assert tuned == ([] if tuning == "matched" else [(4, base.seed), (8, base.seed)])
+    # Each seed's count is the one its own run gives (a tuned run tunes on its own seed).
+    for row in result.rows:
+        assert row.counts == tuple(_cell_count(base, "dsgt", row.m, base.seed + k, 1e-3) for k in range(3))
+        assert None not in row.counts
+
+
+@pytest.mark.parametrize(
+    "algo, overrides",
+    [
+        ("ssdsgt", dict()),
+        ("assdsgt", dict()),
+        ("dsgt", dict(sigma_bar=0.5, iters=400)),
+        ("dsgt", dict(mixing="random-gossip")),
+    ],
+    ids=["ssdsgt", "assdsgt", "noisy-dsgt", "gossip-dsgt"],
+)
+def test_a_sweep_cell_that_draws_from_its_seed_runs_every_seed(monkeypatch, algo, overrides):
+    base = _small_cfg(**{**dict(iters=4000, x0_radius=3.0, step_multiplier=8.0), **overrides})
+    eps = 0.25 if base.sigma_bar > 0.0 else 1e-3
+    with monkeypatch.context() as patch:
+        runs, _ = _sweep_calls(patch)
+        (row,) = sweep_topology(base, (4,), (algo,), eps=eps, seeds=3).rows
+    assert [cfg.seed for cfg in runs] == [base.seed, base.seed + 1, base.seed + 2]
+    assert row.counts == tuple(_cell_count(base, algo, 4, base.seed + k, eps) for k in range(3))
+
+
 def test_sweep_single_size_has_no_exponent():
     base = _small_cfg(iters=4000, x0_radius=3.0)
     result = sweep_topology(base, (4,), ("ssdsgt",), eps=1e-3, seeds=1)
@@ -693,8 +792,10 @@ def test_tuned_baseline_step_reaches_target():
 
 def test_tuner_raises_when_budget_is_hopeless():
     cfg = _small_cfg(algo="dsgt", agents=8, iters=30, x0_radius=3.0, dsgt_tuning="tuned")
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as caught:
         tune_dsgt_step(replace(cfg, eps_stop=1e-12))
+    # The search gave up at the horizon.
+    assert caught.value.iteration == 30
 
 
 def test_step_tuning_on_random_gossip_names_the_mixing_field():
@@ -744,5 +845,6 @@ def test_decay_tuner_skips_divergent_candidates(monkeypatch):
     monkeypatch.setattr(harness, "_DSGT_BETA_GRID", (1.0,))
     assert sched == tune_dsgt_beta(cfg)
     monkeypatch.setattr(harness, "_DSGT_BETA_GRID", (1e200,))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as caught:
         tune_dsgt_beta(cfg)
+    assert caught.value.iteration == 200
