@@ -87,9 +87,7 @@ def _run_config(args: argparse.Namespace) -> ExperimentConfig:
     """The config file (or the defaults) with every override flag that was given."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     given = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
-    cfg = replace(cfg, **{name: value for name, value in given.items() if value is not None})
-    cfg.validate()
-    return cfg
+    return replace(cfg, **{name: value for name, value in given.items() if value is not None})
 
 
 def _check_writable(path: str | None) -> None:
@@ -205,7 +203,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_validate_mixing(args: argparse.Namespace) -> int:
     """Report the network ``run`` builds for these three flags."""
-    ExperimentConfig(topology=args.topology, agents=args.agents, mixing=args.mixing).validate()
+    # Building the config checks the three flags as a run would.
+    ExperimentConfig(topology=args.topology, agents=args.agents, mixing=args.mixing)
     net = _network(args.topology, args.agents, args.mixing)
     report: dict = {
         "topology": args.topology,

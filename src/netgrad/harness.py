@@ -2,10 +2,12 @@
 
 A run is fully described by an :class:`ExperimentConfig`: topology, mixing
 variant, algorithm, problem parameters, schedule selection, horizon, seeds,
-and recording cadence. :func:`run_experiment` executes it deterministically
-through one private ``_Run`` (which steps and then observes a chunk of
-states at a time, auditing the tracking identities as it goes) and returns
-a :class:`Trace` that can be written to a CSV file and reloaded losslessly.
+and recording cadence. A config checks every field when it is built, so a
+config that exists is valid and nothing downstream checks it again.
+:func:`run_experiment` executes it deterministically through one private
+``_Run`` (which steps and then observes a chunk of states at a time,
+auditing the tracking identities as it goes) and returns a :class:`Trace`
+that can be written to a CSV file and reloaded losslessly.
 
 Randomness is split into four independent purposes: problem generation uses
 ``problem_seed``; the run seed fans out into the snapshot coin stream, the
@@ -107,6 +109,10 @@ _DSGT_TUNINGS = ("matched", "tuned")
 class ExperimentConfig:
     """Complete description of one simulator run.
 
+    Building a config, through the constructor, ``dataclasses.replace`` or
+    :meth:`from_dict`, checks every field and raises :class:`ConfigError`
+    naming the first offending one, so an invalid config never exists.
+
     Attributes:
         topology: Graph family, one of :data:`TOPOLOGIES`.
         agents: Number of agents (perfect square for ``grid``).
@@ -163,7 +169,7 @@ class ExperimentConfig:
     label: str | None = None
     out: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise :class:`ConfigError` naming the first offending field.
 
         Every field is checked against its type hint first (see
@@ -225,7 +231,7 @@ class ExperimentConfig:
                 )
 
     def _validate_network(self) -> None:
-        """The value rules of the network and algorithm fields, in :meth:`validate`'s order."""
+        """The value rules of the network and algorithm fields, in :meth:`__post_init__`'s order."""
         _require_choice(self.topology, TOPOLOGIES, "topology")
         if self.agents < 1:
             raise ConfigError(f"needs a positive integer, got {self.agents!r}", "agents")
@@ -265,10 +271,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Build and validate a config from its JSON object.
+        """Build a config from its JSON object.
 
         A JSON list becomes a tuple and an integer in a float field a float;
-        every other value is passed on as it is, for :meth:`validate`.
+        every other value is passed on as it is, for the constructor to check.
         """
         if not isinstance(data, dict):
             raise ConfigError(f"configuration must be a JSON object, got {type(data).__name__}")
@@ -281,9 +287,7 @@ class ExperimentConfig:
             elif _is_int(value) and key in _FLOAT_FIELDS:
                 value = float(value)
             kwargs[key] = value
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
 
 def _field_type(hint: object) -> tuple[object, bool]:
@@ -409,11 +413,10 @@ def _network(topology: str, agents: int, mixing: str) -> _Network:
 
 
 def prepare_run(cfg: ExperimentConfig) -> RunSetup:
-    """Validate the config and build every run ingredient deterministically.
+    """Build every run ingredient of a config deterministically.
 
     The schedule is the config's template; :func:`run_experiment` may replace it.
     """
-    cfg.validate()
     net = _network(cfg.topology, cfg.agents, cfg.mixing)
     problem_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.problem_seed)))
     problem = make_quadratic_suite(
@@ -539,8 +542,6 @@ def _tuned_schedule(cfg: ExperimentConfig) -> Schedule | None:
     """
     if cfg.algo != "dsgt" or cfg.dsgt_tuning != "tuned":
         return None
-    # A bad config fails as prepare_run reports it, before a tuner reads it.
-    cfg.validate()
     if cfg.sigma_bar == 0.0:
         return tune_dsgt_step(cfg)
     return tune_dsgt_beta(cfg)
@@ -886,7 +887,6 @@ def tune_dsgt_beta(cfg: ExperimentConfig) -> Schedule:
         raise ConfigError(f"decay tuning applies to 'dsgt', got '{cfg.algo}'", "algo")
     if cfg.sigma_bar <= 0.0:
         raise ConfigError("the decay grid needs a noisy run", "sigma_bar")
-    cfg.validate()
     theta = _network(cfg.topology, cfg.agents, cfg.mixing).theta
 
     # No target: it would stop every candidate near it, and all would score alike.
@@ -945,7 +945,8 @@ class SweepResult:
     ``exponents[algo]`` is the least-squares slope of
     ``log(mean iterations)`` against ``log(1 / theta)`` across the swept
     sizes: how fast the iteration count grows as the network gets worse
-    connected.
+    connected. An algorithm gets no exponent unless its rows with a
+    positive mean span two distinct ``theta`` (see :data:`_SAME_THETA`).
     """
 
     eps: float
@@ -1042,12 +1043,10 @@ def sweep_topology(
             label=None,
         )
 
-    # Every cell's runs are checked before the first one starts, so a bad
-    # cell fails the sweep at once rather than after the cells before it.
+    # Building a config checks it, so every cell is built before the first
+    # run starts: a bad cell fails the sweep at once rather than after the
+    # cells before it.
     cells = [[cell_config(algo, m, k) for k in range(seeds)] for algo in algos for m in sizes]
-    for runs in cells:
-        for cfg in runs:
-            cfg.validate()
 
     rows: list[SweepRow] = []
     for runs in cells:
@@ -1065,8 +1064,16 @@ def sweep_topology(
     return SweepResult(eps=eps, rows=rows, exponents=_scaling_exponents(rows, algos))
 
 
+#: Relative spread below which a sweep's ``theta`` values are one value.
+#: Equal spectra come out of the eigensolver a few ulps apart (complete
+#: graphs of 4 and 8 agents give 1 - 2**-53 and 1 - 2**-52), and a line
+#: fitted through such points has a slope of rounding alone; the ``theta``
+#: of distinct ring sizes up to 1024 agents differ by more than 1e-3.
+_SAME_THETA = 1e-9
+
+
 def _scaling_exponents(rows: list[SweepRow], algos: tuple[str, ...]) -> dict[str, float]:
-    """The exponents of :class:`SweepResult`, for each algorithm with two rows of positive mean."""
+    """The exponents of :class:`SweepResult`, for each algorithm whose rows span two ``theta``."""
     exponents: dict[str, float] = {}
     for algo in algos:
         points = [
@@ -1074,7 +1081,8 @@ def _scaling_exponents(rows: list[SweepRow], algos: tuple[str, ...]) -> dict[str
             for row in rows
             if row.algo == algo and row.mean_iters is not None and row.mean_iters > 0
         ]
-        if len(points) >= 2:
+        thetas = [theta for theta, _ in points]
+        if thetas and not math.isclose(min(thetas), max(thetas), rel_tol=_SAME_THETA):
             log_inv_theta = np.log([1.0 / theta for theta, _ in points])
             log_iters = np.log([mean for _, mean in points])
             exponents[algo] = float(np.polyfit(log_inv_theta, log_iters, 1)[0])
@@ -1172,7 +1180,7 @@ def save_config(cfg: ExperimentConfig, path: str | os.PathLike) -> None:
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
-    """Load and validate a configuration from a UTF-8 JSON file.
+    """Load a configuration from a UTF-8 JSON file.
 
     Raises:
         ConfigError: On a missing file, JSON syntax errors (with line and

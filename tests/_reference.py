@@ -202,7 +202,8 @@ def read_trace_csv(path) -> list[IterRecord]:
 
 def validate_mixing_report(topology: str, agents: int, mixing: str) -> str:
     """The ``validate-mixing`` stdout for these flags, built from the topology calls alone."""
-    ExperimentConfig(topology=topology, agents=agents, mixing=mixing).validate()
+    # Building the config raises the command's ConfigError for bad flags.
+    ExperimentConfig(topology=topology, agents=agents, mixing=mixing)
     graph = build_graph(topology, agents)
     report: dict = {"topology": topology, "agents": agents, "mixing": mixing, "edges": len(graph.edges)}
     if mixing == "random-gossip":

@@ -1,22 +1,25 @@
 """A run at the edges of the config space ends in one of three ways.
 
-``run_experiment`` on any config either returns a summary whose numbers
-are all finite, raises :class:`ConfigError` naming a field, or raises
-:class:`InvariantViolation` naming an iteration; never another exception,
-and never a numpy warning (the test suite turns a ``RuntimeWarning`` into
-an error). Each field is drawn from a few values: usually its default, its
+Building a config from any fields and running it either returns a summary
+whose numbers are all finite, raises :class:`ConfigError` naming a field,
+or raises :class:`InvariantViolation` naming an iteration; never another
+exception, and never a numpy warning (the test suite turns a
+``RuntimeWarning`` into an error). Each field is drawn from a few values: usually its default, its
 smallest allowed value, and values near the ends of the float range. ``L``
 is drawn as a multiple of ``mu``, so both sides of the conditioning bound
 come up, and sizes and mixings fit their topology and algorithm, so that
-validation does not reject most draws for those alone.
+the config does not reject most draws for those alone.
 
-Examples are drawn with ``derandomize=True``, so a failure reproduces.
+Examples are drawn with ``derandomize=True``, so a failure reproduces,
+and the suite's warning filters let a failing property print its example.
 """
 
 from __future__ import annotations
 
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from netgrad.errors import ConfigError, InvariantViolation
 from netgrad.harness import MIXINGS, ExperimentConfig, prepare_run, run_experiment
 
 HUGE = sys.float_info.max
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: Edge values of each field but ``topology``, ``agents``, ``mixing`` and
 #: ``L``, which :func:`edge_configs` draws to fit one another.
@@ -56,13 +60,14 @@ SIZES = {"ring": (1, 2, 16), "grid": (1, 4, 9), "star": (1, 2, 16), "complete": 
 
 
 @st.composite
-def edge_configs(draw) -> ExperimentConfig:
+def edge_configs(draw) -> dict:
+    """The keyword arguments of one edge config; building it may raise."""
     fields = draw(st.fixed_dictionaries({name: st.sampled_from(values) for name, values in EDGES.items()}))
     topology = draw(st.sampled_from(sorted(SIZES)))
     mixing = "lazy-metropolis" if fields["algo"] == "assdsgt" else draw(st.sampled_from(MIXINGS))
     # A gossip draw needs an edge.
     sizes = [m for m in SIZES[topology] if mixing != "random-gossip" or m >= 2]
-    return ExperimentConfig(
+    return dict(
         topology=topology,
         agents=draw(st.sampled_from(sizes)),
         mixing=mixing,
@@ -80,10 +85,10 @@ def _numbers(value) -> list[float]:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
-@given(cfg=edge_configs())
-def test_a_run_at_the_edges_ends_finite_or_names_its_field_or_iteration(cfg):
+@given(kwargs=edge_configs())
+def test_a_run_at_the_edges_ends_finite_or_names_its_field_or_iteration(kwargs):
     try:
-        summary = run_experiment(cfg).summary
+        summary = run_experiment(ExperimentConfig(**kwargs)).summary
     except ConfigError as exc:
         assert exc.field is not None, str(exc)
     except InvariantViolation as exc:
@@ -117,3 +122,21 @@ def test_a_large_L_problem_runs(d):
     for mu in (1.0, 1e8):
         summary = run_experiment(ExperimentConfig(d=d, mu=mu, L=1e8, iters=5)).summary
         assert all(map(math.isfinite, _numbers(summary)))
+
+
+def test_a_failing_property_prints_its_falsifying_example(tmp_path):
+    # Hypothesis imports libcst to report a failure, and that import warns
+    # with a DeprecationWarning the suite's filters must let through.
+    (tmp_path / "test_one.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n",
+        encoding="utf-8",
+    )
+    command = [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider", "test_one.py"]
+    done = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "Falsifying example" in done.stdout, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.returncode == 1

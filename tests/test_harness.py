@@ -55,6 +55,16 @@ def _small_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+#: The three ways to build a config: the constructor, ``replace`` of a valid
+#: config and ``from_dict`` of its JSON object, each given ``_small_cfg``'s
+#: fields with ``overrides``.
+BUILDS = {
+    "constructor": lambda overrides: _small_cfg(**overrides),
+    "replace": lambda overrides: replace(_small_cfg(), **overrides),
+    "from_dict": lambda overrides: ExperimentConfig.from_dict({**_small_cfg().to_dict(), **overrides}),
+}
+
+
 #: A value of the wrong type for each field kind (a bool is not a number),
 #: with a value of the right type in its place.
 MISTYPED = [
@@ -69,6 +79,7 @@ MISTYPED = [
 ]
 
 
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
 @pytest.mark.parametrize(
     "overrides, field",
     [
@@ -115,10 +126,9 @@ MISTYPED = [
         *((dict([(name, wrong)]), name) for name, wrong, _ in MISTYPED),
     ],
 )
-def test_validate_names_the_offending_field(overrides, field):
-    cfg = _small_cfg(**overrides)
+def test_validate_names_the_offending_field(build, overrides, field):
     with pytest.raises(ConfigError) as excinfo:
-        cfg.validate()
+        build(overrides)
     assert excinfo.value.field == field
 
 
@@ -132,7 +142,7 @@ def test_validate_names_the_offending_field(overrides, field):
     ],
 )
 def test_gossip_configs_the_tuners_can_serve_validate(overrides):
-    _small_cfg(**overrides).validate()
+    _small_cfg(**overrides)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -145,10 +155,9 @@ def test_an_overflowing_start_fails_at_iteration_zero_without_numpy_warnings():
 
 
 def test_momentum_requires_lazy_mixing():
-    cfg = _small_cfg(algo="assdsgt", mixing="lazy-metropolis")
-    cfg.validate()
+    _small_cfg(algo="assdsgt", mixing="lazy-metropolis")
     with pytest.raises(ConfigError):
-        _small_cfg(algo="assdsgt", mixing="random-gossip").validate()
+        _small_cfg(algo="assdsgt", mixing="random-gossip")
 
 
 def test_config_dict_round_trip():
@@ -164,15 +173,14 @@ def test_config_dict_round_trip():
 
 @pytest.mark.parametrize("name, wrong, right", MISTYPED)
 def test_validate_and_the_config_sidecar_agree_on_field_types(tmp_path, name, wrong, right):
-    # What validate accepts, save_config writes and load_config reads back
-    # equal; what it rejects, load_config and run_experiment reject too,
-    # naming the same field.
+    # What the constructor accepts, save_config writes and load_config reads
+    # back equal; what it rejects, load_config rejects too when a sidecar
+    # holds it, naming the same field.
     path = tmp_path / "config.json"
     cfg = _small_cfg(**{name: right})
-    cfg.validate()
     save_config(cfg, path)
     assert load_config(path) == cfg
-    save_config(_small_cfg(**{name: wrong}), path)
+    path.write_text(json.dumps({**cfg.to_dict(), name: wrong}), encoding="utf-8")
     for load in (lambda: load_config(path), lambda: run_experiment(_small_cfg(**{name: wrong}))):
         with pytest.raises(ConfigError) as excinfo:
             load()
@@ -215,15 +223,13 @@ def test_from_dict_rejects_wrong_types_and_unknown_keys():
 def test_checkpoints_given_as_a_list_are_rejected_before_the_config_is_used():
     # A list would make the config unhashable and unequal to the copy that
     # save_config and load_config give back, whose checkpoints are a tuple.
-    cfg = _small_cfg(avg_checkpoints=[3])
     with pytest.raises(ConfigError) as info:
-        cfg.validate()
+        _small_cfg(avg_checkpoints=[3])
     assert info.value.field == "avg_checkpoints"
     assert "tuple" in str(info.value)
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
     fixed = _small_cfg(avg_checkpoints=(3,))
-    fixed.validate()
+    with pytest.raises(ConfigError):
+        run_experiment(replace(fixed, avg_checkpoints=[3]))
     assert hash(fixed) == hash(_small_cfg(avg_checkpoints=(3,)))
 
 
@@ -722,6 +728,27 @@ def test_sweep_single_size_has_no_exponent():
     result = sweep_topology(base, (4,), ("ssdsgt",), eps=1e-3, seeds=1)
     assert result.exponents == {}
     assert len(result.rows) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "topology, sizes, algo",
+    [
+        # Equal spectra that the eigensolver returns a few ulps apart.
+        ("complete", (4, 8), "ssdsgt"),
+        ("complete", (3, 5), "assdsgt"),
+        # theta = 1 at both sizes, so log(1 / theta) is 0 for every row.
+        ("ring", (1, 2), "ssdsgt"),
+        ("star", (4, 4), "ssdsgt"),
+    ],
+)
+def test_a_sweep_whose_rows_share_one_theta_has_no_exponent(topology, sizes, algo):
+    base = ExperimentConfig(topology=topology, iters=20000)
+    result = sweep_topology(base, sizes, (algo,), eps=1e-3, seeds=1)
+    first, second = (row.theta for row in result.rows)
+    assert first == pytest.approx(second, rel=1e-12)
+    assert result.exponents == {}
+    assert "exponent" not in result.format_table()
 
 
 def test_sweep_rejects_bad_arguments():
