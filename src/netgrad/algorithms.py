@@ -232,14 +232,14 @@ class SsState:
     operator, two for the augmented operator (the working block on top of
     the trailing block). The working iterate is ``x[:m]``. ``q`` is the
     snapshot point and ``g_snap`` the stored gradient realization taken at
-    ``q`` when the coin last fired (iteration ``tau``). ``dsgt`` re-takes
-    its snapshot at every iterate: it passes ``q=None``, which makes ``q``
-    the view ``x`` itself, ``g_snap`` holds the gradients sampled there and
-    ``tau == t``. ``grads`` holds the ``(m, d)`` gradient rows the step that
-    made the state sampled: the fresh rows of a snapshot step, the new
-    snapshot rows of a ``dsgt`` step, and the snapshot rows at a run's
-    start. ``last_zeta`` is that step's coin; its step size is the
-    caller's, which passed it to the step.
+    ``q`` when the coin last fired. ``dsgt`` re-takes its snapshot at every
+    iterate: it passes ``q=None``, which makes ``q`` the view ``x`` itself,
+    and ``g_snap`` holds the gradients sampled there. ``grads`` holds the
+    ``(m, d)`` gradient rows the step that made the state sampled: the
+    fresh rows of a snapshot step, the new snapshot rows of a ``dsgt``
+    step, and the snapshot rows at a run's start. ``last_zeta`` is that
+    step's coin; its step size is the caller's, which passed it to the
+    step.
 
     A state is a slot of a buffer (see :class:`StateBuffer`): its ``xs`` and
     ``grads`` are views fixed when the slot is built, and ``successor`` is
@@ -258,7 +258,6 @@ class SsState:
     xs: np.ndarray
     q: np.ndarray | None
     g_snap: np.ndarray
-    tau: int
     t: int
     last_zeta: int = 0
     grads: np.ndarray | None = field(default=None, repr=False)
@@ -323,7 +322,7 @@ class _Scratch:
 
 def _slot(xs: np.ndarray, grads: np.ndarray, scratch: _Scratch) -> SsState:
     """A blank state whose ``xs`` and ``grads`` are the given arrays."""
-    return SsState(xs=xs, q=None, g_snap=grads, tau=0, t=0, grads=grads, scratch=scratch)
+    return SsState(xs=xs, q=None, g_snap=grads, t=0, grads=grads, scratch=scratch)
 
 
 def _successor(state: SsState, op: Operator) -> SsState:
@@ -370,7 +369,7 @@ class StateBuffer:
         self.grads[0] = state.g_snap
         first.q = first.x if self.dsgt else state.q
         first.g_snap = first.grads if self.dsgt else state.g_snap
-        first.tau, first.t, first.last_zeta = state.tau, state.t, state.last_zeta
+        first.t, first.last_zeta = state.t, state.last_zeta
         scratch = first.scratch
         if scratch.carried is state.xs:
             scratch.carried = first.xs
@@ -460,7 +459,7 @@ def init_state(
     x = _start_rows(problem, x0)
     g0 = _sampled_gradients(problem, x, streams, np.empty(x.shape))
     blocks = 2 if algo == "assdsgt" else 1
-    return SsState(xs=np.tile(np.stack([x, g0]), (1, blocks, 1)), q=x, g_snap=g0, tau=0, t=0)
+    return SsState(xs=np.tile(np.stack([x, g0]), (1, blocks, 1)), q=x, g_snap=g0, t=0)
 
 
 def _add_to_blocks(stack: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -535,12 +534,10 @@ def ssdsgt_step(
         _add_to_blocks(new.s, correction, new.s)
         new.q = top.copy()
         new.g_snap = g_x.copy()
-        new.tau = state.t
         scratch.carried = None
     else:
         new.q = state.q
         new.g_snap = state.g_snap
-        new.tau = state.tau
     new.t = state.t + 1
     new.last_zeta = zeta
     return new
@@ -584,7 +581,7 @@ def dsgt_step(
     new.s += np.subtract(g_new, state.g_snap, scratch.correction)
     new.q = new.x
     new.g_snap = g_new
-    new.tau = new.t = state.t + 1
+    new.t = state.t + 1
     new.last_zeta = 0
     return new
 
@@ -656,6 +653,10 @@ def _python_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
+#: The identities :func:`audit_identities` checks, in the order of its columns.
+_AUDITED = ("mean_dynamics", "block_sum_x", "block_sum_s", "tracker_mean")
+
+
 def audit_identities(
     means: np.ndarray,
     grads: np.ndarray,
@@ -678,8 +679,7 @@ def audit_identities(
 
     The result is a pair of ``(K, 4)`` arrays, ``errors`` and ``scales``,
     for the audited slots (``K = n + 1`` at a start, ``n`` otherwise), with
-    one column per identity in the order ``mean_dynamics``,
-    ``block_sum_x``, ``block_sum_s``, ``tracker_mean``: ``error`` is the
+    one column per identity in :data:`_AUDITED` order: ``error`` is the
     Euclidean size of the violated identity and ``scale`` the magnitude it
     should be compared against, and both are zero where an identity does
     not apply. Callers normalize against a running maximum of the scale so

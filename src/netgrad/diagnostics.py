@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,20 +31,6 @@ __all__ = [
     "snapshot_gradient_distance",
     "record_iteration",
 ]
-
-#: Fixed column order of trace files.
-CSV_COLUMNS: tuple[str, ...] = (
-    "t",
-    "eta",
-    "zeta",
-    "consensus_x",
-    "consensus_s",
-    "snap_grad_dist",
-    "psi",
-    "mean_dist",
-    "subopt",
-)
-
 
 @dataclass(frozen=True)
 class IterRecord:
@@ -83,6 +69,10 @@ class IterRecord:
             raise ValueError(f"zeta must be 0 or 1, got {self.zeta}")
 
 
+#: Fixed column order of trace files: the fields of :class:`IterRecord` but ``wavg_subopt``.
+CSV_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(IterRecord) if f.name != "wavg_subopt")
+
+
 def snapshot_gradient_distance(problem: QuadraticProblem, q: np.ndarray) -> float:
     """Squared distance between exact gradients at ``q`` and at the minimizer.
 
@@ -111,22 +101,21 @@ def _psi(cx: float, cs: float, dist: float, eta: float, theta: float, L: float) 
     return cx + (4.0 * eta * eta / (theta * theta)) * cs + (2.0 * eta / (L * theta)) * dist
 
 
-def _psi_tilde(
-    cx: float, cs: float, dist: float, eta: float, theta_tilde: float, alpha: float
-) -> float:
+def _psi_tilde(cx: float, cs: float, dist: float, eta: float, theta_tilde: float) -> float:
     """Lyapunov combination for the momentum-augmented (two-block) iteration.
 
     ``|P x|^2 + (12 alpha eta^2 / theta_tilde^2) |P s|^2 +
     (16 (1 + 8 alpha) eta^2 / theta_tilde^2) |grad at snapshot - grad at
     minimizer|^2``, from the three squared terms ``cx``, ``cs`` and
     ``dist``, where the projections act blockwise on the stacked state and
-    ``alpha`` is the envelope constant of the augmented mixing chain.
+    ``alpha`` is :data:`~netgrad.topology.MOMENTUM_ENVELOPE`, the envelope
+    constant of the augmented mixing chain.
     """
     tt2 = theta_tilde * theta_tilde
     return (
         cx
-        + (12.0 * alpha * eta * eta / tt2) * cs
-        + (16.0 * (1.0 + 8.0 * alpha) * eta * eta / tt2) * dist
+        + (12.0 * MOMENTUM_ENVELOPE * eta * eta / tt2) * cs
+        + (16.0 * (1.0 + 8.0 * MOMENTUM_ENVELOPE) * eta * eta / tt2) * dist
     )
 
 
@@ -250,7 +239,7 @@ def record_iteration(
     else:
         cx = squares[0] + squares[1]
         cs = squares[2] + squares[3]
-        psi = _psi_tilde(cx, cs, dist, eta, theta, MOMENTUM_ENVELOPE)
+        psi = _psi_tilde(cx, cs, dist, eta, theta)
     delta = means[-2 * blocks] - problem.x_star
     return IterRecord(
         t=state.t,

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import (
+    _AUDITED,
     ALGORITHMS,
     Schedule,
     StateBuffer,
@@ -439,10 +440,6 @@ def prepare_run(cfg: ExperimentConfig) -> RunSetup:
     )
 
 
-#: Every identity a run audits (see :func:`~netgrad.algorithms.audit_identities`).
-_AUDITED = ("mean_dynamics", "block_sum_x", "block_sum_s", "tracker_mean")
-
-
 class _AuditTracker:
     """Normalizes identity residuals against running scale maxima, a chunk at a time.
 
@@ -805,7 +802,8 @@ def tune_dsgt_step(cfg: ExperimentConfig) -> Schedule:
             its ``eps_stop`` is the suboptimality target, ``1e-6`` if unset.
 
     Returns:
-        A constant :class:`Schedule` with the winning step size.
+        The run's template :class:`Schedule` (see :func:`prepare_run`), made
+        constant at the winning step size.
     """
     if cfg.algo != "dsgt":
         raise ConfigError(f"step tuning applies to 'dsgt', got '{cfg.algo}'", "algo")
@@ -826,7 +824,8 @@ def tune_dsgt_step(cfg: ExperimentConfig) -> Schedule:
     for _ in range(40):
         radius = _dsgt_system_radius(setup, eta)
         if radius < 1.0 - 1e-12:
-            margin = -math.log(radius)
+            # A zero radius (one agent at eta = 1 / L) settles in one step.
+            margin = -math.log(radius) if radius > 0.0 else math.inf
             budget = min(cfg.iters, max(1000, int(80.0 / margin)))
             probe_cfg = replace(
                 cfg,
@@ -835,7 +834,9 @@ def tune_dsgt_step(cfg: ExperimentConfig) -> Schedule:
                 eps_stop=target,
                 avg_checkpoints=(),
             )
-            trace = run_experiment(probe_cfg, schedule_override=_constant_dsgt_schedule(cfg, eta))
+            trace = run_experiment(
+                probe_cfg, schedule_override=replace(setup.sched, mode="constant", eta0=eta, beta=None)
+            )
             count = iterations_to_epsilon(trace, target)
             if count is not None:
                 if best_count is None or count < best_count:
@@ -852,19 +853,7 @@ def tune_dsgt_step(cfg: ExperimentConfig) -> Schedule:
             f"within {cfg.iters} iterations",
             iteration=cfg.iters,
         )
-    return _constant_dsgt_schedule(cfg, best_eta)
-
-
-def _constant_dsgt_schedule(cfg: ExperimentConfig, eta: float) -> Schedule:
-    return Schedule(
-        algo="dsgt",
-        mode="constant",
-        p=0.0,
-        L=cfg.L,
-        mu=cfg.mu,
-        theta=1.0,
-        eta0=eta,
-    )
+    return replace(setup.sched, mode="constant", eta0=best_eta, beta=None)
 
 
 #: Multipliers on the matched template ``beta`` that :func:`tune_dsgt_beta` tries.
@@ -893,7 +882,7 @@ def tune_dsgt_beta(cfg: ExperimentConfig) -> Schedule:
     probe_cfg = replace(cfg, stride=max(1, cfg.iters // 50), eps_stop=None, avg_checkpoints=())
     best: tuple[float, Schedule] | None = None
     for multiplier in _DSGT_BETA_GRID:
-        candidate = theory_schedule("dsgt", "decaying", theta, cfg.L, cfg.mu, multiplier=multiplier)
+        candidate = theory_schedule(cfg.algo, "decaying", theta, cfg.L, cfg.mu, multiplier=multiplier)
         try:
             trace = run_experiment(probe_cfg, schedule_override=candidate)
         except InvariantViolation:

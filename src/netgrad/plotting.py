@@ -16,7 +16,7 @@ from xml.sax.saxutils import escape
 from .diagnostics import IterRecord
 from .harness import Trace, _write_text
 
-__all__ = ["emit_plot", "trace_label"]
+__all__ = ["emit_plot"]
 
 _PALETTE = (
     "#1f77b4",
@@ -38,7 +38,7 @@ _TOP = 56
 _FLOOR = 1e-300
 
 
-def trace_label(trace: Trace) -> str:
+def _trace_label(trace: Trace) -> str:
     """Display label for a trace: the configured label or a compact summary."""
     label = trace.config.get("label")
     if label:
@@ -154,7 +154,7 @@ def emit_plot(traces: list[Trace], path: str | os.PathLike) -> None:
         if not trace.records:
             raise ValueError("cannot plot a trace with no records")
 
-    labels = [trace_label(t) for t in traces]
+    labels = [_trace_label(t) for t in traces]
     subopt = [_series(t.records, "subopt") for t in traces]
     consensus = [_series(t.records, "consensus_x") for t in traces]
 

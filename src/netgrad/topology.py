@@ -319,7 +319,7 @@ def _gap_from_spectrum(evals: np.ndarray) -> tuple[float, float]:
         return 0.0, 1.0
     rest = evals[:-1]
     lambda2 = float(np.max(np.abs(rest)))
-    lambda2 = min(max(lambda2, 0.0), 1.0)
+    lambda2 = min(lambda2, 1.0)
     theta = 1.0 - lambda2
     return lambda2, theta
 
@@ -400,7 +400,7 @@ def gossip_contraction(graph: Graph) -> tuple[float, float]:
     np.subtract.at(mean_w, (ends, ends), scale)
     evals = _symmetric_spectrum(mean_w)
     lambda2_mean, _ = _gap_from_spectrum(evals)
-    lambda2_eff = math.sqrt(max(lambda2_mean, 0.0))
+    lambda2_eff = math.sqrt(lambda2_mean)
     theta_eff = 1.0 - lambda2_eff
     if theta_eff <= 0.0:
         raise ValueError("gossip family does not contract on this graph")

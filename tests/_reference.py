@@ -60,7 +60,6 @@ class ReferenceState:
     xs: np.ndarray
     q: np.ndarray
     g_snap: np.ndarray
-    tau: int
     t: int
     last_zeta: int = 0
 
@@ -115,7 +114,7 @@ def reference_init(problem: QuadraticProblem, x0: np.ndarray, algo: str, streams
     x = np.tile(np.asarray(x0, dtype=np.float64), (problem.m, 1))
     g0 = _gradients(problem, x, streams)
     blocks = 2 if algo == "assdsgt" else 1
-    return ReferenceState(xs=np.tile(np.stack([x, g0]), (1, blocks, 1)), q=x, g_snap=g0, tau=0, t=0)
+    return ReferenceState(xs=np.tile(np.stack([x, g0]), (1, blocks, 1)), q=x, g_snap=g0, t=0)
 
 
 def reference_ssdsgt_step(
@@ -136,11 +135,11 @@ def reference_ssdsgt_step(
     np.subtract(x, descent, out=descent)
     xs_new = reference_apply(op, mixing)
     if not zeta:
-        return ReferenceState(xs_new, state.q, state.g_snap, state.tau, state.t + 1, 0)
+        return ReferenceState(xs_new, state.q, state.g_snap, state.t + 1, 0)
     s_new = xs_new[1]
     for b in range(state.blocks):
         s_new[b * m : (b + 1) * m] += correction
-    return ReferenceState(xs_new, x[:m].copy(), g_x, state.t, state.t + 1, 1)
+    return ReferenceState(xs_new, x[:m].copy(), g_x, state.t + 1, 1)
 
 
 def reference_dsgt_step(
@@ -152,7 +151,7 @@ def reference_dsgt_step(
     xs_new = reference_apply(op, mixing)
     g_new = _gradients(problem, xs_new[0], streams)
     xs_new[1] += g_new - state.g_snap
-    return ReferenceState(xs_new, xs_new[0], g_new, state.t + 1, state.t + 1, 0)
+    return ReferenceState(xs_new, xs_new[0], g_new, state.t + 1, 0)
 
 
 REFERENCE_STEPS = {"dsgt": reference_dsgt_step, "ssdsgt": reference_ssdsgt_step, "assdsgt": reference_ssdsgt_step}
@@ -161,7 +160,7 @@ REFERENCE_STEPS = {"dsgt": reference_dsgt_step, "ssdsgt": reference_ssdsgt_step,
 def state_mismatches(got, want: ReferenceState) -> list[str]:
     """The fields of a package state that differ from a reference state, bits included."""
     bad = [name for name in ("xs", "q", "g_snap") if getattr(got, name).tobytes() != getattr(want, name).tobytes()]
-    bad += [name for name in ("tau", "t", "last_zeta") if getattr(got, name) != getattr(want, name)]
+    bad += [name for name in ("t", "last_zeta") if getattr(got, name) != getattr(want, name)]
     return bad
 
 

@@ -212,7 +212,7 @@ def test_baseline_tracker_mean_follows_last_gradients():
         assert _max_audit_ratio(state) <= 1e-9
         assert np.allclose(state.s.mean(axis=0), state.g_snap.mean(axis=0), atol=1e-12)
         # the snapshot is re-taken at every iterate
-        assert state.q is state.x and state.tau == state.t
+        assert state.q is state.x
 
 
 def test_zero_momentum_step_equals_snapshot_step_bitwise():
@@ -233,7 +233,6 @@ def test_zero_momentum_step_equals_snapshot_step_bitwise():
         assert np.array_equal(aug_state.x_aug[:6], ss_state.x)
         assert np.array_equal(aug_state.s_aug[:6], ss_state.s)
         assert np.array_equal(aug_state.g_snap, ss_state.g_snap)
-        assert aug_state.tau == ss_state.tau
 
 
 def test_never_refresh_keeps_snapshot_frozen():
@@ -247,7 +246,6 @@ def test_never_refresh_keeps_snapshot_frozen():
     frozen = state.g_snap.copy()
     for _ in range(25):
         state = ssdsgt_step(state, problem, w, sched, streams)
-        assert state.tau == 0
         assert state.last_zeta == 0
         assert np.array_equal(state.g_snap, frozen)
 
@@ -264,7 +262,6 @@ def test_always_refresh_advances_snapshot_clock():
         previous_x = state.x.copy()
         state = ssdsgt_step(state, problem, w, sched, streams)
         assert state.last_zeta == 1
-        assert state.tau == state.t - 1
         assert np.array_equal(state.q, previous_x)
 
 

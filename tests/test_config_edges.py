@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netgrad.algorithms import ALGORITHMS
@@ -86,6 +86,8 @@ def _numbers(value) -> list[float]:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(kwargs=edge_configs())
+# The halving search's first step, 1 / L, makes the one-agent system radius exactly 0.
+@example(kwargs=dict(agents=1, algo="dsgt", dsgt_tuning="tuned", L=1e10, mu=1e10, d=1))
 def test_a_run_at_the_edges_ends_finite_or_names_its_field_or_iteration(kwargs):
     try:
         summary = run_experiment(ExperimentConfig(**kwargs)).summary

@@ -101,7 +101,6 @@ def test_lyapunov_psi_hand_assembly():
         xs=np.stack([np.array([[1.0], [3.0]]), np.array([[1.0], [3.0]])]),
         q=np.array([[1.0], [2.0]]),
         g_snap=state.g_snap,
-        tau=0,
         t=0,
         last_zeta=0,
     )
@@ -117,7 +116,6 @@ def test_lyapunov_psi_tilde_hand_assembly():
         xs=np.stack([np.array([[1.0], [3.0], [0.0], [0.0]]), np.array([[2.0], [2.0], [1.0], [3.0]])]),
         q=np.array([[1.0], [2.0]]),
         g_snap=state.g_snap,
-        tau=0,
         t=0,
         last_zeta=0,
     )

@@ -201,7 +201,6 @@ def _state(m: int, d: int, blocks: int, scale: float, rng: np.random.Generator) 
         xs=xs,
         q=scale * rng.standard_normal((m, d)),
         g_snap=scale * rng.standard_normal((m, d)),
-        tau=0,
         t=1,
     )
 

@@ -817,6 +817,15 @@ def test_tuned_baseline_step_reaches_target():
     assert trace.summary["stopped_early"]
 
 
+@pytest.mark.parametrize("schedule", ["auto", "decaying"])
+def test_tuned_step_is_the_run_template_made_constant(schedule):
+    cfg = _small_cfg(
+        algo="dsgt", iters=3000, x0_radius=3.0, dsgt_tuning="tuned", eps_stop=1e-5, schedule=schedule
+    )
+    sched = tune_dsgt_step(cfg)
+    assert sched == replace(prepare_run(cfg).sched, mode="constant", eta0=sched.eta0, beta=None)
+
+
 def test_tuner_raises_when_budget_is_hopeless():
     cfg = _small_cfg(algo="dsgt", agents=8, iters=30, x0_radius=3.0, dsgt_tuning="tuned")
     with pytest.raises(InvariantViolation) as caught:

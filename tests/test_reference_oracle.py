@@ -9,8 +9,8 @@ theta_tilde of the momentum chain) and the schedule. It draws its coins,
 gossip edges and gradient noise from a fresh :class:`StreamBundle` of the
 run's seed one call at a time, in the order the equations consume them.
 
-The states are compared too: every iteration's ``x``, ``s``, ``q`` and
-``tau``, taken from the run through the step name the harness looks up.
+The states are compared too: every iteration's ``x``, ``s`` and ``q``,
+taken from the run through the step name the harness looks up.
 
 With ``w`` the mixing weights, ``eta`` the step at iteration ``t``,
 ``g_i`` a fresh gradient sample of agent ``i`` and ``h_i`` the stored one:
@@ -67,7 +67,6 @@ class _State:
     s: list
     q: list  # m snapshot points
     h: list  # m stored gradient samples
-    tau: int  # iteration of the last snapshot
 
 
 class _Reference:
@@ -140,10 +139,9 @@ class _Reference:
             s=[[row[:] for row in h] for _ in range(blocks)],
             q=x,
             h=h,
-            tau=0,
         )
 
-    def step(self, st: _State, t: int, eta: float) -> tuple[_State, int]:
+    def step(self, st: _State, eta: float) -> tuple[_State, int]:
         w = self.weights()
         if self.algo == "dsgt":
             y = [[[a - eta * b for a, b in zip(xr, sr)] for xr, sr in zip(st.x[0], st.s[0])]]
@@ -151,7 +149,7 @@ class _Reference:
             (s,) = self.mix(w, st.s)
             g = [self.sample(i, x[i]) for i in range(self.m)]
             s = [[a + (b - c) for a, b, c in zip(sr, gr, hr)] for sr, gr, hr in zip(s, g, st.h)]
-            return _State(x=[x], s=[s], q=x, h=g, tau=t + 1), 0
+            return _State(x=[x], s=[s], q=x, h=g), 0
         zeta = 1 if self.coin.random() < self.p else 0
         top = st.x[0]
         g = [self.sample(i, top[i]) for i in range(self.m)]
@@ -163,9 +161,9 @@ class _Reference:
         x = self.mix(w, y)
         s = self.mix(w, st.s)
         if not zeta:
-            return _State(x=x, s=s, q=st.q, h=st.h, tau=st.tau), 0
+            return _State(x=x, s=s, q=st.q, h=st.h), 0
         s = [[[a + c for a, c in zip(sr, cr)] for sr, cr in zip(sb, corr)] for sb in s]
-        return _State(x=x, s=s, q=[row[:] for row in top], h=g, tau=t), 1
+        return _State(x=x, s=s, q=[row[:] for row in top], h=g), 1
 
     def consensus(self, block: list) -> float:
         mean = [sum(row[k] for row in block) / self.m for k in range(self.d)]
@@ -207,7 +205,7 @@ class _Reference:
         st = self.start()
         rows, states = [self.row(0, st, self.eta(0), 0)], [st]
         for t in range(iters):
-            st, zeta = self.step(st, t, self.eta(t))
+            st, zeta = self.step(st, self.eta(t))
             rows.append(self.row(t + 1, st, self.eta(t + 1), zeta))
             states.append(st)
         return rows, states
@@ -251,7 +249,7 @@ def test_every_recorded_column_matches_the_per_agent_reference(algo, mixing, m, 
 
 
 def _run_capturing_states(monkeypatch, cfg: ExperimentConfig) -> dict[int, tuple]:
-    """Run ``cfg`` and keep a copy of ``x``, ``s``, ``q`` and ``tau`` of every state, by ``t``.
+    """Run ``cfg`` and keep a copy of ``x``, ``s`` and ``q`` of every state, by ``t``.
 
     The start comes through ``init_state`` and every later state through the
     step name, both looked up on the harness per run. A step writes into a
@@ -260,7 +258,7 @@ def _run_capturing_states(monkeypatch, cfg: ExperimentConfig) -> dict[int, tuple
     seen: dict[int, tuple] = {}
 
     def capture(state):
-        seen[state.t] = (state.x.copy(), state.s.copy(), state.q.copy(), state.tau)
+        seen[state.t] = (state.x.copy(), state.s.copy(), state.q.copy())
         return state
 
     name = f"{cfg.algo}_step"
@@ -287,8 +285,7 @@ def test_every_state_matches_the_per_agent_reference(monkeypatch, algo, mixing, 
     _, states = _Reference(cfg).run(ITERS)
     assert sorted(seen) == list(range(ITERS + 1))
     for t, st in enumerate(states):
-        x, s, q, tau = seen[t]
-        assert tau == st.tau, t
+        x, s, q = seen[t]
         assert _within(x, st.x), (t, "x")
         assert _within(s, st.s), (t, "s")
         assert _within(q, st.q), (t, "q")

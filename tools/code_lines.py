@@ -1,0 +1,67 @@
+"""Count the code lines of Python modules.
+
+A code line is a non-blank line that holds more than a comment and is not
+part of a module, class or function docstring. Run::
+
+    python tools/code_lines.py src/netgrad
+
+to print the count of every module under the given files or directories
+and their total.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+#: Tokens that are not code by themselves.
+_LAYOUT = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENCODING,
+    tokenize.ENDMARKER,
+}
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in ``source``."""
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _LAYOUT:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(lines)
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python tools/code_lines.py PATH [PATH ...]", file=sys.stderr)
+        return 2
+    files = []
+    for arg in map(Path, argv):
+        files += sorted(arg.rglob("*.py")) if arg.is_dir() else [arg]
+    total = 0
+    for path in files:
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d}  {path}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
