@@ -130,16 +130,14 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm tag '{self.algo}'")
-        if self.mode == "constant":
-            if self.eta0 is None or self.eta0 <= 0.0:
-                raise ValueError("constant schedule needs a positive eta0")
-        elif self.mode == "decaying":
-            if self.beta is None or self.beta <= 0.0:
-                raise ValueError("decaying schedule needs a positive beta")
-            if self.mu <= 0.0:
-                raise ValueError("decaying schedule needs mu > 0")
-        else:
+        if not (0.0 < self.mu <= self.L < np.inf):
+            raise ValueError(f"need 0 < mu <= L < inf, got mu={self.mu}, L={self.L}")
+        if self.mode not in ("constant", "decaying"):
             raise ValueError(f"unknown schedule mode '{self.mode}'")
+        name = "eta0" if self.mode == "constant" else "beta"
+        value = getattr(self, name)
+        if value is None or not (0.0 < value < np.inf):
+            raise ValueError(f"{self.mode} schedule needs a finite positive {name}, got {value}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"snapshot probability must lie in [0, 1], got {self.p}")
 
@@ -176,7 +174,8 @@ def theory_schedule(
 
     Raises:
         ConfigError: On field ``step_multiplier`` when the template's step
-            (``eta0``) or decay scale (``beta``) underflows to 0.
+            (``eta0``) or decay scale (``beta``) underflows to 0 or
+            overflows to infinity.
     """
     if multiplier <= 0.0:
         raise ValueError(f"step multiplier must be positive, got {multiplier}")
@@ -198,9 +197,10 @@ def theory_schedule(
     else:
         step = {"beta": multiplier * scale / divisors[1]}
     ((name, value),) = step.items()
-    if not value > 0.0:
+    if not (0.0 < value < np.inf):
         raise ConfigError(
-            f"the template {name} underflows to 0 (multiplier {multiplier:g}, L={L:g})", "step_multiplier"
+            f"the template {name} is {value:g}, outside (0, inf) (multiplier {multiplier:g}, L={L:g})",
+            "step_multiplier",
         )
     return Schedule(algo=algo, mode=mode, p=p, L=L, mu=mu, theta=theta, **step)
 

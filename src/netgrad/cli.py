@@ -191,10 +191,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     for path in args.traces:
         records = read_trace(path)
         sidecar = Path(str(path) + ".config.json")
-        if sidecar.exists():
-            config = load_config(sidecar).to_dict()
-        else:
-            config = {"label": Path(path).stem}
+        config = load_config(sidecar) if sidecar.exists() else ExperimentConfig(label=Path(path).stem)
         traces.append(Trace(config=config, records=records, summary={}))
     emit_plot(traces, args.out)
     print(f"wrote {args.out}")
@@ -204,8 +201,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def cmd_validate_mixing(args: argparse.Namespace) -> int:
     """Report the network ``run`` builds for these three flags."""
     # Building the config checks the three flags as a run would.
-    ExperimentConfig(topology=args.topology, agents=args.agents, mixing=args.mixing)
-    net = _network(args.topology, args.agents, args.mixing)
+    net = _network(ExperimentConfig(topology=args.topology, agents=args.agents, mixing=args.mixing))
     report: dict = {
         "topology": args.topology,
         "agents": args.agents,

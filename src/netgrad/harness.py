@@ -24,7 +24,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -174,12 +174,17 @@ class ExperimentConfig:
         """Raise :class:`ConfigError` naming the first offending field.
 
         Every field is checked against its type hint first (see
-        :func:`_check_type`), then against the rules of its value.
+        :func:`_check_type`), and an integer in a float field is stored as a
+        float, or rejected when float64 cannot hold it; then every field is
+        checked against the rules of its value.
         """
         for name, (kind, nullable) in _FIELD_TYPES.items():
+            value = getattr(self, name)
             try:
-                _check_type(kind, nullable, getattr(self, name))
-            except TypeError as exc:
+                _check_type(kind, nullable, value)
+                if kind is float and _is_int(value):
+                    object.__setattr__(self, name, float(value))
+            except (TypeError, OverflowError) as exc:
                 raise ConfigError(str(exc), name) from None
         self._validate_network()
         if self.d < 1:
@@ -262,20 +267,14 @@ class ExperimentConfig:
         return "constant" if self.sigma_bar == 0.0 else "decaying"
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Build a config from its JSON object.
 
-        A JSON list becomes a tuple and an integer in a float field a float;
-        every other value is passed on as it is, for the constructor to check.
+        A JSON list becomes a tuple; every other value is passed on as it is,
+        for the constructor to check.
         """
         if not isinstance(data, dict):
             raise ConfigError(f"configuration must be a JSON object, got {type(data).__name__}")
@@ -285,8 +284,6 @@ class ExperimentConfig:
                 raise ConfigError("unknown configuration field", key)
             if isinstance(value, list) and typing.get_origin(_FIELD_TYPES[key][0]) is tuple:
                 value = tuple(value)
-            elif _is_int(value) and key in _FLOAT_FIELDS:
-                value = float(value)
             kwargs[key] = value
         return cls(**kwargs)
 
@@ -350,9 +347,9 @@ def _check_type(kind: object, nullable: bool, value: object) -> None:
 
 @dataclass
 class Trace:
-    """Result of one run: the config echo, records, and summary statistics."""
+    """Result of one run: its config, records, and summary statistics."""
 
-    config: dict
+    config: ExperimentConfig
     records: list[IterRecord]
     summary: dict
 
@@ -397,18 +394,18 @@ class _Network(typing.NamedTuple):
         return chebyshev_augment(self.w, default_gamma(self.lambda2))
 
 
-def _network(topology: str, agents: int, mixing: str) -> _Network:
+def _network(cfg: ExperimentConfig) -> _Network:
     """The network a run, the decay tuner and ``validate-mixing`` all read.
 
     ``lambda2`` and ``theta`` are the matrix's, or the gossip family's. Only
     that one spectrum is computed: gossip builds no matrix, and a lazy
     network decomposes the lazy matrix, never its Metropolis base.
     """
-    graph = build_graph(topology, agents)
-    if mixing == "random-gossip":
+    graph = build_graph(cfg.topology, cfg.agents)
+    if cfg.mixing == "random-gossip":
         return _Network(graph, None, *gossip_contraction(graph))
     w = metropolis_mixing(graph)
-    if mixing == "lazy-metropolis":
+    if cfg.mixing == "lazy-metropolis":
         w = lazify(w)
     return _Network(graph, w, w.lambda2, w.theta)
 
@@ -418,7 +415,7 @@ def prepare_run(cfg: ExperimentConfig) -> RunSetup:
 
     The schedule is the config's template; :func:`run_experiment` may replace it.
     """
-    net = _network(cfg.topology, cfg.agents, cfg.mixing)
+    net = _network(cfg)
     problem_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.problem_seed)))
     problem = make_quadratic_suite(
         cfg.agents,
@@ -631,10 +628,13 @@ class _Run:
         # Each state's step size is computed once, for the walk and for the
         # step from that state: ``etas[k]`` is slot k's.
         self.etas = [step_size(setup.sched, self.state.t)]
-        # A decaying step falls from a positive start no faster than
-        # 3 / (mu * t) with mu <= 1e300, so it stays positive for 6e23 steps.
-        if not self.etas[0] > 0.0:
-            raise ConfigError(f"the step size underflows to 0 (L={cfg.L:g})", "step_multiplier")
+        # A decaying step never grows, so a finite start keeps it finite, and
+        # it falls from a positive start no faster than 3 / (mu * t) with
+        # mu <= 1e300, so it stays positive for 6e23 steps.
+        if not (0.0 < self.etas[0] < math.inf):
+            raise ConfigError(
+                f"the step size is {self.etas[0]:g}, outside (0, inf) (L={cfg.L:g})", "step_multiplier"
+            )
         # The slot of the chunk's first observed state: the first chunk
         # observes the run's start in slot 0 and steps one state less; a
         # later chunk's slot 0 holds the last state of the chunk before.
@@ -726,7 +726,7 @@ class _Run:
             summary["gamma"] = setup.aug.gamma
             summary["theta_tilde"] = setup.aug.theta_tilde
             summary["base_theta"] = setup.aug.base.theta
-        return Trace(config=setup.cfg.to_dict(), records=self.records, summary=summary)
+        return Trace(config=setup.cfg, records=self.records, summary=summary)
 
 
 def iterations_to_epsilon(trace: Trace, eps: float) -> int | None:
@@ -743,7 +743,7 @@ def iterations_to_epsilon(trace: Trace, eps: float) -> int | None:
     """
     if not eps > 0.0:  # NaN fails the comparison too
         raise ValueError(f"eps must be positive, got {eps}")
-    noisy = float(trace.config.get("sigma_bar", 0.0)) > 0.0
+    noisy = trace.config.sigma_bar > 0.0
     for record in trace.records:
         value = record.wavg_subopt if noisy else record.subopt
         if value is None:
@@ -876,7 +876,7 @@ def tune_dsgt_beta(cfg: ExperimentConfig) -> Schedule:
         raise ConfigError(f"decay tuning applies to 'dsgt', got '{cfg.algo}'", "algo")
     if cfg.sigma_bar <= 0.0:
         raise ConfigError("the decay grid needs a noisy run", "sigma_bar")
-    theta = _network(cfg.topology, cfg.agents, cfg.mixing).theta
+    theta = _network(cfg).theta
 
     # No target: it would stop every candidate near it, and all would score alike.
     probe_cfg = replace(cfg, stride=max(1, cfg.iters // 50), eps_stop=None, avg_checkpoints=())

@@ -48,8 +48,8 @@ class NoiseModel:
     sigma_bar: float
 
     def __post_init__(self) -> None:
-        if self.sigma_bar < 0.0:
-            raise ValueError(f"noise level must be nonnegative, got {self.sigma_bar}")
+        if not (0.0 <= self.sigma_bar < math.inf):
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.sigma_bar}")
 
     def scale(self, d: int) -> float:
         """Coordinate standard deviation ``sigma_bar / sqrt(d)``.
@@ -74,12 +74,14 @@ class QuadraticProblem:
     construction, and cannot be set.
 
     Attributes:
-        quads: Stacked curvature matrices, shape ``(m, d, d)``; symmetric with
-            eigenvalues in ``[mu, L]`` up to a ``1e-9 * max(1, L)`` tolerance.
-        linears: Stacked linear terms, shape ``(m, d)``.
+        quads: Stacked curvature matrices, shape ``(m, d, d)``; finite,
+            symmetric and with eigenvalues in ``[mu, L]``, each up to a
+            ``1e-9 * max(1, L)`` tolerance.
+        linears: Stacked linear terms, shape ``(m, d)``; finite.
         mu: Strong convexity modulus, positive.
-        L: Smoothness constant, at least ``mu``.
-        sigma_bar: Gradient noise level (see :class:`NoiseModel`).
+        L: Smoothness constant, finite and at least ``mu``.
+        sigma_bar: Gradient noise level, finite and nonnegative (see
+            :class:`NoiseModel`).
         m: Number of agents, from the shape of ``quads``.
         d: Decision dimension, from the shape of ``quads``.
         noise: The noise model of ``sigma_bar``, sampling gradient perturbations.
@@ -110,10 +112,16 @@ class QuadraticProblem:
             raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
         if linears.shape != (m, d):
             raise ValueError(f"linear stack has shape {linears.shape}")
-        if not (0.0 < self.mu <= self.L):
-            raise ValueError(f"need 0 < mu <= L, got mu={self.mu}, L={self.L}")
-        evals = np.linalg.eigvalsh(quads)
+        if not (0.0 < self.mu <= self.L < math.inf):
+            raise ValueError(f"need 0 < mu <= L < inf, got mu={self.mu}, L={self.L}")
+        if not (np.isfinite(quads).all() and np.isfinite(linears).all()):
+            raise ValueError("curvature and linear stacks need finite entries")
         tol = _EIG_TOL * max(1.0, self.L)
+        skew = np.abs(quads - quads.transpose(0, 2, 1)).max(axis=(1, 2))
+        if (skew > tol).any():
+            i = int(np.argmax(skew > tol))
+            raise ValueError(f"agent {i} curvature is asymmetric by {skew[i]:.3g}, past {tol:.3g}")
+        evals = np.linalg.eigvalsh(quads)
         escaped = (evals[:, 0] < self.mu - tol) | (evals[:, -1] > self.L + tol)
         if escaped.any():
             i = int(np.argmax(escaped))

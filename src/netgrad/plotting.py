@@ -40,14 +40,8 @@ _FLOOR = 1e-300
 
 def _trace_label(trace: Trace) -> str:
     """Display label for a trace: the configured label or a compact summary."""
-    label = trace.config.get("label")
-    if label:
-        return str(label)
-    algo = trace.config.get("algo", "run")
-    agents = trace.config.get("agents", "?")
-    mixing = trace.config.get("mixing", "")
-    suffix = f" {mixing}" if mixing else ""
-    return f"{algo} m={agents}{suffix}"
+    cfg = trace.config
+    return cfg.label or f"{cfg.algo} m={cfg.agents} {cfg.mixing}"
 
 
 def _series(records: list[IterRecord], field: str) -> list[tuple[int, float]]:

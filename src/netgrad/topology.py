@@ -409,7 +409,7 @@ def gossip_contraction(graph: Graph) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EdgeGossip:
-    """One single-edge gossip draw: agents ``i`` and ``j`` average their states.
+    """One single-edge gossip draw: agents ``i < j`` average their states.
 
     Acts like the dense matrix ``W = I - (1/2)(e_i - e_j)(e_i - e_j)^T``
     without forming it. The draw alone does not contract (it fixes every
@@ -419,6 +419,10 @@ class EdgeGossip:
 
     i: int
     j: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.i < self.j:
+            raise ValueError(f"an edge needs 0 <= i < j, got i={self.i}, j={self.j}")
 
     def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Return ``x`` with rows ``i`` and ``j`` replaced by their average, in ``out`` when given.

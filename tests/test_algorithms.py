@@ -94,6 +94,24 @@ def test_theory_schedule_rejects_unknown_names(algo, mode):
         theory_schedule(algo, mode, 0.5, 2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(eta0=float("nan")), r"^constant schedule needs a finite positive eta0, got nan$"),
+        (dict(eta0=float("inf")), r"^constant schedule needs a finite positive eta0, got inf$"),
+        (dict(mode="decaying", beta=float("inf")), r"^decaying schedule needs a finite positive beta, got inf$"),
+        # Its first step would divide by zero.
+        (dict(mode="decaying", beta=1.0, L=0.0), r"^need 0 < mu <= L < inf, got mu=1\.0, L=0\.0$"),
+        (dict(L=float("inf")), r"^need 0 < mu <= L < inf, got mu=1\.0, L=inf$"),
+    ],
+    ids=["nan-eta0", "inf-eta0", "inf-beta", "zero-L", "inf-L"],
+)
+def test_schedule_needs_finite_positive_steps_and_bounds(overrides, message):
+    base = dict(algo="ssdsgt", mode="constant", p=0.5, L=2.0, mu=1.0, theta=0.5, eta0=0.1)
+    with pytest.raises(ValueError, match=message):
+        Schedule(**{**base, **overrides})
+
+
 def test_single_agent_always_refresh_is_plain_sgd():
     problem = _problem(m=1, d=3, mu=1.0, L=2.0, heterogeneity=0.0, sigma_bar=1.0)
     w = metropolis_mixing(build_graph("complete", 1))

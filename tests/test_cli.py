@@ -75,6 +75,10 @@ def test_bad_configuration_exits_with_two(tmp_path: Path, capsys):
         (None, ["--sigma", "nan"], "sigma_bar"),
         (None, ["--step-multiplier", "inf"], "step_multiplier"),
         ('{"mu": Infinity, "L": Infinity}', [], "mu"),
+        pytest.param(
+            '{"L": 1e-300, "mu": 1e-300, "step_multiplier": 1e300}', [], "step_multiplier", id="overflowing-step"
+        ),
+        pytest.param('{"mu": 1' + "0" * 400 + "}", [], "mu", id="integer-past-float64"),
     ],
 )
 def test_non_finite_or_negative_values_exit_with_two(tmp_path: Path, capsys, config, extra, field):
@@ -194,6 +198,18 @@ def test_plot_emits_wellformed_svg(tmp_path: Path, capsys):
     assert len(series) == 4
     legend = [el.text for el in root.iter() if el.get("class") == "legend"]
     assert legend == ["alpha", "ssdsgt m=4 metropolis"]
+
+
+def test_plot_labels_a_sidecar_trace_by_its_config_and_a_bare_trace_by_its_stem(tmp_path: Path, capsys):
+    with_sidecar, bare = tmp_path / "a.csv", tmp_path / "bare-run.csv"
+    assert cli.main(_run_args(with_sidecar, ["--agents", "6"])) == 0
+    assert cli.main(_run_args(bare)) == 0
+    Path(str(bare) + ".config.json").unlink()
+    figure = tmp_path / "figure.svg"
+    assert cli.main(["plot", str(with_sidecar), str(bare), "--out", str(figure)]) == 0
+    capsys.readouterr()
+    legend = [el.text for el in ET.parse(figure).getroot().iter() if el.get("class") == "legend"]
+    assert legend == ["ssdsgt m=6 metropolis", "bare-run"]
 
 
 def test_plot_requires_at_least_one_trace(tmp_path: Path, capsys):

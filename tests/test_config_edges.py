@@ -114,6 +114,21 @@ def test_a_step_size_that_underflows_names_the_step_multiplier(overrides):
     assert caught.value.field == "step_multiplier"
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(step_multiplier=1e300, iters=5),
+        # The decay scale stays finite; the step 6 beta / L does not.
+        dict(schedule="decaying", step_multiplier=1e300, iters=3),
+    ],
+    ids=["constant", "decaying"],
+)
+def test_a_step_size_that_overflows_names_the_step_multiplier(overrides):
+    with pytest.raises(ConfigError) as caught:
+        run_experiment(ExperimentConfig(L=1e-300, mu=1e-300, **overrides))
+    assert caught.value.field == "step_multiplier"
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_a_large_L_problem_runs(d):
     # An absolute 1e-9 tolerance on the curvature bounds rejected 35 of

@@ -124,6 +124,8 @@ MISTYPED = [
         (dict(step_multiplier=1e-300, L=1e300, mu=1e-300, schedule="constant", algo="dsgt"), "L"),
         (dict(algo="dsgt", mixing="random-gossip", dsgt_tuning="tuned"), "dsgt_tuning"),
         *((dict([(name, wrong)]), name) for name, wrong, _ in MISTYPED),
+        # An integer float64 cannot hold, in a float field.
+        (dict(L=10**400), "L"),
     ],
 )
 def test_validate_names_the_offending_field(build, overrides, field):
@@ -241,6 +243,28 @@ def test_from_dict_widens_ints_and_tuples_checkpoints():
     assert type(cfg.eps_stop) is float and cfg.eps_stop == 2.0
     assert cfg.x0_radius is None and cfg.label is None
     assert cfg.avg_checkpoints == (3, 5)
+
+
+#: Every float field of a config, each given an integer.
+INT_FLOATS = dict(mu=1, L=2, sigma_bar=0, heterogeneity=1, step_multiplier=3, x0_radius=4, eps_stop=1)
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS)
+def test_a_config_stores_an_integer_in_a_float_field_as_a_float(tmp_path, build):
+    cfg = build(INT_FLOATS)
+    assert {name: type(getattr(cfg, name)) for name in INT_FLOATS} == dict.fromkeys(INT_FLOATS, float)
+    # So the config and its reload write one sidecar.
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    saved = path.read_bytes()
+    assert b'"L": 2.0' in saved
+    save_config(load_config(path), path)
+    assert path.read_bytes() == saved
+
+
+def test_a_trace_holds_the_config_of_its_run():
+    cfg = _small_cfg(sigma_bar=0.5, iters=5)
+    assert run_experiment(cfg).config == cfg
 
 
 @settings(max_examples=40, deadline=None)

@@ -177,6 +177,37 @@ def test_problem_names_the_first_agent_whose_curvature_escapes():
         replace(problem, quads=quads)
 
 
+def _edited(problem, name, index, value):
+    array = getattr(problem, name).copy()
+    array[index] = value
+    return {name: array}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: _edited(p, "linears", (1, 0), np.nan), r"^curvature and linear stacks need finite entries$"),
+        (lambda p: _edited(p, "quads", (2, 0, 0), np.inf), r"^curvature and linear stacks need finite entries$"),
+        (lambda p: {"L": np.inf}, r"^need 0 < mu <= L < inf, got mu=0\.5, L=inf$"),
+        (lambda p: {"sigma_bar": np.nan}, r"^noise level must be finite and nonnegative, got nan$"),
+        (
+            lambda p: _edited(p, "quads", (3, 0, 1), p.quads[3, 0, 1] + 1e-3),
+            r"^agent 3 curvature is asymmetric by 0\.001, past 4e-09$",
+        ),
+    ],
+    ids=["nan-linear", "inf-curvature", "inf-L", "nan-sigma", "asymmetric"],
+)
+def test_problem_rejects_non_finite_inputs_and_asymmetric_curvatures(edit, message):
+    problem = _suite()
+    with pytest.raises(ValueError, match=message):
+        replace(problem, **edit(problem))
+
+
+def test_generated_curvatures_are_exactly_symmetric():
+    quads = _suite(m=16, d=5).quads
+    assert np.array_equal(quads, quads.transpose(0, 2, 1))
+
+
 def test_problem_is_built_from_its_five_inputs():
     problem = _suite(sigma_bar=0.5)
     inputs = [f.name for f in fields(QuadraticProblem) if f.init]

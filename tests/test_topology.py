@@ -261,6 +261,13 @@ def test_gossip_draws_index_the_sorted_edges_one_integer_each():
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (1, 1), (2, 1)])
+def test_edge_gossip_needs_an_edge_with_its_ends_in_order(i, j):
+    # (-1, 0) would average the last row with the first; (1, 1) is no edge.
+    with pytest.raises(ValueError, match=rf"^an edge needs 0 <= i < j, got i={i}, j={j}$"):
+        EdgeGossip(i, j)
+
+
 def _edge_matrix(m: int, i: int, j: int) -> np.ndarray:
     w = np.eye(m)
     w[i, i] = w[j, j] = w[i, j] = w[j, i] = 0.5

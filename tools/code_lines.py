@@ -48,7 +48,11 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
+    """Print the counts of the modules under ``argv``; 2 on no path or a missing one."""
+    missing = [arg for arg in argv if not Path(arg).exists()]
+    if not argv or missing:
+        for arg in missing:
+            print(f"no such file or directory: {arg}", file=sys.stderr)
         print("usage: python tools/code_lines.py PATH [PATH ...]", file=sys.stderr)
         return 2
     files = []
