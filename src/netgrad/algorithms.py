@@ -112,8 +112,8 @@ class Schedule:
             ``dsgt``, which re-takes its snapshot at every iterate).
         L: Smoothness constant of the objective.
         mu: Strong convexity modulus.
-        theta: Contraction parameter the schedule was derived from; kept for
-            diagnostics.
+        theta: Contraction parameter the schedule was derived from, in
+            ``(0, 1]``; kept for diagnostics.
         eta0: Constant step size (``constant`` mode only).
         beta: Decay scale (``decaying`` mode only).
     """
@@ -140,6 +140,8 @@ class Schedule:
             raise ValueError(f"{self.mode} schedule needs a finite positive {name}, got {value}")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"snapshot probability must lie in [0, 1], got {self.p}")
+        if not (0.0 < self.theta <= 1.0):
+            raise ValueError(f"contraction parameter must lie in (0, 1], got {self.theta}")
 
 
 def theory_schedule(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from xml.sax.saxutils import escape
 
 from .diagnostics import IterRecord
 from .harness import Trace, _write_text
@@ -59,6 +58,15 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``>`` and ``<`` written as XML entities.
+
+    The same replacements, in the same order, as ``xml.sax.saxutils.escape``
+    without its import, which loads the standard library's network modules.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 class _Panel:
     """One log-scale panel: computes coordinates and emits its SVG parts."""
 
@@ -90,7 +98,7 @@ class _Panel:
 
     def render(self) -> list[str]:
         parts = [
-            f'<text x="{_PANEL_LEFT}" y="{self.top - 10}" class="title">{escape(self.title)}</text>',
+            f'<text x="{_PANEL_LEFT}" y="{self.top - 10}" class="title">{_escape(self.title)}</text>',
             f'<rect x="{_PANEL_LEFT}" y="{self.top}" width="{_PANEL_WIDTH}" '
             f'height="{_PANEL_HEIGHT}" class="frame"/>',
         ]
@@ -186,7 +194,7 @@ def emit_plot(traces: list[Trace], path: str | os.PathLike) -> None:
             f'stroke="{color}" stroke-width="2.5"/>'
         )
         parts.append(
-            f'<text x="{legend_x + 30}" y="{y}" class="legend">{escape(label)}</text>'
+            f'<text x="{legend_x + 30}" y="{y}" class="legend">{_escape(label)}</text>'
         )
     parts.append("</svg>")
 

@@ -50,7 +50,7 @@ class StreamBundle:
         coin: Stream for the shared snapshot coin, one uniform per iteration.
         gossip: Stream for random edge selection.
         agent_parent: Seed sequence the agent streams are spawned from.
-        m: Number of agents.
+        m: Number of agents, at least 1.
         agents: One gradient-noise stream per agent, in agent order, spawned
             from ``agent_parent`` on first read. A noiseless run never reads
             them and so never pays for them; the streams are the same as if
@@ -77,6 +77,10 @@ class StreamBundle:
     _noise_next: int = field(default=0, init=False, repr=False, compare=False)
     _noise_d: int = field(default=0, init=False, repr=False, compare=False)
     _noise_scale: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"a stream bundle needs m >= 1 agents, got m={self.m}")
 
     @classmethod
     def from_seed(cls, seed: int, m: int) -> "StreamBundle":

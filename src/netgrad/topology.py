@@ -555,16 +555,31 @@ class AugmentedMixing:
     Duplicated constant blocks are fixed points, and when both block sums
     agree they stay equal under the map.
 
+    An operator is built from ``base`` and ``gamma`` alone; ``theta_tilde``
+    is derived from them at construction and cannot be set.
+
     Attributes:
         base: The positive semidefinite base matrix ``W``.
         gamma: Momentum weight in ``[0, 1)``.
         theta_tilde: Fitted contraction exponent of the augmented chain on
-            duplicated inputs (see :func:`chebyshev_augment`).
+            duplicated inputs, computed from the eigenvalues ``base`` keeps
+            (decomposing it only if nothing has read its spectrum yet).
+
+    Raises:
+        ValueError: When ``base`` is not flagged positive semidefinite or
+            ``gamma`` lies outside ``[0, 1)``.
     """
 
     base: MixingMatrix
     gamma: float
-    theta_tilde: float
+    theta_tilde: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.base.psd_flag:
+            raise ValueError("augmented mixing requires a positive semidefinite base matrix")
+        if not (0.0 <= self.gamma < 1.0):
+            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        object.__setattr__(self, "theta_tilde", _fitted_theta_tilde(self.base.eigenvalues, self.gamma))
 
     @property
     def m(self) -> int:
@@ -676,19 +691,13 @@ class AugmentedWorkspace:
 def chebyshev_augment(w: MixingMatrix, gamma: float) -> AugmentedMixing:
     """Build the momentum-augmented operator for a positive semidefinite base.
 
-    The fitted contraction exponent ``theta_tilde`` is computed eagerly from
-    the eigenvalues ``w`` keeps (decomposing ``w`` only if nothing has read
-    its spectrum yet) so that schedules built on the augmented chain
-    can use it directly. With ``gamma = 0`` the operator reduces to the base
-    matrix acting on the top block while the bottom block trails one step.
+    The operator's fitted contraction exponent ``theta_tilde`` is computed
+    at construction, so schedules built on the augmented chain can use it
+    directly. With ``gamma = 0`` the operator reduces to the base matrix
+    acting on the top block while the bottom block trails one step.
 
     Raises:
         ValueError: When the base matrix is not flagged positive semidefinite
             or ``gamma`` lies outside ``[0, 1)``.
     """
-    if not w.psd_flag:
-        raise ValueError("augmented mixing requires a positive semidefinite base matrix")
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    theta_tilde = _fitted_theta_tilde(w.eigenvalues, gamma)
-    return AugmentedMixing(base=w, gamma=gamma, theta_tilde=theta_tilde)
+    return AugmentedMixing(base=w, gamma=gamma)

@@ -103,8 +103,11 @@ def test_theory_schedule_rejects_unknown_names(algo, mode):
         # Its first step would divide by zero.
         (dict(mode="decaying", beta=1.0, L=0.0), r"^need 0 < mu <= L < inf, got mu=1\.0, L=0\.0$"),
         (dict(L=float("inf")), r"^need 0 < mu <= L < inf, got mu=1\.0, L=inf$"),
+        (dict(theta=float("nan")), r"^contraction parameter must lie in \(0, 1\], got nan$"),
+        (dict(theta=-3.0), r"^contraction parameter must lie in \(0, 1\], got -3\.0$"),
+        (dict(theta=1.5), r"^contraction parameter must lie in \(0, 1\], got 1\.5$"),
     ],
-    ids=["nan-eta0", "inf-eta0", "inf-beta", "zero-L", "inf-L"],
+    ids=["nan-eta0", "inf-eta0", "inf-beta", "zero-L", "inf-L", "nan-theta", "negative-theta", "theta-above-1"],
 )
 def test_schedule_needs_finite_positive_steps_and_bounds(overrides, message):
     base = dict(algo="ssdsgt", mode="constant", p=0.5, L=2.0, mu=1.0, theta=0.5, eta0=0.1)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 from _reference import validate_mixing_report
@@ -14,6 +15,7 @@ from _reference import validate_mixing_report
 from netgrad import cli, harness
 from netgrad.errors import ConfigError, InvariantViolation
 from netgrad.harness import load_config
+from netgrad.plotting import emit_plot
 
 
 def _run_args(out: Path, extra: list[str] | None = None) -> list[str]:
@@ -198,6 +200,17 @@ def test_plot_emits_wellformed_svg(tmp_path: Path, capsys):
     assert len(series) == 4
     legend = [el.text for el in root.iter() if el.get("class") == "legend"]
     assert legend == ["alpha", "ssdsgt m=4 metropolis"]
+
+
+def test_plot_escapes_a_label_as_saxutils_does(tmp_path: Path):
+    label = """a<b & "c" 'd'>"""
+    cfg = harness.ExperimentConfig(topology="ring", agents=4, algo="ssdsgt", iters=30, seed=5, label=label)
+    figure = tmp_path / "figure.svg"
+    emit_plot([harness.run_experiment(cfg)], figure)
+    (line,) = [line for line in figure.read_text(encoding="utf-8").splitlines() if 'class="legend"' in line]
+    assert line.endswith(f'class="legend">{escape(label)}</text>')
+    legend = [el.text for el in ET.parse(figure).getroot().iter() if el.get("class") == "legend"]
+    assert legend == [label]
 
 
 def test_plot_labels_a_sidecar_trace_by_its_config_and_a_bare_trace_by_its_stem(tmp_path: Path, capsys):

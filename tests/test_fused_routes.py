@@ -51,7 +51,7 @@ GAMMA = 0.37
 def _operators(m: int, rng: np.random.Generator) -> list:
     """A mixing matrix, a gossip edge (for m > 1) and an augmented operator."""
     lazy = lazify(metropolis_mixing(build_graph("ring", m)))
-    ops = [lazy, AugmentedMixing(base=lazy, gamma=GAMMA, theta_tilde=0.5)]
+    ops = [lazy, AugmentedMixing(base=lazy, gamma=GAMMA)]
     if m > 1:
         i, j = sorted(rng.choice(m, size=2, replace=False).tolist())
         ops.append(EdgeGossip(i, j))
@@ -172,7 +172,7 @@ def test_augmented_bottom_blocks_are_the_top_blocks_bit_for_bit():
 def test_augmented_apply_rejects_misused_workspaces():
     rng = np.random.default_rng(12)
     op = _operators(4, rng)[1]
-    other = AugmentedMixing(base=op.base, gamma=0.5, theta_tilde=0.5)
+    other = AugmentedMixing(base=op.base, gamma=0.5)
     workspace = AugmentedWorkspace(op, (2, 8, 2))
     with pytest.raises(ValueError):
         op.apply(workspace.input.copy(), workspace=workspace)  # not its input

@@ -1,14 +1,20 @@
 """The package's exports resolve and its modules import nothing they do not use.
 
 An import that no line of its module reads is left over from code that moved
-or went away; walking each module's syntax tree finds it.
+or went away; walking each module's syntax tree finds it. Nor does importing
+the package load the standard library's network stack, which every short
+``netgrad`` process would pay for in memory and start-up time.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +71,29 @@ def test_no_module_imports_a_name_it_never_uses(path):
 def test_the_walk_finds_a_leftover_import():
     source = "import csv\nfrom itertools import chain\nimport json\n\n__all__ = ['x']\nx = json.dumps\n"
     assert unused_imports(source) == ["csv", "chain"]
+
+
+#: Modules of the network stack that importing the package must not load.
+NETWORK_MODULES = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+
+_ADDED_MODULES = """
+import sys, numpy, argparse, json
+before = set(sys.modules)
+import netgrad, netgrad.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_package_loads_no_network_module():
+    # One fresh interpreter; the difference of two snapshots ignores what
+    # site hooks and numpy load before the package does.
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _ADDED_MODULES]
+    done = subprocess.run(argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = json.loads(done.stdout)
+    assert "netgrad.cli" in added
+    assert [name for name in added if name in NETWORK_MODULES] == []
 
 
 def topology_imports(source: str) -> list[str]:

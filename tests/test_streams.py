@@ -49,6 +49,12 @@ def test_noise_rows_keep_their_dimension_and_scale():
         streams.noise_rows(2, 0.25)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_a_bundle_needs_at_least_one_agent(m):
+    with pytest.raises(ValueError, match=rf"^a stream bundle needs m >= 1 agents, got m={m}$"):
+        StreamBundle.from_seed(0, m)
+
+
 @pytest.mark.parametrize("algo", ["dsgt", "ssdsgt", "assdsgt"])
 def test_a_noisy_step_rejects_a_bundle_for_another_agent_count(algo):
     # One agent's rows would broadcast over all six; the step must refuse.

@@ -328,6 +328,22 @@ def test_augmented_mixing_is_frozen():
     assert isinstance(aug, AugmentedMixing)
     with pytest.raises(AttributeError):
         aug.gamma = 0.5
+    with pytest.raises(TypeError):  # derived from base and gamma, never given
+        AugmentedMixing(base=lazy, gamma=0.1, theta_tilde=0.5)
+
+
+@pytest.mark.parametrize(
+    "base, gamma, message",
+    [
+        (_ring(5), 0.2, r"^augmented mixing requires a positive semidefinite base matrix$"),
+        (lazify(_ring(5)), 1.5, r"^gamma must lie in \[0, 1\), got 1\.5$"),
+        (lazify(_ring(5)), float("nan"), r"^gamma must lie in \[0, 1\), got nan$"),
+    ],
+    ids=["non-psd-base", "gamma-above-1", "nan-gamma"],
+)
+def test_augmented_mixing_checks_its_inputs_when_built(base, gamma, message):
+    with pytest.raises(ValueError, match=message):
+        AugmentedMixing(base=base, gamma=gamma)
 
 
 # --- spectra: computed once per matrix, on first read, and unchanged ---
