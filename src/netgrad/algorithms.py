@@ -28,15 +28,15 @@ A run keeps its states in one :class:`StateBuffer`: ``K + 1`` slots of
 stacked states and gradient rows, each slot an :class:`SsState` built once
 with views into the buffer. A step writes the new state into its state's
 successor slot, with ``out=`` on every product and sum, and sets only
-references and scalars on the slot's object; it allocates nothing but the
-snapshot copies of a coin that fired. The step's temporaries (the mixing
-input and the correction) are allocated once per run. A momentum run's
-mixing input is the input of the augmented operator's workspace, which
-also holds the products (the operator carries one of them to the next
-step) and the scaled addends of the result, each view built once. The
-run, not the state, holds each step's step size. A state
-that is not in a buffer gets a freshly allocated successor from the same
-kernel. Observation reduces the buffer's slices as they are:
+references and scalars on the slot's object; it allocates nothing, and a
+snapshot stays where the step that took it found or wrote it. The step's
+temporaries (the mixing input and the correction) are allocated once per
+run. A momentum run's mixing input is the input of the augmented
+operator's workspace, which also holds the products (the operator carries
+one of them to the next step) and the scaled addends of the result, each
+view built once. The run, not the state, holds each step's step size. A
+state that is not in a buffer gets a freshly allocated successor from the
+same kernel. Observation reduces the buffer's slices as they are:
 :func:`state_means` the stacked states and :func:`audit_identities` the
 gradient rows.
 
@@ -176,11 +176,10 @@ def theory_schedule(
 
     Raises:
         ConfigError: On field ``step_multiplier`` when the template's step
-            (``eta0``) or decay scale (``beta``) underflows to 0 or
-            overflows to infinity.
+            (``eta0``) or decay scale (``beta``) is not in ``(0, inf)``: the
+            multiplier is zero, negative or NaN, or the template underflows
+            to 0 or overflows to infinity.
     """
-    if multiplier <= 0.0:
-        raise ValueError(f"step multiplier must be positive, got {multiplier}")
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"contraction parameter must lie in (0, 1], got {theta}")
     if algo == "ssdsgt":
@@ -234,21 +233,23 @@ class SsState:
     operator, two for the augmented operator (the working block on top of
     the trailing block). The working iterate is ``x[:m]``. ``q`` is the
     snapshot point and ``g_snap`` the stored gradient realization taken at
-    ``q`` when the coin last fired. ``dsgt`` re-takes its snapshot at every
-    iterate: it passes ``q=None``, which makes ``q`` the view ``x`` itself,
-    and ``g_snap`` holds the gradients sampled there. ``grads`` holds the
-    ``(m, d)`` gradient rows the step that made the state sampled: the
-    fresh rows of a snapshot step, the new snapshot rows of a ``dsgt``
-    step, and the snapshot rows at a run's start. ``last_zeta`` is that
-    step's coin; its step size is the caller's, which passed it to the
-    step.
+    ``q`` when the snapshot was last retaken. ``grads`` holds the ``(m, d)``
+    gradient rows the step that made the state sampled: the fresh rows of a
+    snapshot step, the new snapshot rows of a ``dsgt`` step, and the
+    snapshot rows at a run's start. ``g_snap`` is ``grads`` itself exactly
+    when the step that made the state retook the snapshot: every ``dsgt``
+    step (``q`` is then its own ``x``) and a snapshot step whose coin fired
+    (``q`` is then the working block of the state it stepped from).
+    ``last_zeta`` is the step's coin; its step size is the caller's, which
+    passed it to the step.
 
     A state is a slot of a buffer (see :class:`StateBuffer`): its ``xs`` and
     ``grads`` are views fixed when the slot is built, and ``successor`` is
     the next slot, which a step from this state writes into. A step sets
-    only references and scalars on the successor; ``q`` and ``g_snap`` of a
-    snapshot step are copied out of the buffer when the coin fires, since a
-    slot is overwritten one chunk later. A state without a successor (from
+    only references and scalars on the successor, so ``q`` and ``g_snap``
+    are views of the slots where the snapshot was taken, until
+    :meth:`StateBuffer.restart` moves the live snapshot out of the slots
+    that the next chunk overwrites. A state without a successor (from
     :func:`init_state`, or one a step returned for it) gets a freshly
     allocated one: a chunk of one, stepped by the same kernel. A step never
     writes to an array of the state it starts from. ``scratch`` holds the
@@ -258,7 +259,7 @@ class SsState:
     """
 
     xs: np.ndarray
-    q: np.ndarray | None
+    q: np.ndarray
     g_snap: np.ndarray
     t: int
     last_zeta: int = 0
@@ -273,8 +274,6 @@ class SsState:
         self.x = self.xs[0]
         self.s = self.xs[1]
         self.blocks = len(self.x) // len(self.g_snap)
-        if self.q is None:
-            self.q = self.x
         if self.grads is None:
             self.grads = self.g_snap
 
@@ -324,7 +323,7 @@ class _Scratch:
 
 def _slot(xs: np.ndarray, grads: np.ndarray, scratch: _Scratch) -> SsState:
     """A blank state whose ``xs`` and ``grads`` are the given arrays."""
-    return SsState(xs=xs, q=None, g_snap=grads, t=0, grads=grads, scratch=scratch)
+    return SsState(xs=xs, q=xs[0], g_snap=grads, t=0, grads=grads, scratch=scratch)
 
 
 def _successor(state: SsState, op: Operator) -> SsState:
@@ -342,20 +341,23 @@ class StateBuffer:
     ``(steps + 1, m, d)``; ``states[k]`` is the :class:`SsState` of slot
     ``k``, with views of ``xs[k]`` and ``grads[k]`` and slot ``k + 1`` as
     its successor. Slot 0 holds the state a chunk starts from, with its
-    snapshot rows in ``grads[0]``: ``start`` at first, and then, moved
+    snapshot rows in ``grads[0]`` and its snapshot point in ``q``, the
+    run's one ``(m, d)`` array for it: ``start`` at first, and then, moved
     there by :meth:`restart`, the last state of the chunk before. The steps
     of a chunk fill slots 1 and on. So the states of a chunk and the one
     before it are consecutive slices of the two arrays, which observation
-    reduces as they are. ``op`` is the augmented operator a two-block
-    run mixes through, whose workspace the slots share; a one-block run
-    passes ``None`` or its matrix.
+    reduces as they are, and every snapshot point is a buffer row or
+    ``q``. The buffer holds one rule for every algorithm: a state retook
+    its snapshot when its ``g_snap`` is its own ``grads``. ``op`` is the
+    augmented operator a two-block run mixes through, whose workspace the
+    slots share; a one-block run passes ``None`` or its matrix.
     """
 
-    def __init__(self, start: SsState, algo: str, steps: int, op: Operator | None) -> None:
+    def __init__(self, start: SsState, steps: int, op: Operator | None) -> None:
         m = len(start.g_snap)
         self.xs = np.zeros((steps + 1, *start.xs.shape))
         self.grads = np.zeros((steps + 1, *start.g_snap.shape))
-        self.dsgt = algo == "dsgt"
+        self.q = np.zeros(start.g_snap.shape)
         scratch = _Scratch(start.xs.shape, m, op)
         self.states = [_slot(xs, grads, scratch) for xs, grads in zip(self.xs, self.grads)]
         for state, successor in zip(self.states, self.states[1:]):
@@ -363,36 +365,29 @@ class StateBuffer:
         self.restart(start)
 
     def restart(self, state: SsState) -> SsState:
-        """Copy ``state`` into slot 0 and return slot 0."""
+        """Copy ``state`` into slot 0, its snapshot point into ``q``, and return slot 0."""
         first = self.states[0]
         if state is first:
             return first
+        # The point can be a view of slot 0, so it is copied first.
+        self.q[...] = state.q
         self.xs[0] = state.xs
         self.grads[0] = state.g_snap
-        first.q = first.x if self.dsgt else state.q
-        first.g_snap = first.grads if self.dsgt else state.g_snap
+        first.q, first.g_snap = self.q, first.grads
         first.t, first.last_zeta = state.t, state.last_zeta
         scratch = first.scratch
         if scratch.carried is state.xs:
             scratch.carried = first.xs
         return first
 
-    def gradient_slots(self, count: int) -> tuple[slice, np.ndarray]:
-        """Where the gradient rows of slots ``0..count`` are, as indices into ``grads``.
+    def snapshot_slots(self, count: int) -> np.ndarray:
+        """For each of slots ``0..count``, the slot whose ``grads`` row holds its snapshot rows.
 
-        The first item selects, for each step into slots ``1..count``, the
-        rows whose mean moved the iterate mean: the rows of the state before
-        it for ``dsgt`` (its snapshot), the step's own fresh rows otherwise.
-        The second gives, for each slot, the slot whose rows are its
-        snapshot rows: its own for ``dsgt``; for a snapshot step the last
-        slot whose coin fired, or slot 0, whose rows are the snapshot it
-        started from.
+        That is the last slot up to it whose step retook the snapshot, or
+        slot 0, whose rows are the snapshot the chunk started from.
         """
-        if self.dsgt:
-            return slice(0, count), np.arange(count + 1)
-        fired = [k if state.last_zeta else 0 for k, state in enumerate(self.states[: count + 1])]
-        fired[0] = 0
-        return slice(1, count + 1), np.maximum.accumulate(fired)
+        taken = [k if state.g_snap is state.grads else 0 for k, state in enumerate(self.states[: count + 1])]
+        return np.maximum.accumulate(taken)
 
 
 #: A mixing operator: anything whose ``apply(x, out)`` mixes row-stacked states.
@@ -493,7 +488,9 @@ def ssdsgt_step(
     working block ``x[:m]``, mix the corrected tracked descent argument and
     the tracker in one ``op.apply`` call, then refresh the tracker (and, when
     the coin fired, move the snapshot to the pre-step working iterate and
-    store its gradient realization). The ``(m, d)`` gradient correction is
+    its gradient realization, both left where the step found or wrote them:
+    ``q`` is a view of ``state`` and ``g_snap`` the new state's own
+    ``grads``, and nothing is copied). The ``(m, d)`` gradient correction is
     added to every block of the stacked state. With one block and a mixing
     matrix or gossip edge this is the snapshot iteration; with two blocks
     and the augmented operator it is the momentum iteration, and a zero
@@ -534,8 +531,8 @@ def ssdsgt_step(
         scratch.carried = new.xs
     if zeta:
         _add_to_blocks(new.s, correction, new.s)
-        new.q = top.copy()
-        new.g_snap = g_x.copy()
+        new.q = top
+        new.g_snap = g_x
         scratch.carried = None
     else:
         new.q = state.q
@@ -675,7 +672,7 @@ def audit_identities(
     the step sizes of the steps into slots ``1..n``; ``moved[j]`` is the
     index of the rows whose mean moved the iterate mean in the step into
     slot ``j + 1``, and ``snaps[k]`` the index of the snapshot rows of slot
-    ``k`` (see :meth:`StateBuffer.gradient_slots`). Slot 0 is the state
+    ``k`` (see :meth:`StateBuffer.snapshot_slots`). Slot 0 is the state
     before the chunk's first step, whose mean is the mean before it; it is
     audited itself only at a run's ``start``, which has no step.
 

@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -143,7 +143,9 @@ class ExperimentConfig:
         eps_stop: Optional suboptimality target that ends the run early
             (the weighted-average suboptimality for noisy runs).
         avg_checkpoints: Iterations at which the running weighted-average
-            suboptimality is stored into the summary.
+            suboptimality is stored into the summary (``wavg_at``), each in
+            ``[0, iters]``; a run that stops early stores the ones it
+            reached.
         label: Optional display label for plots.
         out: Optional default trace output path used by the command line.
     """
@@ -230,9 +232,9 @@ class ExperimentConfig:
         if self.eps_stop is not None and not (self.eps_stop > 0.0):
             raise ConfigError(f"must be positive, got {self.eps_stop}", "eps_stop")
         for value in self.avg_checkpoints:
-            if value < 0:
+            if not 0 <= value <= self.iters:
                 raise ConfigError(
-                    f"entries need to be nonnegative integers, got {value!r}",
+                    f"entries need to be integers in [0, iters={self.iters}], got {value!r}",
                     "avg_checkpoints",
                 )
 
@@ -619,11 +621,15 @@ class _Run:
         self.setup = setup
         self.streams = StreamBundle.from_seed(cfg.seed, setup.problem.m)
         self.step = {"dsgt": dsgt_step, "ssdsgt": ssdsgt_step, "assdsgt": assdsgt_step}[cfg.algo]
+        # The one per-algorithm fact the buffer does not hold: a ``dsgt``
+        # step moves the iterate mean by the gradient rows of the state
+        # before it (slot offset 0), a snapshot step by its own (offset 1).
+        self.moved = int(cfg.algo != "dsgt")
         self.static_op = setup.aug or setup.w
         state = init_state(setup.problem, setup.x0, cfg.algo, self.streams)
         slot_doubles = state.xs.size + state.g_snap.size
         self.size = max(1, min(_OBSERVE_CHUNK, _CHUNK_DOUBLES // slot_doubles - 1))
-        self.buffer = StateBuffer(state, cfg.algo, self.size, self.static_op)
+        self.buffer = StateBuffer(state, self.size, self.static_op)
         self.state = self.buffer.states[0]
         # Each state's step size is computed once, for the walk and for the
         # step from that state: ``etas[k]`` is slot k's.
@@ -666,8 +672,9 @@ class _Run:
         cfg, problem, buffer, lo = self.setup.cfg, self.setup.problem, self.buffer, self.lo
         averager, eps, noisy = self.averager, cfg.eps_stop, cfg.sigma_bar > 0.0
         means = state_means(buffer.xs[: count + 1], problem.m)
+        moved = slice(self.moved, count + self.moved)
         errors, scales = audit_identities(
-            means, buffer.grads[: count + 1], self.etas[:count], *buffer.gradient_slots(count), lo == 0
+            means, buffer.grads[: count + 1], self.etas[:count], moved, buffer.snapshot_slots(count), lo == 0
         )
         subopts = global_suboptimality(problem, means[lo:, -2 * self.state.blocks])
         observed = self.etas[lo:]

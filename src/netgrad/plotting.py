@@ -84,9 +84,8 @@ class _Panel:
         else:
             self.y_min, self.y_max = 1e-1, 1e1
         self.log_lo = math.log10(self.y_min)
+        # At least one decade, as y_max >= 10 * y_min.
         self.log_hi = math.log10(self.y_max)
-        if self.log_hi - self.log_lo < 1e-9:
-            self.log_hi = self.log_lo + 1.0
 
     def x_px(self, t: float) -> float:
         return _PANEL_LEFT + _PANEL_WIDTH * (t / self.x_max)

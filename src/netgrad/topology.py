@@ -319,7 +319,6 @@ def _gap_from_spectrum(evals: np.ndarray) -> tuple[float, float]:
         return 0.0, 1.0
     rest = evals[:-1]
     lambda2 = float(np.max(np.abs(rest)))
-    lambda2 = min(lambda2, 1.0)
     theta = 1.0 - lambda2
     return lambda2, theta
 

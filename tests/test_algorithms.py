@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from _reference import column_mean
 
+from netgrad import harness
 from netgrad.algorithms import (
     MOMENTUM_CONSTANT_DIVISOR,
     SNAPSHOT_CONSTANT_DIVISOR,
@@ -106,8 +110,15 @@ def test_theory_schedule_rejects_unknown_names(algo, mode):
         (dict(theta=float("nan")), r"^contraction parameter must lie in \(0, 1\], got nan$"),
         (dict(theta=-3.0), r"^contraction parameter must lie in \(0, 1\], got -3\.0$"),
         (dict(theta=1.5), r"^contraction parameter must lie in \(0, 1\], got 1\.5$"),
+        (dict(algo="admm"), r"^unknown algorithm tag 'admm'$"),
+        (dict(p=-0.1), r"^snapshot probability must lie in \[0, 1\], got -0\.1$"),
+        (dict(p=1.5), r"^snapshot probability must lie in \[0, 1\], got 1\.5$"),
+        (dict(p=float("nan")), r"^snapshot probability must lie in \[0, 1\], got nan$"),
     ],
-    ids=["nan-eta0", "inf-eta0", "inf-beta", "zero-L", "inf-L", "nan-theta", "negative-theta", "theta-above-1"],
+    ids=[
+        "nan-eta0", "inf-eta0", "inf-beta", "zero-L", "inf-L", "nan-theta", "negative-theta", "theta-above-1",
+        "unknown-algo", "negative-p", "p-above-1", "nan-p",
+    ],
 )
 def test_schedule_needs_finite_positive_steps_and_bounds(overrides, message):
     base = dict(algo="ssdsgt", mode="constant", p=0.5, L=2.0, mu=1.0, theta=0.5, eta0=0.1)
@@ -284,6 +295,34 @@ def test_always_refresh_advances_snapshot_clock():
         state = ssdsgt_step(state, problem, w, sched, streams)
         assert state.last_zeta == 1
         assert np.array_equal(state.q, previous_x)
+
+
+def test_a_fired_coin_keeps_its_snapshot_where_the_step_wrote_it():
+    # Twenty buffer steps at m = 1024, d = 2 whose coins all fire allocate
+    # less than one (m, d) array: each snapshot point is a view of the state
+    # the step started from and its rows are the step's own gradient slot.
+    # The coin block is drawn first, so no refill falls in the window, and
+    # a line tracer (tools/line_coverage.py's) is paused, as it allocates.
+    m, d = 1024, 2
+    setup = harness.prepare_run(harness.ExperimentConfig(agents=m, d=d, algo="ssdsgt", iters=100))
+    sched = replace(setup.sched, p=1.0)
+    run = harness._Run(setup)
+    state, streams, buffer = run.state, run.streams, run.buffer
+    streams.coin_uniform()
+    tracer = sys.gettrace()
+    sys.settrace(None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            state = ssdsgt_step(state, setup.problem, setup.w, sched, streams, run.etas[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.settrace(tracer)
+    assert state.t == 20 and state.last_zeta == 1
+    assert peak - base < m * d * 8
+    assert state.g_snap is state.grads and np.shares_memory(state.q, buffer.xs)
 
 
 def test_noisy_runs_are_bitwise_reproducible():

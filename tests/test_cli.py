@@ -375,3 +375,38 @@ def test_plot_of_an_invalid_trace_value_exits_two_naming_file_and_line(tmp_path:
     assert cli.main(["plot", str(trace), "--out", str(tmp_path / "f.svg")]) == 2
     err = capsys.readouterr().err
     assert f"trace file '{trace}' line 3: consensus_x" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--agents", "8,x", "--algo", "ssdsgt"], "config field 'agents': cannot parse sizes from '8,x'"),
+        (["run", "--config", "{list}"], "configuration must be a JSON object, got list"),
+        (["run", "--config", "{missing}"], "does not exist"),
+        (["run", "--config", "{late}"], "config field 'avg_checkpoints': entries need to be integers in [0, iters=50]"),
+        (["plot", "{header}", "--out", "{svg}"], "cannot plot a trace with no records"),
+    ],
+    ids=["sweep-size", "config-list", "config-missing", "checkpoint-past-horizon", "plot-header-only"],
+)
+def test_an_input_the_command_cannot_use_exits_two_saying_why(tmp_path: Path, capsys, argv, message):
+    paths = {name: tmp_path / name for name in ("list", "missing", "late", "header", "svg")}
+    paths["list"].write_text("[1, 2]")
+    paths["late"].write_text('{"iters": 50, "avg_checkpoints": [10, 500], "sigma_bar": 0.5}')
+    paths["header"].write_text(",".join(harness.CSV_COLUMNS) + "\n")
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not paths["svg"].exists()
+
+
+def test_a_plot_of_a_run_whose_every_value_is_zero_spans_the_default_decades(tmp_path: Path, capsys):
+    # One agent started at the minimizer: every suboptimality and consensus
+    # error is 0, so neither panel has a positive value to scale by.
+    config, trace, figure = tmp_path / "zero.json", tmp_path / "t.csv", tmp_path / "f.svg"
+    config.write_text('{"agents": 1, "x0_radius": 0.0, "iters": 10}')
+    assert cli.main(["run", "--config", str(config), "--out", str(trace)]) == 0
+    assert {record.subopt for record in harness.read_trace(trace)} == {0.0}
+    assert cli.main(["plot", str(trace), "--out", str(figure)]) == 0
+    capsys.readouterr()
+    root = ET.parse(figure).getroot()
+    assert [el.text for el in root.iter() if el.get("class") == "ylabel"] == ["0.1", "1", "10"] * 2
+    assert len([el for el in root.iter() if el.get("class") == "series"]) == 2

@@ -101,6 +101,8 @@ MISTYPED = [
         (dict(x0_radius=-1.0), "x0_radius"),
         (dict(eps_stop=0.0), "eps_stop"),
         (dict(avg_checkpoints=(-3,)), "avg_checkpoints"),
+        # A run never reaches it, so wavg_at would silently lack it.
+        (dict(iters=50, avg_checkpoints=(10, 500), sigma_bar=0.5), "avg_checkpoints"),
         (dict(mu=float("inf"), L=float("inf")), "mu"),
         (dict(L=float("inf")), "L"),
         (dict(sigma_bar=float("nan")), "sigma_bar"),
